@@ -34,7 +34,14 @@ from .model import (
     StrategyProfile,
     validate_params,
 )
-from .simulate import StepSizeError, integrate_ode, lln_convergence, round_counts, simulate_population
+from .simulate import (
+    TRANSITION_LABELS,
+    StepSizeError,
+    integrate_ode,
+    lln_convergence,
+    round_counts,
+    simulate_population,
+)
 from .stability import classify_equilibrium
 
 dataclass_replace = dataclasses.replace
@@ -298,25 +305,40 @@ def cmd_equilibria(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Table rows are formatted from ``ndarray.tolist()`` values in chunks of this
+# many rows, each chunk joined into one string: per-row strings never all
+# exist at once.  ``"%.17g" % v`` equals ``_g17(v)`` for every float.
+_CHUNK_ROWS = 1024
+_LABELS = np.array(TRANSITION_LABELS, dtype=object)
+
+
+def _table_chunks(header: str, template: str, columns: list[np.ndarray]) -> list[str]:
+    """``header``, then ``template % row`` for every row of ``columns``, as chunks."""
+    chunks = [header]
+    for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+        rows = zip(*[column[lo:lo + _CHUNK_ROWS].tolist() for column in columns])
+        chunks.append("\n".join([template % row for row in rows]))
+    return chunks
+
+
 def cmd_simulate(cfg: RunConfig) -> str:
     traj = integrate_ode(cfg.params, cfg.x0, cfg.strategy, cfg.t_end, cfg.dt)
-    lines = ["t,x_R,x_H,x_C"]
-    for t, (x_r, x_h, x_c) in zip(traj.times, traj.states):
-        lines.append(f"{_g17(t)},{_g17(x_r)},{_g17(x_h)},{_g17(x_c)}")
-    return "\n".join(lines) + "\n"
+    chunks = _table_chunks("t,x_R,x_H,x_C", "%.17g,%.17g,%.17g,%.17g",
+                           [traj.times, *traj.states.T])
+    return "\n".join(chunks) + "\n"
 
 
 def cmd_ctmc(cfg: RunConfig) -> str:
     n0 = round_counts(cfg.N, cfg.x0)
     path = simulate_population(cfg.params, n0, cfg.strategy, cfg.t_end, cfg.seed, stream=0)
-    lines = ["t,transition,n_R,n_H,n_C"]
-    for t, label, counts in path.events():
-        lines.append(f"{_g17(t)},{label},{counts.n_R},{counts.n_H},{counts.n_C}")
+    chunks = _table_chunks("t,transition,n_R,n_H,n_C", "%.17g,%s,%d,%d,%d",
+                           [path.times, _LABELS[path.transition_codes], *path.counts.T])
     distance = lln_convergence(
-        cfg.params, cfg.N, cfg.x0, cfg.strategy, cfg.t_end, cfg.replications, cfg.seed
+        cfg.params, cfg.N, cfg.x0, cfg.strategy, cfg.t_end, cfg.replications, cfg.seed,
+        stream0_path=path,
     )
-    lines.append(f"# lln_distance = {_g17(distance)}")
-    return "\n".join(lines) + "\n"
+    chunks.append(f"# lln_distance = {_g17(distance)}")
+    return "\n".join(chunks) + "\n"
 
 
 def cmd_sweep(cfg: RunConfig) -> str:

@@ -18,6 +18,8 @@ distinct documented streams and may run concurrently.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +39,6 @@ from .model import (
 # the cumulative rates in exactly this order.
 TRANSITION_LABELS = ("C->R", "R->H", "H->C", "C->H")
 
-# Stream-id blocks: replication i of the baseline uses stream i, the k-th
-# alternative strategy uses streams (k+1)*replications + i.
 _STEP_GUARD = 0.1
 
 
@@ -188,43 +188,57 @@ def simulate_population(
     """
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
-    rng = UniformStream(seed, stream)
+    uniform = UniformStream(seed, stream).uniform
+    log1p = math.log1p
     lam, r, b, qs, qi = p.lam, p.r, p.b, p.q_soc, p.q_inf
     u_h, u_c = s.u_H, s.u_C
     n_r, n_h, n_c = n0.n_R, n0.n_H, n0.n_C
     N = n0.N
     t = 0.0
-    times: list[float] = []
-    codes: list[int] = []
-    counts: list[tuple[int, int, int]] = []
+    times = array("d")
+    codes = array("B")
+    counts = array("q")
+    add_time, add_code, add_count = times.append, codes.append, counts.append
+    lam_u_h = lam * u_h
     while True:
+        # Cumulative rates in the order of TRANSITION_LABELS; the sums
+        # associate left to right, as rate_cr + rate_rh + rate_hc + rate_ch.
         rate_cr = n_c * (b + qs * n_h / N)
-        rate_rh = n_r * r
-        rate_hc = n_h * (lam * u_h + qi * n_c / N)
-        rate_ch = lam * n_c * u_c
-        total = rate_cr + rate_rh + rate_hc + rate_ch
+        upto_rh = rate_cr + n_r * r
+        upto_hc = upto_rh + n_h * (lam_u_h + qi * n_c / N)
+        total = upto_hc + lam * n_c * u_c
         if total <= 0.0:
             break
-        t += -math.log1p(-rng.uniform()) / total
+        t += -log1p(-uniform()) / total
         if t > t_end:
             break
-        pick = rng.uniform() * total
+        pick = uniform() * total
         if pick < rate_cr:
-            code, n_c, n_r = 0, n_c - 1, n_r + 1
-        elif pick < rate_cr + rate_rh:
-            code, n_r, n_h = 1, n_r - 1, n_h + 1
-        elif pick < rate_cr + rate_rh + rate_hc:
-            code, n_h, n_c = 2, n_h - 1, n_c + 1
+            add_code(0)
+            n_c -= 1
+            n_r += 1
+        elif pick < upto_rh:
+            add_code(1)
+            n_r -= 1
+            n_h += 1
+        elif pick < upto_hc:
+            add_code(2)
+            n_h -= 1
+            n_c += 1
         else:
-            code, n_c, n_h = 3, n_c - 1, n_h + 1
-        times.append(t)
-        codes.append(code)
-        counts.append((n_r, n_h, n_c))
+            add_code(3)
+            n_c -= 1
+            n_h += 1
+        add_time(t)
+        add_count(n_r)
+        add_count(n_h)
+        add_count(n_c)
+    # The arrays are views of the buffers filled above, which nothing else holds.
     return EventPath(
         initial=n0,
-        times=np.array(times),
-        transition_codes=np.array(codes, dtype=np.uint8),
-        counts=np.array(counts, dtype=np.int64).reshape(len(times), 3),
+        times=np.frombuffer(times, dtype=np.float64),
+        transition_codes=np.frombuffer(codes, dtype=np.uint8),
+        counts=np.frombuffer(counts, dtype=np.int64).reshape(len(times), 3),
         seed=seed,
         stream=stream,
         N=N,
@@ -259,26 +273,31 @@ def simulate_tagged_agent(
     """
     if initial_state not in ("R", "H", "C"):
         raise ValueError(f"unknown agent state {initial_state!r}")
-    rng = UniformStream(seed, stream)
+    uniform = UniformStream(seed, stream).uniform
     path = [(0.0, initial_state)]
     state = initial_state
     t = 0.0
-    horizon = float(background.times[-1])
+    # Python lists, so the per-jump arithmetic runs on floats, not numpy scalars.
+    times = background.times.tolist()
+    states = background.states.tolist()
+    last = len(times) - 1
+    horizon = times[-1]
     while t < horizon:
-        i = background.segment_index(t)
-        seg_end = float(background.times[i + 1]) if i + 1 < len(background.times) else horizon
-        _, x_h, x_c = background.states[i]
+        # Trajectory.segment_index, on the list.
+        i = min(max(bisect_right(times, t) - 1, 0), last)
+        seg_end = times[i + 1] if i < last else horizon
+        _, x_h, x_c = states[i]
         targets, rates = _agent_rates(p, u, x_h, x_c, state)
         total = sum(rates)
         if total <= 0.0:
             t = seg_end if seg_end > t else horizon
             continue
-        wait = -math.log1p(-rng.uniform()) / total
+        wait = -math.log1p(-uniform()) / total
         if t + wait >= seg_end:
             t = seg_end
             continue
         t += wait
-        pick = rng.uniform() * total
+        pick = uniform() * total
         acc = 0.0
         for target, rate in zip(targets, rates):
             acc += rate
@@ -316,12 +335,20 @@ def lln_convergence(
     replications: int,
     seed: int,
     dt: float | None = None,
+    *,
+    stream0_path: EventPath | None = None,
 ) -> float:
     """Sup-norm distance between the replication-averaged empirical path and the ODE.
 
     Replication ``i`` runs on stream ``(seed, i)``; its piecewise-constant
     fraction path is sampled on the ODE grid, averaged across replications,
     and compared with the ODE states in the max norm over the whole grid.
+
+    ``stream0_path``, if given, is used as replication 0 instead of
+    simulating it again.  It must be the :func:`simulate_population` path of
+    these ``p`` and ``s`` on stream ``(seed, 0)`` from the rounded initial
+    counts up to ``t_end``; its seed, stream, initial counts, ``N`` and
+    ``t_end`` are checked, and a mismatch raises ``ValueError``.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
@@ -329,12 +356,23 @@ def lln_convergence(
         raise ValueError("N must be >= 1")
     if dt is None:
         dt = min(0.01, _STEP_GUARD / rate_scale(p) / 2.0)
-    ode = integrate_ode(p, x0, s, t_end, dt)
     n0 = round_counts(N, x0)
+    if stream0_path is not None:
+        given = (stream0_path.seed, stream0_path.stream, stream0_path.initial,
+                 stream0_path.N, stream0_path.t_end)
+        if given != (seed, 0, n0, N, t_end):
+            raise ValueError(
+                f"stream0_path (seed, stream, initial, N, t_end) = {given} does not "
+                f"match replication 0 {(seed, 0, n0, N, t_end)}"
+            )
+    ode = integrate_ode(p, x0, s, t_end, dt)
     grid = ode.times
     mean = np.zeros_like(ode.states)
     for i in range(replications):
-        path = simulate_population(p, n0, s, t_end, seed, stream=i)
+        if i == 0 and stream0_path is not None:
+            path = stream0_path
+        else:
+            path = simulate_population(p, n0, s, t_end, seed, stream=i)
         idx = np.searchsorted(path.times, grid, side="right")
         stacked = np.vstack(
             [np.array([n0.n_R, n0.n_H, n0.n_C], dtype=np.int64), path.counts]
@@ -371,6 +409,8 @@ def _accumulated_payoff(p: ModelParams, x: PopulationState, path, horizon: float
     return total
 
 
+# Stream-id blocks: replication i of the baseline uses stream i, the k-th
+# alternative strategy uses streams (k+1)*replications + i.
 def _payoff_sample(p, x, profile, horizon, replications, seed, block):
     background = constant_trajectory(x, horizon)
     payoffs = np.empty(replications)

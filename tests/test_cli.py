@@ -1,10 +1,13 @@
 """Configuration parsing, subcommand output contracts, determinism."""
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import corruption_mfg as cm
 from corruption_mfg import cli
@@ -311,3 +314,49 @@ def test_stdout_output(tmp_path, capsys):
     rc = cli.main(["classify", "--config", str(cfg)])
     assert rc == 0
     assert "x_bar" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# byte-identical table output
+
+X0_CFG = "x0_R = 0.2\nx0_H = 0.5\nx0_C = 0.3\n"
+CTMC_CFG = THREE_CFG + X0_CFG + "N = 1000\nreplications = 3\nt_end = 10\nseed = 2024\n"
+
+# sha256 of the output of each (command, config), recorded before table rows
+# were formatted in chunks and before ctmc reused its stream-0 path.
+GOLDEN = [
+    ("simulate", THREE_CFG + X0_CFG + "strategy = corrupt\nt_end = 20\n",
+     "a6df84f77303c34513d101e4905cb9e4c53fba51adac0e8dbc89a4da6fa597a7"),
+    ("simulate", THREE_CFG + X0_CFG + "strategy = honest\nt_end = 20\n",
+     "21b9415e1cbb33ffdfb0fa1d2e59d6b65b067a91b8c0e248ac7f5b19b2fb6806"),
+    ("ctmc", CTMC_CFG + "strategy = corrupt\n",
+     "2060984147a7d2c2c48a59d48ce378c70d775f03f5b771794d8f00f84df26b52"),
+    ("ctmc", CTMC_CFG + "strategy = honest\n",
+     "42472230ea0413c43350db90b83c9ce715c1344fb662bed86d12a3619b1e9749"),
+    ("sweep", THREE_CFG + "sweep_param = q_inf\nsweep_min = -0.2\nsweep_max = 4\n"
+     "sweep_points = 300\n",
+     "6dc865c8f84a4b69493bad48997bfb0834761fb4ec15688b5e67b8a91226ee3b"),
+]
+
+
+@pytest.mark.parametrize("command,cfg,digest", GOLDEN,
+                         ids=["simulate-corrupt", "simulate-honest", "ctmc-corrupt",
+                              "ctmc-honest", "sweep"])
+def test_output_matches_golden_digest(tmp_path, command, cfg, digest):
+    rc, out = run_cli(tmp_path, cfg, command)
+    assert rc == 0
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@example(math.nan)
+@example(-math.nan)
+@example(math.inf)
+@example(-math.inf)
+@example(-0.0)
+@example(5e-324)
+@example(-2.225073858507201e-308)
+def test_percent_format_matches_g17(v):
+    # Table rows use one "%.17g" template; every other real uses format().
+    assert "%.17g" % v == format(v, ".17g")

@@ -8,6 +8,7 @@ import pytest
 from scipy import stats
 
 import corruption_mfg as cm
+from corruption_mfg import simulate
 from support import BASELINE, THREE_EQ, make_params
 
 THIRDS = cm.PopulationState(1 / 3, 1 / 3, 1 / 3)
@@ -301,6 +302,40 @@ def test_lln_deterministic():
     a = cm.lln_convergence(BASELINE, 100, THIRDS, cm.CORRUPT_PROFILE, 3.0, 5, seed=7)
     b = cm.lln_convergence(BASELINE, 100, THIRDS, cm.CORRUPT_PROFILE, 3.0, 5, seed=7)
     assert a == b
+
+
+def test_lln_reuses_stream0_path(monkeypatch):
+    n0 = cm.round_counts(200, THIRDS)
+    path = cm.simulate_population(THREE_EQ, n0, cm.CORRUPT_PROFILE, 3.0, seed=9, stream=0)
+    plain = cm.lln_convergence(THREE_EQ, 200, THIRDS, cm.CORRUPT_PROFILE, 3.0, 4, seed=9)
+    streams = []
+    simulate_population = simulate.simulate_population
+
+    def counting(*args, **kwargs):
+        streams.append(kwargs["stream"])
+        return simulate_population(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "simulate_population", counting)
+    handed = cm.lln_convergence(THREE_EQ, 200, THIRDS, cm.CORRUPT_PROFILE, 3.0, 4, seed=9,
+                                stream0_path=path)
+    assert handed == plain
+    assert streams == [1, 2, 3]
+
+
+@pytest.mark.parametrize("change", [
+    {"seed": 10},
+    {"stream": 1},
+    {"t_end": 2.0},
+    {"n0": cm.PopulationCounts(70, 64, 66)},   # same N, other counts
+    {"n0": cm.PopulationCounts(33, 34, 33)},   # another N
+])
+def test_lln_rejects_mismatched_stream0_path(change):
+    args = {"n0": cm.round_counts(200, THIRDS), "t_end": 3.0, "seed": 9, "stream": 0}
+    args.update(change)
+    path = cm.simulate_population(THREE_EQ, s=cm.CORRUPT_PROFILE, **args)
+    with pytest.raises(ValueError, match="stream0_path"):
+        cm.lln_convergence(THREE_EQ, 200, THIRDS, cm.CORRUPT_PROFILE, 3.0, 4, seed=9,
+                           stream0_path=path)
 
 
 # ---------------------------------------------------------------------------
