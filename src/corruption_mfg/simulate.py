@@ -64,11 +64,6 @@ class Trajectory:
     def final_state(self) -> PopulationState:
         return PopulationState(*self.states[-1])
 
-    def segment_index(self, t: float) -> int:
-        """Index of the sample whose value holds at time ``t`` (piecewise constant)."""
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
-        return min(max(i, 0), len(self.times) - 1)
-
 
 def constant_trajectory(
     state: PopulationState, t_end: float, strategy: StrategyProfile | None = None
@@ -141,7 +136,8 @@ class EventPath:
 
     ``times``, ``transition_codes`` (indices into :data:`TRANSITION_LABELS`)
     and ``counts`` (counts *after* each event) are parallel arrays;
-    ``initial`` holds the counts at time zero.
+    ``initial`` holds the counts at time zero; the remaining fields record
+    the arguments of the :func:`simulate_population` call that produced it.
     """
 
     initial: PopulationCounts
@@ -152,6 +148,8 @@ class EventPath:
     stream: int
     N: int
     t_end: float
+    params: ModelParams
+    strategy: StrategyProfile
 
     def __len__(self) -> int:
         return len(self.times)
@@ -243,6 +241,8 @@ def simulate_population(
         stream=stream,
         N=N,
         t_end=t_end,
+        params=p,
+        strategy=s,
     )
 
 
@@ -283,7 +283,7 @@ def simulate_tagged_agent(
     last = len(times) - 1
     horizon = times[-1]
     while t < horizon:
-        # Trajectory.segment_index, on the list.
+        # Index of the sample whose value holds at t (piecewise constant).
         i = min(max(bisect_right(times, t) - 1, 0), last)
         seg_end = times[i + 1] if i < last else horizon
         _, x_h, x_c = states[i]
@@ -347,8 +347,9 @@ def lln_convergence(
     ``stream0_path``, if given, is used as replication 0 instead of
     simulating it again.  It must be the :func:`simulate_population` path of
     these ``p`` and ``s`` on stream ``(seed, 0)`` from the rounded initial
-    counts up to ``t_end``; its seed, stream, initial counts, ``N`` and
-    ``t_end`` are checked, and a mismatch raises ``ValueError``.
+    counts up to ``t_end``; its seed, stream, initial counts, ``N``,
+    ``t_end``, params and strategy are checked, and a mismatch raises
+    ``ValueError``.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
@@ -359,11 +360,12 @@ def lln_convergence(
     n0 = round_counts(N, x0)
     if stream0_path is not None:
         given = (stream0_path.seed, stream0_path.stream, stream0_path.initial,
-                 stream0_path.N, stream0_path.t_end)
-        if given != (seed, 0, n0, N, t_end):
+                 stream0_path.N, stream0_path.t_end, stream0_path.params,
+                 stream0_path.strategy)
+        if given != (seed, 0, n0, N, t_end, p, s):
             raise ValueError(
-                f"stream0_path (seed, stream, initial, N, t_end) = {given} does not "
-                f"match replication 0 {(seed, 0, n0, N, t_end)}"
+                f"stream0_path (seed, stream, initial, N, t_end, params, strategy) = "
+                f"{given} does not match replication 0 {(seed, 0, n0, N, t_end, p, s)}"
             )
     ode = integrate_ode(p, x0, s, t_end, dt)
     grid = ode.times

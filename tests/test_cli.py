@@ -6,8 +6,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import corruption_mfg as cm
 from corruption_mfg import cli
@@ -347,16 +345,3 @@ def test_output_matches_golden_digest(tmp_path, command, cfg, digest):
     assert rc == 0
     assert hashlib.sha256(out).hexdigest() == digest
 
-
-@settings(max_examples=2000, deadline=None)
-@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
-@example(math.nan)
-@example(-math.nan)
-@example(math.inf)
-@example(-math.inf)
-@example(-0.0)
-@example(5e-324)
-@example(-2.225073858507201e-308)
-def test_percent_format_matches_g17(v):
-    # Table rows use one "%.17g" template; every other real uses format().
-    assert "%.17g" % v == format(v, ".17g")

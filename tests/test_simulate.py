@@ -328,11 +328,14 @@ def test_lln_reuses_stream0_path(monkeypatch):
     {"t_end": 2.0},
     {"n0": cm.PopulationCounts(70, 64, 66)},   # same N, other counts
     {"n0": cm.PopulationCounts(33, 34, 33)},   # another N
+    {"p": BASELINE},
+    {"s": cm.HONEST_PROFILE},
 ])
 def test_lln_rejects_mismatched_stream0_path(change):
-    args = {"n0": cm.round_counts(200, THIRDS), "t_end": 3.0, "seed": 9, "stream": 0}
+    args = {"p": THREE_EQ, "n0": cm.round_counts(200, THIRDS), "s": cm.CORRUPT_PROFILE,
+            "t_end": 3.0, "seed": 9, "stream": 0}
     args.update(change)
-    path = cm.simulate_population(THREE_EQ, s=cm.CORRUPT_PROFILE, **args)
+    path = cm.simulate_population(**args)
     with pytest.raises(ValueError, match="stream0_path"):
         cm.lln_convergence(THREE_EQ, 200, THIRDS, cm.CORRUPT_PROFILE, 3.0, 4, seed=9,
                            stream0_path=path)
