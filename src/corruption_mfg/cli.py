@@ -129,6 +129,9 @@ def parse_config(text: str) -> RunConfig:
     n_agents = values.get("N", DEFAULTS["N"])
     seed = values.get("seed", DEFAULTS["seed"])
     replications = values.get("replications", DEFAULTS["replications"])
+    for key, value in (("dt", dt), ("t_end", t_end)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
     if dt <= 0:
         raise ConfigError("dt must be > 0")
     if t_end <= 0:

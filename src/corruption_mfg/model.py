@@ -220,19 +220,6 @@ class TransitionRateTable:
         return {(src, tgt): rate for src, tgt, rate in self.entries}
 
 
-def _rhs(lam, r, b, q_soc, q_inf, u_H, u_C, x_R, x_H, x_C):
-    # Shared flow terms so the three components cancel exactly in floats.
-    detection = (b + q_soc * x_H) * x_C
-    recruitment = r * x_R
-    switching = lam * (x_H * u_H - x_C * u_C)
-    infection = q_inf * x_H * x_C
-    return (
-        detection - recruitment,
-        recruitment - switching - infection,
-        -detection + switching + infection,
-    )
-
-
 def kinetic_rhs(
     p: ModelParams, x: PopulationState, s: StrategyProfile
 ) -> tuple[float, float, float]:
@@ -241,8 +228,19 @@ def kinetic_rhs(
     Flows: C -> R at ``(b + q_soc x_H) x_C``, R -> H at ``r x_R``, net H <-> C
     switching ``lam (x_H u_H - x_C u_C)`` plus infection ``q_inf x_H x_C``.
     The three components sum to zero exactly (mass conservation).
+    ``simulate.integrate_ode`` writes this drift out inline, term for term.
     """
-    return _rhs(p.lam, p.r, p.b, p.q_soc, p.q_inf, s.u_H, s.u_C, x.x_R, x.x_H, x.x_C)
+    x_R, x_H, x_C = x.x_R, x.x_H, x.x_C
+    # Shared flow terms so the three components cancel exactly in floats.
+    detection = (p.b + p.q_soc * x_H) * x_C
+    recruitment = p.r * x_R
+    switching = p.lam * (x_H * s.u_H - x_C * s.u_C)
+    infection = p.q_inf * x_H * x_C
+    return (
+        detection - recruitment,
+        recruitment - switching - infection,
+        -detection + switching + infection,
+    )
 
 
 def population_rates(

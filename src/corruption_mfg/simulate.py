@@ -32,7 +32,6 @@ from .model import (
     PopulationCounts,
     PopulationState,
     StrategyProfile,
-    _rhs,
 )
 
 # Canonical transition order of the population chain; event selection walks
@@ -40,6 +39,9 @@ from .model import (
 TRANSITION_LABELS = ("C->R", "R->H", "H->C", "C->H")
 
 _STEP_GUARD = 0.1
+# Largest trajectory ``integrate_ode`` will build: 10**7 rows of 3 floats
+# is 240 MB.
+MAX_ODE_ROWS = 10**7
 
 
 class StepSizeError(ValueError):
@@ -88,36 +90,62 @@ def integrate_ode(
 ) -> Trajectory:
     """Classical RK4 integration of the mean-field kinetics.
 
-    Fixed step; ``dt`` must not exceed ``0.1 / rate_scale(p)``.  Every
-    emitted state is clamped at zero and rescaled onto the simplex, which
-    only ever moves it at round-off magnitude.
+    Fixed step; ``dt`` must not exceed ``0.1 / rate_scale(p)``, and the
+    ``floor(t_end / dt) + 1`` rows may not exceed :data:`MAX_ODE_ROWS`
+    (checked before anything is allocated); either guard raises
+    :class:`StepSizeError`.  Every emitted state is clamped at zero and
+    rescaled onto the simplex, which only ever moves it at round-off
+    magnitude.  ``states`` is a writable view over one float buffer.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be > 0")
-    if t_end < 0:
+    if not t_end >= 0:
         raise ValueError("t_end must be >= 0")
     guard = _STEP_GUARD / rate_scale(p)
     if dt > guard:
         raise StepSizeError(f"dt={dt} exceeds stability guard {guard:.6g} for these rates")
+    steps = t_end / dt + 1e-9
+    if not steps < MAX_ODE_ROWS:
+        raise StepSizeError(
+            f"t_end/dt={t_end / dt:.6g} asks for more than {MAX_ODE_ROWS} trajectory rows"
+        )
+    n_steps = int(math.floor(steps))
     lam, r, b, qs, qi = p.lam, p.r, p.b, p.q_soc, p.q_inf
-    u_h, u_c = s.u_H, s.u_C
-    n_steps = int(math.floor(t_end / dt + 1e-9))
-    states = np.empty((n_steps + 1, 3))
-    x_r, x_h, x_c = x0.as_tuple()
-    states[0] = (x_r, x_h, x_c)
+    u_h, u_c = float(s.u_H), float(s.u_C)
+    x_r, x_h, x_c = (float(v) for v in x0.as_tuple())
+    buf = array("d", [0.0]) * (3 * (n_steps + 1))
+    buf[0], buf[1], buf[2] = x_r, x_h, x_c
     half = dt / 2.0
     sixth = dt / 6.0
-    for i in range(1, n_steps + 1):
-        k1 = _rhs(lam, r, b, qs, qi, u_h, u_c, x_r, x_h, x_c)
-        k2 = _rhs(lam, r, b, qs, qi, u_h, u_c,
-                  x_r + half * k1[0], x_h + half * k1[1], x_c + half * k1[2])
-        k3 = _rhs(lam, r, b, qs, qi, u_h, u_c,
-                  x_r + half * k2[0], x_h + half * k2[1], x_c + half * k2[2])
-        k4 = _rhs(lam, r, b, qs, qi, u_h, u_c,
-                  x_r + dt * k3[0], x_h + dt * k3[1], x_c + dt * k3[2])
-        x_r += sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-        x_h += sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-        x_c += sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
+    # Each stage is kinetic_rhs written out term for term, in its order, so a
+    # step makes no calls and every operand is a float; the tests hold it
+    # bit-identical to RK4 on kinetic_rhs.
+    for j in range(3, len(buf), 3):
+        det = (b + qs * x_h) * x_c
+        rec = r * x_r
+        sw = lam * (x_h * u_h - x_c * u_c)
+        inf = qi * x_h * x_c
+        k1_r, k1_h, k1_c = det - rec, rec - sw - inf, -det + sw + inf
+        y_r, y_h, y_c = x_r + half * k1_r, x_h + half * k1_h, x_c + half * k1_c
+        det = (b + qs * y_h) * y_c
+        rec = r * y_r
+        sw = lam * (y_h * u_h - y_c * u_c)
+        inf = qi * y_h * y_c
+        k2_r, k2_h, k2_c = det - rec, rec - sw - inf, -det + sw + inf
+        y_r, y_h, y_c = x_r + half * k2_r, x_h + half * k2_h, x_c + half * k2_c
+        det = (b + qs * y_h) * y_c
+        rec = r * y_r
+        sw = lam * (y_h * u_h - y_c * u_c)
+        inf = qi * y_h * y_c
+        k3_r, k3_h, k3_c = det - rec, rec - sw - inf, -det + sw + inf
+        y_r, y_h, y_c = x_r + dt * k3_r, x_h + dt * k3_h, x_c + dt * k3_c
+        det = (b + qs * y_h) * y_c
+        rec = r * y_r
+        sw = lam * (y_h * u_h - y_c * u_c)
+        inf = qi * y_h * y_c
+        x_r += sixth * (k1_r + 2.0 * (k2_r + k3_r) + (det - rec))
+        x_h += sixth * (k1_h + 2.0 * (k2_h + k3_h) + (rec - sw - inf))
+        x_c += sixth * (k1_c + 2.0 * (k2_c + k3_c) + (-det + sw + inf))
         x_r = x_r if x_r > 0.0 else 0.0
         x_h = x_h if x_h > 0.0 else 0.0
         x_c = x_c if x_c > 0.0 else 0.0
@@ -125,8 +153,9 @@ def integrate_ode(
         x_r /= total
         x_h /= total
         x_c /= total
-        states[i] = (x_r, x_h, x_c)
+        buf[j], buf[j + 1], buf[j + 2] = x_r, x_h, x_c
     times = np.arange(n_steps + 1) * dt
+    states = np.frombuffer(buf).reshape(n_steps + 1, 3)
     return Trajectory(times=times, states=states, strategy=s, dt=dt)
 
 

@@ -205,6 +205,31 @@ def test_simulate_step_guard_exit_code(tmp_path):
     assert rc == 2
 
 
+def test_simulate_step_count_cap_exit_code(tmp_path, capsys):
+    # 2**-5 divides 312500 exactly: floor(t_end/dt) + 1 is one row over the cap.
+    for t_end in ("1e300", "312500"):
+        rc, out = run_cli(tmp_path, BASE_CFG + f"dt = 0.03125\nt_end = {t_end}\n", "simulate")
+        assert rc == 2
+        assert out == b""
+        assert "trajectory rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("simulate", "t_end = inf\n"),
+    ("simulate", "t_end = nan\n"),
+    ("simulate", "dt = nan\n"),
+    ("simulate", "dt = inf\n"),
+    ("ctmc", "t_end = nan\n"),
+    ("ctmc", "t_end = inf\n"),
+], ids=["simulate-t_end-inf", "simulate-t_end-nan", "simulate-dt-nan", "simulate-dt-inf",
+        "ctmc-t_end-nan", "ctmc-t_end-inf"])
+def test_nonfinite_dt_and_t_end_are_config_errors(tmp_path, capsys, command, extra):
+    rc, out = run_cli(tmp_path, BASE_CFG + extra, command)
+    assert rc == 1
+    assert out == b""
+    assert "must be finite" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # ctmc
 
@@ -320,8 +345,23 @@ def test_stdout_output(tmp_path, capsys):
 X0_CFG = "x0_R = 0.2\nx0_H = 0.5\nx0_C = 0.3\n"
 CTMC_CFG = THREE_CFG + X0_CFG + "N = 1000\nreplications = 3\nt_end = 10\nseed = 2024\n"
 
+# THREE_CFG with every rate scaled by 1e-6 or 1e+6, dt and t_end scaled back.
+THREE_SLOW_CFG = (
+    THREE_CFG.replace("lambda = 0.1\nr = 1\nb = 0.2", "lambda = 1e-7\nr = 1e-6\nb = 2e-7")
+    .replace("q_soc = 0.5\nq_inf = 2", "q_soc = 5e-7\nq_inf = 2e-6")
+    + X0_CFG + "dt = 1e4\nt_end = 2e7\n"
+)
+THREE_FAST_CFG = (
+    THREE_CFG.replace("lambda = 0.1\nr = 1\nb = 0.2", "lambda = 1e5\nr = 1e6\nb = 2e5")
+    .replace("q_soc = 0.5\nq_inf = 2", "q_soc = 5e5\nq_inf = 2e6")
+    + X0_CFG + "dt = 1e-8\nt_end = 2e-5\n"
+)
+CORNER_CFG = THREE_CFG + "x0_R = 0\nx0_H = 0\nx0_C = 1\nt_end = 20\n"
+
 # sha256 of the output of each (command, config), recorded before table rows
-# were formatted in chunks and before ctmc reused its stream-0 path.
+# were formatted in chunks and before ctmc reused its stream-0 path.  The
+# rate-scaled and corner-state simulate digests were recorded before the RK4
+# drift was written inline in integrate_ode.
 GOLDEN = [
     ("simulate", THREE_CFG + X0_CFG + "strategy = corrupt\nt_end = 20\n",
      "a6df84f77303c34513d101e4905cb9e4c53fba51adac0e8dbc89a4da6fa597a7"),
@@ -334,12 +374,27 @@ GOLDEN = [
     ("sweep", THREE_CFG + "sweep_param = q_inf\nsweep_min = -0.2\nsweep_max = 4\n"
      "sweep_points = 300\n",
      "6dc865c8f84a4b69493bad48997bfb0834761fb4ec15688b5e67b8a91226ee3b"),
+    ("simulate", THREE_SLOW_CFG + "strategy = corrupt\n",
+     "b8d947d5f09160d017fd99024c75080189442b5127789f6dc42db173ba3343a4"),
+    ("simulate", THREE_SLOW_CFG + "strategy = honest\n",
+     "3da3abdb54fcd338712d1b4bb71b3266bbb3400b16254e26ff1bcb65dd14ccd1"),
+    ("simulate", THREE_FAST_CFG + "strategy = corrupt\n",
+     "0ac963d1fbc8d816eeb54b8b554dc1bebccd86663173f1e5564ddb9188d40738"),
+    ("simulate", THREE_FAST_CFG + "strategy = honest\n",
+     "78a4b486d0857cdfe7d72b1e8fe598d6428cee8a559f712fbb7286954ae23ff7"),
+    ("simulate", CORNER_CFG + "strategy = corrupt\n",
+     "bc6d42b5a8f1b712bd2cad8aeca9b845f8fbd7900c922bbe37f089b4d528dec9"),
+    ("simulate", CORNER_CFG + "strategy = honest\n",
+     "fff78fdbdd5e226498c44f1f944e4573af1596eaf47bede898c2d7199d6f484b"),
 ]
 
 
 @pytest.mark.parametrize("command,cfg,digest", GOLDEN,
                          ids=["simulate-corrupt", "simulate-honest", "ctmc-corrupt",
-                              "ctmc-honest", "sweep"])
+                              "ctmc-honest", "sweep", "simulate-slow-corrupt",
+                              "simulate-slow-honest", "simulate-fast-corrupt",
+                              "simulate-fast-honest", "simulate-corner-corrupt",
+                              "simulate-corner-honest"])
 def test_output_matches_golden_digest(tmp_path, command, cfg, digest):
     rc, out = run_cli(tmp_path, cfg, command)
     assert rc == 0

@@ -2,9 +2,12 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import corruption_mfg as cm
@@ -68,6 +71,84 @@ def test_integration_order_is_fourth():
     e_fine = np.max(np.abs(ends[0.01] - ends[0.005]))
     assert e_coarse > 1e-13  # above float noise, so the ratio is meaningful
     assert math.log2(e_coarse / e_fine) >= 3.5
+
+
+def test_nan_step_or_horizon_is_rejected():
+    with pytest.raises(ValueError, match="dt"):
+        cm.integrate_ode(BASELINE, THIRDS, cm.CORRUPT_PROFILE, 1.0, math.nan)
+    with pytest.raises(ValueError, match="t_end"):
+        cm.integrate_ode(BASELINE, THIRDS, cm.CORRUPT_PROFILE, math.nan, 0.01)
+
+
+def test_step_count_cap_raises_before_allocating(monkeypatch):
+    def no_buffer(*args):
+        raise AssertionError("trajectory buffer allocated")
+
+    monkeypatch.setattr(simulate, "array", no_buffer)
+    dt = 2.0**-5  # t_end / dt is exact below
+    for t_end in (math.inf, 1e300, simulate.MAX_ODE_ROWS * dt):  # the last is one row over
+        with pytest.raises(cm.StepSizeError, match="trajectory rows"):
+            cm.integrate_ode(BASELINE, THIRDS, cm.CORRUPT_PROFILE, t_end, dt)
+
+
+def test_step_count_cap_boundary(monkeypatch):
+    monkeypatch.setattr(simulate, "MAX_ODE_ROWS", 11)
+    dt = 2.0**-5
+    traj = cm.integrate_ode(BASELINE, THIRDS, cm.CORRUPT_PROFILE, 10 * dt, dt)
+    assert traj.states.shape == (11, 3)
+    with pytest.raises(cm.StepSizeError):
+        cm.integrate_ode(BASELINE, THIRDS, cm.CORRUPT_PROFILE, 11 * dt, dt)
+
+
+def _reference_rk4(p, x0, s, t_end, dt):
+    """Classical RK4 on ``kinetic_rhs``, clamped and renormalised per step."""
+
+    def drift(x):
+        return cm.kinetic_rhs(p, SimpleNamespace(x_R=x[0], x_H=x[1], x_C=x[2]), s)
+
+    half, sixth = dt / 2.0, dt / 6.0
+    x = x0.as_tuple()
+    rows = [x]
+    for _ in range(math.floor(t_end / dt + 1e-9)):
+        k1 = drift(x)
+        k2 = drift([xi + half * ki for xi, ki in zip(x, k1)])
+        k3 = drift([xi + half * ki for xi, ki in zip(x, k2)])
+        k4 = drift([xi + dt * ki for xi, ki in zip(x, k3)])
+        x = [xi + sixth * (a + 2.0 * (b + c) + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+        x = [v if v > 0.0 else 0.0 for v in x]
+        total = x[0] + x[1] + x[2]
+        x = [v / total for v in x]
+        rows.append(x)
+    return np.array(rows, dtype=float)
+
+
+_RATE = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)  # 12 decades
+_COUPLING = st.one_of(st.just(0.0), _RATE)
+_CORNERS = [(0, 0, 1), (1, 0, 0), (0, 1, 0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0),
+            (0.5, 0.5, 0.0), (0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (-0.0, 0.0, 1.0)]
+_STATES = st.one_of(
+    st.sampled_from(_CORNERS),
+    st.tuples(*[st.floats(0.0, 1.0)] * 3)
+    .filter(lambda x: sum(x) > 0.0)
+    .map(lambda x: tuple(v / sum(x) for v in x)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rates=st.tuples(_RATE, _RATE, _RATE, _COUPLING, _COUPLING), x0=_STATES,
+       s=st.sampled_from(cm.ALL_PROFILES), step_frac=st.floats(1e-3, 1.0),
+       n_steps=st.integers(0, 50))
+def test_integrate_ode_matches_reference_rk4_bit_for_bit(rates, x0, s, step_frac, n_steps):
+    lam, r, b, q_soc, q_inf = rates
+    p = make_params(lam=lam, r=r, b=b, q_soc=q_soc, q_inf=q_inf)
+    x0 = cm.PopulationState(*x0)
+    dt = step_frac * 0.1 / simulate.rate_scale(p)
+    t_end = n_steps * dt
+    states = cm.integrate_ode(p, x0, s, t_end, dt).states
+    expected = _reference_rk4(p, x0, s, t_end, dt)
+    assert states.shape == expected.shape
+    # tobytes, not array_equal: a -0.0 where the reference has 0.0 fails.
+    assert states.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
