@@ -43,11 +43,16 @@ p3 = cm.ModelParams(lam=0.1, r=1, b=0.2, f=0, q_soc=0.5, q_inf=2.0,
                     w_R=0, w_H=1, w_C=1.275)
 show(p3, "infection-dominated society (bistable)")
 
-print("the interaction-free shortcut agrees with the enumeration:")
-p0 = cm.ModelParams(lam=1, r=1, b=1, f=0, q_soc=0, q_inf=0, w_R=0, w_H=1, w_C=10)
-rep = cm.no_interaction_equilibrium(p0)
-print("  closed form: x = (%.6f, %.6f, %.6f), %s\n"
-      % (rep.state.x_R, rep.state.x_H, rep.state.x_C, rep.behavior.value))
+# Without couplings the corrupt point has the closed form
+# x_H* = r b / (lam r + lam b + r b), x_C* = r (1 - x_H*) / (r + b).
+print("zero coupling: the enumeration reproduces the closed form")
+p0 = cm.ModelParams(lam=2, r=1, b=0.5, f=0, q_soc=0, q_inf=0, w_R=0, w_H=1, w_C=10)
+x_h = p0.r * p0.b / (p0.lam * p0.r + p0.lam * p0.b + p0.r * p0.b)
+x_c = p0.r * (1 - x_h) / (p0.r + p0.b)
+rep = cm.enumerate_equilibria(p0)[0]
+print("  closed form: x_H = %.6f, x_C = %.6f" % (x_h, x_c))
+print("  enumerated:  x_H = %.6f, x_C = %.6f, %s\n"
+      % (rep.state.x_H, rep.state.x_C, rep.behavior.value))
 
 # Policy lever: crank up detection effort b and watch the corrupt root and
 # the bistability window disappear.

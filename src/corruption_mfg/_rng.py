@@ -17,7 +17,6 @@ the block size changes only speed and memory, never a draw.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -46,6 +45,3 @@ class UniformStream:
     def __init__(self, seed: int, stream: int = 0):
         key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
         self.uniform = itertools.chain.from_iterable(_blocks(np.random.Philox(key=key))).__next__
-
-    def exponential(self, rate: float) -> float:
-        return -math.log1p(-self.uniform()) / rate

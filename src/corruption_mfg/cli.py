@@ -32,17 +32,17 @@ from .model import (
     PopulationState,
     SimplexError,
     StrategyProfile,
+    TRANSITION_LABELS,
     validate_params,
 )
 from .simulate import (
-    TRANSITION_LABELS,
     StepSizeError,
     integrate_ode,
     lln_convergence,
     round_counts,
     simulate_population,
 )
-from .stability import classify_equilibrium
+from .stability import StabilityContradictionError, classify_equilibrium
 
 dataclass_replace = dataclasses.replace
 
@@ -344,6 +344,11 @@ def cmd_ctmc(cfg: RunConfig) -> str:
     return "\n".join(chunks) + "\n"
 
 
+# The model's own failures at one sweep point become an error cell; any
+# other exception is a bug and propagates.
+_POINT_ERRORS = (ParameterError, SimplexError, ArithmeticError, StabilityContradictionError)
+
+
 def cmd_sweep(cfg: RunConfig) -> str:
     if cfg.sweep_param is None or cfg.sweep_grid is None:
         raise ConfigError("sweep requires sweep_param, sweep_min and sweep_max")
@@ -354,7 +359,7 @@ def cmd_sweep(cfg: RunConfig) -> str:
         try:
             validate_params(p)
             rows = _equilibrium_rows(p)
-        except Exception as exc:  # per-point failures recorded, sweep continues
+        except _POINT_ERRORS as exc:  # per-point failures recorded, sweep continues
             message = str(exc).replace(",", ";").replace("\n", " ")
             lines.append(f"{_g17(value)},,,,,,,,,{message}")
             continue

@@ -11,9 +11,11 @@ There are at most three, built by three explicit constructors:
 * the *honest boundary* ``x = (0, 1, 0)``, present whenever honesty is
   optimal in a fully honest society (``x_bar < 1``).
 
-A separate constructor covers the interaction-free case
-``q_soc = q_inf = 0``, where a single wage/fine inequality decides between
-the corrupt interior point and the honest boundary.
+The interaction-free case ``q_soc = q_inf = 0`` needs no constructor of its
+own: ``Q`` is then linear with root ``x_H* = r b / (lam r + lam b + r b)``,
+``x_bar`` is infinite, and the sign of the classifier bracket (the wage/fine
+inequality ``w_C - w_R >= b f + (w_H - w_R)(1 + b/r)``) picks the corrupt
+root or the honest boundary; a zero bracket reports both, indifferent.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ class Provenance(Enum):
     CORRUPT_ROOT = "corrupt_root"
     HONEST_INTERIOR = "honest_interior"
     HONEST_BOUNDARY = "honest_boundary"
-    NO_INTERACTION = "no_interaction"
 
 
 @dataclass(frozen=True)
@@ -181,18 +182,18 @@ def honest_boundary(p: ModelParams) -> EquilibriumReport | None:
     return _report(p, state, Behavior.HONEST, HONEST_PROFILE, Provenance.HONEST_BOUNDARY, x_bar)
 
 
-def _corrupt_report(p: ModelParams, x_bar: float, tie: bool) -> EquilibriumReport:
+def _corrupt_report(
+    p: ModelParams, x_bar: float, flag: str, warning: str | None = None
+) -> EquilibriumReport:
+    # The one place the corrupt state is built; a warning marks the report
+    # indifferent and sets ``flag``.
     x_h, x_c = corrupt_root(p)
-    state = PopulationState(1.0 - x_h - x_c, x_h, x_c)
-    behavior = Behavior.INDIFFERENT if tie else Behavior.CORRUPT
-    warnings = (
-        ("corrupt root sits on the classifier boundary; both regimes are optimal here",)
-        if tie
-        else ()
-    )
+    tie = warning is not None
     return _report(
-        p, state, behavior, CORRUPT_PROFILE, Provenance.CORRUPT_ROOT, x_bar,
-        flags=(("classifier_tie", tie),), warnings=warnings,
+        p, PopulationState(1.0 - x_h - x_c, x_h, x_c),
+        Behavior.INDIFFERENT if tie else Behavior.CORRUPT,
+        CORRUPT_PROFILE, Provenance.CORRUPT_ROOT, x_bar,
+        flags=((flag, tie),), warnings=(warning,) if tie else (),
     )
 
 
@@ -211,19 +212,13 @@ def enumerate_equilibria(p: ModelParams) -> list[EquilibriumReport]:
 
     if threshold.indifferent_everywhere:
         reports.append(
-            _report(
-                p,
-                _corrupt_state(p),
-                Behavior.INDIFFERENT,
-                CORRUPT_PROFILE,
-                Provenance.CORRUPT_ROOT,
-                x_bar,
-                flags=(("indifferent_everywhere", True),),
-                warnings=("regimes tie at every x (q_soc = 0 with zero bracket)",),
+            _corrupt_report(
+                p, x_bar, "indifferent_everywhere",
+                "regimes tie at every x (q_soc = 0 with zero bracket)",
             )
         )
     elif x_bar > 1.0 + TIE_TOL:
-        reports.append(_corrupt_report(p, x_bar, tie=False))
+        reports.append(_corrupt_report(p, x_bar, "classifier_tie"))
     elif x_bar > 0.0:
         q_at_bar = q_polynomial(p, min(x_bar, 1.0))
         x_h_star, _ = corrupt_root(p)
@@ -234,7 +229,13 @@ def enumerate_equilibria(p: ModelParams) -> list[EquilibriumReport]:
                 f"Q(x_bar)={q_at_bar!r} vs x_H*={x_h_star!r}, x_bar={x_bar!r}"
             )
         if below:
-            reports.append(_corrupt_report(p, x_bar, tie=abs(x_h_star - x_bar) <= TIE_TOL))
+            reports.append(
+                _corrupt_report(
+                    p, x_bar, "classifier_tie",
+                    "corrupt root sits on the classifier boundary; both regimes are optimal here"
+                    if abs(x_h_star - x_bar) <= TIE_TOL else None,
+                )
+            )
 
     boundary = honest_boundary(p)
     if boundary is not None:
@@ -261,47 +262,6 @@ def enumerate_equilibria(p: ModelParams) -> list[EquilibriumReport]:
 
     reports.sort(key=lambda rep: rep.state.x_H)
     return reports
-
-
-def _corrupt_state(p: ModelParams) -> PopulationState:
-    x_h, x_c = corrupt_root(p)
-    return PopulationState(1.0 - x_h - x_c, x_h, x_c)
-
-
-def no_interaction_equilibrium(p: ModelParams) -> EquilibriumReport:
-    """The unique equilibrium when ``q_soc = q_inf = 0``.
-
-    Corruption is individually optimal iff
-    ``w_C - w_R >= b f + (w_H - w_R)(1 + b/r)``; then the equilibrium is
-    ``x_H* = r b / (lam r + lam b + r b)``, ``x_C* = r (1 - x_H*) / (r + b)``.
-    Otherwise the honest boundary ``x = (0, 1, 0)`` is the equilibrium.
-    Equality is reported indifferent with a warning.
-    """
-    validate_params(p)
-    if p.q_soc != 0.0 or p.q_inf != 0.0:
-        raise ValueError("no-interaction constructor requires q_soc = q_inf = 0")
-    x_bar = classifier_xbar(p).value
-    margin = (p.w_C - p.w_R) - (p.b * p.f + (p.w_H - p.w_R) * (1.0 + p.b / p.r))
-    if margin > TIE_TOL:
-        x_h = p.r * p.b / (p.lam * p.r + p.lam * p.b + p.r * p.b)
-        x_c = p.r * (1.0 - x_h) / (p.r + p.b)
-        return _report(
-            p, PopulationState(1.0 - x_h - x_c, x_h, x_c), Behavior.CORRUPT,
-            CORRUPT_PROFILE, Provenance.NO_INTERACTION, x_bar,
-        )
-    if margin < -TIE_TOL:
-        return _report(
-            p, PopulationState(0.0, 1.0, 0.0), Behavior.HONEST,
-            HONEST_PROFILE, Provenance.NO_INTERACTION, x_bar,
-        )
-    x_h = p.r * p.b / (p.lam * p.r + p.lam * p.b + p.r * p.b)
-    x_c = p.r * (1.0 - x_h) / (p.r + p.b)
-    return _report(
-        p, PopulationState(1.0 - x_h - x_c, x_h, x_c), Behavior.INDIFFERENT,
-        CORRUPT_PROFILE, Provenance.NO_INTERACTION, x_bar,
-        flags=(("payoff_tie", True),),
-        warnings=("corrupt and honest payoffs tie exactly; both behaviors are optimal",),
-    )
 
 
 def mfg_consistent(p: ModelParams, report: EquilibriumReport) -> bool:

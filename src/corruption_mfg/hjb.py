@@ -16,7 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Behavior, ModelParams, PopulationState
+from .model import (
+    Behavior,
+    CORRUPT_PROFILE,
+    HONEST_PROFILE,
+    ModelParams,
+    PopulationState,
+    transition_rates,
+)
 
 # Absolute tolerance for payoff ties and for x_H vs x_bar comparisons.
 # Inside the band the agent is reported indifferent rather than letting
@@ -111,10 +118,10 @@ def solve_regime_corrupt(p: ModelParams, x: PopulationState) -> RegimeSolution:
 
     whose solution has common denominator ``r (a + k) + a k`` with
     ``a = lam + q_inf x_C``; the denominator is strictly positive for valid
-    parameters.
+    parameters.  ``k`` and ``a`` are the C->R and H->C rates of
+    :func:`~corruption_mfg.model.transition_rates`.
     """
-    a = p.lam + p.q_inf * x.x_C
-    k = p.b + p.q_soc * x.x_H
+    k, _, a, _ = transition_rates(p, x.x_H, x.x_C, CORRUPT_PROFILE)
     w_h = p.w_H - p.w_R
     net_c = (p.w_C - p.w_R) - k * p.f
     den = p.r * (a + k) + a * k
@@ -129,10 +136,9 @@ def solve_regime_honest(p: ModelParams, x: PopulationState) -> RegimeSolution:
 
     Same reduction as :func:`solve_regime_corrupt` with the max resolved the
     other way; the denominator becomes ``r (lam + c + k) + c k`` with
-    ``c = q_inf x_C``.
+    ``c = q_inf x_C``, the H->C rate without switching intent.
     """
-    c = p.q_inf * x.x_C
-    k = p.b + p.q_soc * x.x_H
+    k, _, c, _ = transition_rates(p, x.x_H, x.x_C, HONEST_PROFILE)
     w_h = p.w_H - p.w_R
     net_c = (p.w_C - p.w_R) - k * p.f
     den = p.r * (p.lam + c + k) + c * k
@@ -187,14 +193,12 @@ def solve_discounted(
         (delta + a) g_H - a g_C                              = w_H
         (delta + lam u_C + k) g_C - lam u_C g_H - k g_R      = w_C - k f
 
-    with ``a = lam u_H + q_inf x_C`` and ``k = b + q_soc x_H``.
+    with the C->R rate ``k = b + q_soc x_H``, the H->C rate ``a = lam u_H +
+    q_inf x_C`` and the C->H rate ``lam u_C`` of the regime's profile.
     """
     if delta <= 0:
         raise ValueError("delta must be > 0 for the discounted criterion")
-    u = regime.profile()
-    a = p.lam * u.u_H + p.q_inf * x.x_C
-    k = p.b + p.q_soc * x.x_H
-    swap_back = p.lam * u.u_C
+    k, _, a, swap_back = transition_rates(p, x.x_H, x.x_C, regime.profile())
     mat = np.array(
         [
             [delta + p.r, -p.r, 0.0],

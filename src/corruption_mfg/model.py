@@ -9,8 +9,9 @@ agents toward corruption at rate ``q_inf * x_C``, and reserved agents are
 re-recruited into ``H`` at rate ``r``.
 
 This module holds the parameter set, population/strategy value types, the
-mean-field drift of the fraction vector ``x = (x_R, x_H, x_C)`` and the rate
-tables of the finite-population chain and of a single tagged agent.  All
+per-capita rate kernel :func:`transition_rates` of the four rates above
+(read by the Bellman solvers, the tagged agent and the payoff flows) and
+the mean-field drift of the fraction vector ``x = (x_R, x_H, x_C)``.  All
 functions are pure; all value types are immutable.
 """
 
@@ -19,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-STATES = ("R", "H", "C")
 
 # Simplex acceptance: integrators drift at round-off scale, so states are
 # accepted with |sum - 1| <= SUM_TOL and components >= COMPONENT_FLOOR,
@@ -190,34 +189,28 @@ class Behavior(Enum):
         return None
 
 
-@dataclass(frozen=True)
-class TransitionRateTable:
-    """Sparse table of ``(source, target, rate)`` entries over {R, H, C}.
+# The four transitions, in the order of the rates returned by
+# ``transition_rates``; the population chain's event selection walks its
+# cumulative rates in this order too.
+TRANSITION_LABELS = ("C->R", "R->H", "H->C", "C->H")
 
-    Zero-rate transitions may be omitted; at most one entry per ordered pair.
+
+def transition_rates(
+    p: ModelParams, x_H: float, x_C: float, u: StrategyProfile
+) -> tuple[float, float, float, float]:
+    """Per-capita rates of one agent with intent ``u`` at background ``(x_H, x_C)``.
+
+    In :data:`TRANSITION_LABELS` order: C->R at ``b + q_soc x_H``, R->H at
+    ``r``, H->C at ``lam u_H + q_inf x_C``, C->H at ``lam u_C``.  The
+    aggregate rate of a transition in a population of N agents is the count
+    in its source state times this rate at ``x = n / N``.
     """
+    return (p.b + p.q_soc * x_H, p.r, p.lam * u.u_H + p.q_inf * x_C, p.lam * u.u_C)
 
-    entries: tuple[tuple[str, str, float], ...]
 
-    def __post_init__(self):
-        seen = set()
-        for src, tgt, rate in self.entries:
-            if src not in STATES or tgt not in STATES or src == tgt:
-                raise ValueError(f"bad transition {src!r} -> {tgt!r}")
-            if not math.isfinite(rate) or rate < 0:
-                raise ValueError(f"rate for {src} -> {tgt} must be finite and >= 0, got {rate!r}")
-            if (src, tgt) in seen:
-                raise ValueError(f"duplicate entry for {src} -> {tgt}")
-            seen.add((src, tgt))
-
-    def rate(self, source: str, target: str) -> float:
-        for src, tgt, rate in self.entries:
-            if src == source and tgt == target:
-                return rate
-        return 0.0
-
-    def as_dict(self) -> dict[tuple[str, str], float]:
-        return {(src, tgt): rate for src, tgt, rate in self.entries}
+def rate_scale(p: ModelParams) -> float:
+    """Magnitude scale of the kinetics: no per-capita rate exceeds it."""
+    return p.lam + p.r + p.b + p.q_soc + p.q_inf
 
 
 def kinetic_rhs(
@@ -241,39 +234,3 @@ def kinetic_rhs(
         recruitment - switching - infection,
         -detection + switching + infection,
     )
-
-
-def population_rates(
-    p: ModelParams, n: PopulationCounts, s: StrategyProfile
-) -> TransitionRateTable:
-    """Aggregate jump rates of the finite-N population chain at counts ``n``.
-
-    One agent moves per event: C->R at ``n_C (b + q_soc n_H/N)``, R->H at
-    ``n_R r``, H->C at ``n_H (lam u_H + q_inf n_C/N)``, C->H at
-    ``lam n_C u_C``.  Zero-rate entries are omitted.
-    """
-    N = n.N
-    rates = (
-        ("C", "R", n.n_C * (p.b + p.q_soc * n.n_H / N)),
-        ("R", "H", n.n_R * p.r),
-        ("H", "C", n.n_H * (p.lam * s.u_H + p.q_inf * n.n_C / N)),
-        ("C", "H", p.lam * n.n_C * s.u_C),
-    )
-    return TransitionRateTable(tuple(e for e in rates if e[2] > 0.0))
-
-
-def individual_rates(
-    p: ModelParams, x: PopulationState, u: StrategyProfile
-) -> TransitionRateTable:
-    """Jump rates of one tagged agent with intent ``u`` against background ``x``.
-
-    R->H at ``r``, H->C at ``lam u_H + q_inf x_C``, C->H at ``lam u_C``,
-    C->R at ``b + q_soc x_H``.  Zero-rate entries are omitted.
-    """
-    rates = (
-        ("R", "H", p.r),
-        ("H", "C", p.lam * u.u_H + p.q_inf * x.x_C),
-        ("C", "H", p.lam * u.u_C),
-        ("C", "R", p.b + p.q_soc * x.x_H),
-    )
-    return TransitionRateTable(tuple(e for e in rates if e[2] > 0.0))

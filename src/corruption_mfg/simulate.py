@@ -8,6 +8,11 @@ Three simulators share the kinetics of :mod:`corruption_mfg.model`:
 * :func:`simulate_tagged_agent`: one agent's jump path against a frozen
   background trajectory.
 
+The tagged agent and the payoff flows read the rate kernel
+:func:`~corruption_mfg.model.transition_rates`; the two hot loops,
+:func:`integrate_ode` and :func:`simulate_population`, write the rates out
+inline.
+
 On top sit two estimators: :func:`lln_convergence` (averaged empirical
 fraction paths vs the ODE path) and :func:`deviation_gain` (payoff of
 unilateral strategy deviations at an equilibrium, the approximate-Nash
@@ -28,29 +33,26 @@ from ._rng import UniformStream
 from .equilibria import EquilibriumReport
 from .model import (
     ALL_PROFILES,
+    TRANSITION_LABELS,
     ModelParams,
     PopulationCounts,
     PopulationState,
     StrategyProfile,
+    rate_scale,
+    transition_rates,
 )
-
-# Canonical transition order of the population chain; event selection walks
-# the cumulative rates in exactly this order.
-TRANSITION_LABELS = ("C->R", "R->H", "H->C", "C->H")
 
 _STEP_GUARD = 0.1
 # Largest trajectory ``integrate_ode`` will build: 10**7 rows of 3 floats
 # is 240 MB.
 MAX_ODE_ROWS = 10**7
+# Largest predicted event count ``simulate_population`` will start on:
+# 10**7 events take about 330 MB of buffers.
+MAX_EVENTS = 10**7
 
 
 class StepSizeError(ValueError):
-    """The requested ODE step exceeds the stability guard for these rates."""
-
-
-def rate_scale(p: ModelParams) -> float:
-    """Magnitude scale of the kinetics, used by the integrator step guard."""
-    return p.lam + p.r + p.b + p.q_soc + p.q_inf
+    """The requested ODE step, or the work it implies, exceeds a guard."""
 
 
 @dataclass(frozen=True)
@@ -212,9 +214,18 @@ def simulate_population(
     selects the transition by cumulative rate in the order
     ``C->R, R->H, H->C, C->H``.  Stops at ``t_end`` or when the total rate
     hits zero (absorbing count vector).
+
+    No total rate exceeds ``rate_scale(p) * N``, so ``rate_scale(p) * N *
+    t_end`` bounds the expected number of events; above :data:`MAX_EVENTS`
+    :class:`StepSizeError` is raised before anything is drawn.
     """
-    if t_end < 0:
+    if not t_end >= 0:
         raise ValueError("t_end must be >= 0")
+    predicted = rate_scale(p) * n0.N * t_end
+    if not predicted <= MAX_EVENTS:
+        raise StepSizeError(
+            f"rate_scale*N*t_end={predicted:.6g} predicts more than {MAX_EVENTS} events"
+        )
     uniform = UniformStream(seed, stream).uniform
     log1p = math.log1p
     lam, r, b, qs, qi = p.lam, p.r, p.b, p.q_soc, p.q_inf
@@ -275,15 +286,6 @@ def simulate_population(
     )
 
 
-def _agent_rates(p, u, x_h, x_c, state):
-    # (targets, rates) in the canonical order of the individual rate table.
-    if state == "R":
-        return ("H",), (p.r,)
-    if state == "H":
-        return ("C",), (p.lam * u.u_H + p.q_inf * x_c,)
-    return ("H", "R"), (p.lam * u.u_C, p.b + p.q_soc * x_h)
-
-
 def simulate_tagged_agent(
     p: ModelParams,
     background: Trajectory,
@@ -303,6 +305,7 @@ def simulate_tagged_agent(
     if initial_state not in ("R", "H", "C"):
         raise ValueError(f"unknown agent state {initial_state!r}")
     uniform = UniformStream(seed, stream).uniform
+    log1p = math.log1p
     path = [(0.0, initial_state)]
     state = initial_state
     t = 0.0
@@ -316,26 +319,26 @@ def simulate_tagged_agent(
         i = min(max(bisect_right(times, t) - 1, 0), last)
         seg_end = times[i + 1] if i < last else horizon
         _, x_h, x_c = states[i]
-        targets, rates = _agent_rates(p, u, x_h, x_c, state)
-        total = sum(rates)
-        if total <= 0.0:
-            t = seg_end if seg_end > t else horizon
-            continue
-        wait = -math.log1p(-uniform()) / total
-        if t + wait >= seg_end:
-            t = seg_end
-            continue
-        t += wait
-        pick = uniform() * total
-        acc = 0.0
-        for target, rate in zip(targets, rates):
-            acc += rate
-            if pick < acc:
-                state = target
+        c_r, r_h, h_c, c_h = transition_rates(p, x_h, x_c, u)
+        # Per state: (exit rate, rate of the first target, first, other
+        # target); the rates hold for every jump until seg_end.
+        exits = {
+            "R": (r_h, r_h, "H", "H"),
+            "H": (h_c, h_c, "C", "C"),
+            "C": (c_h + c_r, c_h, "H", "R"),
+        }
+        while True:
+            total, first_rate, first, other = exits[state]
+            if total <= 0.0:
+                t = seg_end if seg_end > t else horizon
                 break
-        else:
-            state = targets[-1]
-        path.append((t, state))
+            wait = -log1p(-uniform()) / total
+            if t + wait >= seg_end:
+                t = seg_end
+                break
+            t += wait
+            state = first if uniform() * total < first_rate else other
+            path.append((t, state))
     return path
 
 
@@ -426,12 +429,7 @@ class DeviationGainEstimate:
     best_profile: StrategyProfile
 
 
-def _accumulated_payoff(p: ModelParams, x: PopulationState, path, horizon: float) -> float:
-    flow = {
-        "R": p.w_R,
-        "H": p.w_H,
-        "C": p.w_C - (p.b + p.q_soc * x.x_H) * p.f,
-    }
+def _accumulated_payoff(flow: dict[str, float], path, horizon: float) -> float:
     total = 0.0
     for (t0, state), (t1, _) in zip(path, path[1:]):
         total += flow[state] * (t1 - t0)
@@ -444,12 +442,15 @@ def _accumulated_payoff(p: ModelParams, x: PopulationState, path, horizon: float
 # alternative strategy uses streams (k+1)*replications + i.
 def _payoff_sample(p, x, profile, horizon, replications, seed, block):
     background = constant_trajectory(x, horizon)
+    # The fine is charged at the C->R (detection) rate.
+    detection = transition_rates(p, x.x_H, x.x_C, profile)[0]
+    flow = {"R": p.w_R, "H": p.w_H, "C": p.w_C - detection * p.f}
     payoffs = np.empty(replications)
     for i in range(replications):
         path = simulate_tagged_agent(
             p, background, profile, seed, stream=block * replications + i, initial_state="H"
         )
-        payoffs[i] = _accumulated_payoff(p, x, path, horizon)
+        payoffs[i] = _accumulated_payoff(flow, path, horizon)
     mean = float(np.mean(payoffs))
     se = float(np.std(payoffs, ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
     return mean, se

@@ -9,10 +9,13 @@ eigenvalue real parts negative).
 Closed-form shortcuts are applied first where available: a sufficient band
 on ``q_soc - q_inf`` for the corrupt root, the explicit boundary eigenvalues
 ``{-r, q_inf - q_soc - lam - b}`` for the all-honest point, and positivity
-of both characteristic coefficients for the honest interior point.  Every
-closed-form verdict is cross-checked against the eigenvalues and a
-disagreement outside the margin band raises (it would signal a bug, not a
-property of the model).
+of both characteristic coefficients for the honest interior point.  There
+the Jacobian entry ``-(b + lam) + (q_inf - q_soc) x_H`` vanishes, so the
+coefficients are explicit: ``-trace = r + q_inf x_C`` and ``det = (q_inf -
+q_soc) x_C (r - lam + q_inf x_H)``.  Every closed-form verdict is
+cross-checked against the eigenvalues and a disagreement outside the margin
+band raises (it would signal a bug, not a property of the model), unless the
+eigenvalues are within round-off of zero, where they decide the verdict.
 """
 
 from __future__ import annotations
@@ -23,11 +26,14 @@ from enum import Enum
 import numpy as np
 
 from .equilibria import EquilibriumReport, Provenance
-from .model import CORRUPT_PROFILE, ModelParams, PopulationState, StrategyProfile
+from .model import ModelParams, PopulationState, StrategyProfile, rate_scale
 
 # Half-width of the sign-test band around zero; inside it a verdict is
 # Marginal rather than a round-off coin flip.
 MARGIN = 1e-9
+# Jacobian entries are sums of rates weighted by fractions in [0, 1], so an
+# eigenvalue real part within this fraction of rate_scale(p) is round-off.
+ROUNDOFF = 1e-13
 
 
 class Classification(Enum):
@@ -130,16 +136,25 @@ def corrupt_stability_band(p: ModelParams) -> bool:
     return lower <= diff <= upper
 
 
+def _interior_coefficients(p: ModelParams, x: PopulationState) -> tuple[float, float]:
+    """``(-trace, det)`` of the Jacobian at the honest interior point ``x``.
+
+    At ``x_H = (b + lam) / (q_inf - q_soc)`` the lower-right entry of the
+    honest-profile Jacobian is zero, which leaves ``-trace = r + q_inf x_C``
+    and ``det = (q_inf - q_soc) x_C (r - lam + q_inf x_H)``.
+    """
+    neg_trace = p.r + p.q_inf * x.x_C
+    det = (p.q_inf - p.q_soc) * x.x_C * (p.r - p.lam + p.q_inf * x.x_H)
+    return neg_trace, det
+
+
 def _closed_form(p: ModelParams, e: EquilibriumReport):
     """(classification-or-None, flags) from the rule matching the provenance."""
-    corrupt_like = e.provenance is Provenance.CORRUPT_ROOT or (
-        e.provenance is Provenance.NO_INTERACTION and e.strategy == CORRUPT_PROFILE
-    )
-    if corrupt_like:
+    if e.provenance is Provenance.CORRUPT_ROOT:
         band = corrupt_stability_band(p)
         verdict = Classification.STABLE if band else None
         return verdict, (("sufficient_band", band),)
-    if e.provenance is Provenance.HONEST_BOUNDARY or e.provenance is Provenance.NO_INTERACTION:
+    if e.provenance is Provenance.HONEST_BOUNDARY:
         # Boundary eigenvalues are exactly {-r, q_inf - q_soc - lam - b}.
         edge = p.q_inf - p.q_soc - p.lam - p.b
         if edge < -MARGIN:
@@ -149,13 +164,10 @@ def _closed_form(p: ModelParams, e: EquilibriumReport):
         else:
             verdict = Classification.MARGINAL
         return verdict, (("boundary_rate_negative", edge < 0.0),)
-    # Honest interior: stable when both characteristic coefficients
-    # (-trace and det of the Jacobian) are positive; true whenever the
-    # existence condition holds, checked numerically here.
-    j = jacobian(p, e.state, e.strategy)
-    trace = float(j[0, 0] + j[1, 1])
-    det = float(np.linalg.det(j))
-    positive = -trace > MARGIN and det > MARGIN
+    # Honest interior: stable when both characteristic coefficients are
+    # positive, which the existence condition implies.
+    neg_trace, det = _interior_coefficients(p, e.state)
+    positive = neg_trace > MARGIN and det > MARGIN
     verdict = Classification.STABLE if positive else None
     return verdict, (("char_coefficients_positive", positive),)
 
@@ -166,23 +178,20 @@ def classify_equilibrium(p: ModelParams, e: EquilibriumReport) -> StabilityVerdi
     The matching closed-form rule is evaluated first, then always
     cross-checked against the eigenvalues of the reduced Jacobian at the
     report's state under its strategy; a contradiction outside the margin
-    band raises :class:`StabilityContradictionError`.
+    band raises :class:`StabilityContradictionError`, unless the deciding
+    real part is within :data:`ROUNDOFF` of the rate scale, where the
+    eigenvalues cannot confirm the rule and the verdict falls back to them.
     """
     eig = trace_det_verdict(jacobian(p, e.state, e.strategy))
     closed, flags = _closed_form(p, e)
-    if closed is None:
-        method = Method.FALLBACK
-    else:
-        conflict = {closed, eig.classification} == {
-            Classification.STABLE,
-            Classification.UNSTABLE,
-        }
-        if conflict:
+    if {closed, eig.classification} == {Classification.STABLE, Classification.UNSTABLE}:
+        if abs(max(eig.eigen_real_parts)) > ROUNDOFF * rate_scale(p):
             raise StabilityContradictionError(
                 f"closed-form verdict {closed.value} contradicts eigenvalues "
                 f"{eig.eigen_real_parts} at {e.provenance.value}"
             )
-        method = Method.CLOSED_FORM
+        closed = None
+    method = Method.FALLBACK if closed is None else Method.CLOSED_FORM
     return StabilityVerdict(
         eig.classification, method, eig.eigen_real_parts, eig.trace, eig.det,
         flags=flags + eig.flags,

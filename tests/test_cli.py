@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import corruption_mfg as cm
-from corruption_mfg import cli
+from corruption_mfg import cli, simulate
 
 BASE_CFG = """\
 # interaction-free corrupt baseline
@@ -257,6 +257,27 @@ def test_ctmc_seed_override_changes_output(tmp_path):
     assert out1 != out2
 
 
+def test_ctmc_event_cap_exit_code(tmp_path, capsys):
+    # N = 100 at rate_scale 3: both horizons predict more than MAX_EVENTS events.
+    for t_end in ("1e300", "40000"):
+        rc, out = run_cli(tmp_path, BASE_CFG + f"N = 100\nt_end = {t_end}\n", "ctmc")
+        assert rc == 2
+        assert out == b""
+        assert "events" in capsys.readouterr().err
+
+
+def test_ctmc_event_cap_boundary(tmp_path, monkeypatch):
+    monkeypatch.setattr(simulate, "MAX_EVENTS", 60)
+    cfg = BASE_CFG + "N = 10\nreplications = 2\n"
+    rc, out = run_cli(tmp_path, cfg + "t_end = 2\n", "ctmc")  # predicts exactly 60
+    assert rc == 0
+    assert out.decode().splitlines()[-1].startswith("# lln_distance = ")
+    (tmp_path / "ctmc.out").unlink()
+    rc, out = run_cli(tmp_path, cfg + f"t_end = {math.nextafter(2.0, 3.0)!r}\n", "ctmc")
+    assert rc == 2
+    assert out == b""
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -303,6 +324,32 @@ def test_sweep_records_per_point_errors(tmp_path):
     assert error_rows[0][0] == "0"
     assert "b > 0" in error_rows[0][9]
     assert any(not r[9] for r in rows)  # the valid point still produced rows
+
+
+SWEEP_CFG = THREE_CFG + "sweep_param = b\nsweep_min = 0.1\nsweep_max = 1\nsweep_points = 3\n"
+
+
+@pytest.mark.parametrize("error", [
+    cm.SimplexError, ArithmeticError, cm.StabilityContradictionError,
+])
+def test_sweep_records_model_errors(tmp_path, monkeypatch, error):
+    def failing(p, e):
+        raise error("model failure")
+
+    monkeypatch.setattr(cli, "classify_equilibrium", failing)
+    rc, out = run_cli(tmp_path, SWEEP_CFG, "sweep")
+    assert rc == 0
+    rows = [l.split(",") for l in out.decode().splitlines()[1:]]
+    assert [r[9] for r in rows] == ["model failure"] * 3
+
+
+def test_sweep_programming_error_propagates(tmp_path, monkeypatch):
+    def broken(p, e):
+        raise TypeError("not a model failure")
+
+    monkeypatch.setattr(cli, "classify_equilibrium", broken)
+    with pytest.raises(TypeError, match="not a model failure"):
+        run_cli(tmp_path, SWEEP_CFG, "sweep")
 
 
 def test_sweep_lambda_axis_maps_to_rate(tmp_path):

@@ -223,46 +223,63 @@ def test_enumerate_rejects_invalid_params():
 
 
 # ---------------------------------------------------------------------------
-# interaction-free constructor
+# interaction-free case (q_soc = q_inf = 0): a single wage/fine inequality
+# w_C - w_R >= b f + (w_H - w_R)(1 + b/r) picks the corrupt point
+# x_H* = r b / (lam r + lam b + r b), x_C* = r (1 - x_H*) / (r + b), or the
+# honest boundary.
 
 
 def test_no_interaction_corrupt_case():
-    rep = cm.no_interaction_equilibrium(BASELINE)  # 10 >= 0 + 1*2
+    reports = cm.enumerate_equilibria(BASELINE)  # 10 >= 0 + 1*2
+    assert len(reports) == 1
+    rep = reports[0]
     assert rep.behavior is cm.Behavior.CORRUPT
-    assert rep.provenance is cm.Provenance.NO_INTERACTION
+    assert rep.provenance is cm.Provenance.CORRUPT_ROOT
     for got, want in zip(rep.state.as_tuple(), (1 / 3, 1 / 3, 1 / 3)):
         assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_no_interaction_honest_case():
-    rep = cm.no_interaction_equilibrium(make_params(w_H=5.0, w_C=5.5))  # 5.5 < 10
-    assert rep.behavior is cm.Behavior.HONEST
-    assert rep.state.as_tuple() == (0.0, 1.0, 0.0)
+    reports = cm.enumerate_equilibria(make_params(w_H=5.0, w_C=5.5))  # 5.5 < 10
+    assert len(reports) == 1
+    assert reports[0].behavior is cm.Behavior.HONEST
+    assert reports[0].state.as_tuple() == (0.0, 1.0, 0.0)
 
 
 def test_no_interaction_tie():
-    rep = cm.no_interaction_equilibrium(make_params(w_C=2.0))  # exactly bf + 2
-    assert rep.behavior is cm.Behavior.INDIFFERENT
-    assert rep.warnings
-
-
-def test_no_interaction_requires_zero_couplings():
-    with pytest.raises(ValueError):
-        cm.no_interaction_equilibrium(make_params(q_soc=0.5))
+    # Exactly w_C = b f + 2: both regimes are optimal everywhere, so the
+    # corrupt point and the honest boundary are both reported indifferent.
+    reports = cm.enumerate_equilibria(make_params(w_C=2.0))
+    assert [r.provenance for r in reports] == [
+        cm.Provenance.CORRUPT_ROOT, cm.Provenance.HONEST_BOUNDARY
+    ]
+    for rep in reports:
+        assert rep.behavior is cm.Behavior.INDIFFERENT
+        assert rep.warnings
+    assert reports[0].diagnostics.flag("indifferent_everywhere")
+    for got, want in zip(reports[0].state.as_tuple(), (1 / 3, 1 / 3, 1 / 3)):
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_no_interaction_agrees_with_enumeration():
     rng = np.random.default_rng(25)
     for _ in range(300):
         p = random_params(rng, zero_q=True)
-        rep = cm.no_interaction_equilibrium(p)
-        if rep.behavior is cm.Behavior.INDIFFERENT:
+        margin = (p.w_C - p.w_R) - (p.b * p.f + (p.w_H - p.w_R) * (1.0 + p.b / p.r))
+        if abs(margin) <= 1e-9:
             continue
         reports = cm.enumerate_equilibria(p)
         assert len(reports) == 1
-        assert reports[0].behavior is rep.behavior
-        assert reports[0].state.x_H == pytest.approx(rep.state.x_H, abs=1e-12)
-        assert reports[0].state.x_C == pytest.approx(rep.state.x_C, abs=1e-12)
+        rep = reports[0]
+        if margin > 0:
+            x_h = p.r * p.b / (p.lam * p.r + p.lam * p.b + p.r * p.b)
+            x_c = p.r * (1.0 - x_h) / (p.r + p.b)
+            assert rep.behavior is cm.Behavior.CORRUPT
+            assert rep.state.x_H == pytest.approx(x_h, abs=1e-12)
+            assert rep.state.x_C == pytest.approx(x_c, abs=1e-12)
+        else:
+            assert rep.behavior is cm.Behavior.HONEST
+            assert rep.state.as_tuple() == (0.0, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Parameter validation, kinetics and rate tables."""
+"""Parameter validation, kinetics and the per-capita rate kernel."""
 
 import dataclasses
 
@@ -82,19 +82,6 @@ def test_strategy_profile_and_behavior():
         cm.Behavior.INDIFFERENT.profile()
 
 
-def test_rate_table_validation():
-    with pytest.raises(ValueError):
-        cm.TransitionRateTable((("R", "H", -1.0),))
-    with pytest.raises(ValueError):
-        cm.TransitionRateTable((("R", "H", 1.0), ("R", "H", 2.0)))
-    with pytest.raises(ValueError):
-        cm.TransitionRateTable((("R", "X", 1.0),))
-    table = cm.TransitionRateTable((("R", "H", 1.5),))
-    assert table.rate("R", "H") == 1.5
-    assert table.rate("H", "C") == 0.0
-    assert table.as_dict() == {("R", "H"): 1.5}
-
-
 # ---------------------------------------------------------------------------
 # kinetic_rhs
 
@@ -125,37 +112,44 @@ def test_rhs_conserves_mass():
 
 
 # ---------------------------------------------------------------------------
-# population_rates
+# transition_rates: the population chain's aggregate rates are the count in
+# each source state times the per-capita kernel at x = n / N.
+
+SOURCES = {"C->R": 2, "R->H": 0, "H->C": 1, "C->H": 2}  # index into (n_R, n_H, n_C)
+
+
+def aggregate_rates(p, n, s):
+    """Kernel times occupancy, keyed by transition label."""
+    x = n.fractions()
+    occupancy = (n.n_R, n.n_H, n.n_C)
+    rates = cm.transition_rates(p, x.x_H, x.x_C, s)
+    return {label: occupancy[SOURCES[label]] * rate
+            for label, rate in zip(cm.TRANSITION_LABELS, rates)}
 
 
 def test_population_rates_hand_values():
     p = make_params()
-    n = cm.PopulationCounts(1, 1, 1)
-    table = cm.population_rates(p, n, cm.CORRUPT_PROFILE)
-    assert table.rate("C", "R") == 1.0
-    assert table.rate("R", "H") == 1.0
-    assert table.rate("H", "C") == 1.0
-    assert table.rate("C", "H") == 0.0
+    rates = aggregate_rates(p, cm.PopulationCounts(1, 1, 1), cm.CORRUPT_PROFILE)
+    assert rates == {"C->R": 1.0, "R->H": 1.0, "H->C": 1.0, "C->H": 0.0}
 
 
 def test_population_rates_social_norm_term():
     p = make_params(q_soc=2.0)
-    n = cm.PopulationCounts(0, 1, 1)
-    table = cm.population_rates(p, n, cm.CORRUPT_PROFILE)
-    assert table.rate("C", "R") == pytest.approx(1.0 * (1.0 + 2.0 * 0.5), abs=0)
+    rates = aggregate_rates(p, cm.PopulationCounts(0, 1, 1), cm.CORRUPT_PROFILE)
+    assert rates["C->R"] == 1.0 * (1.0 + 2.0 * 0.5)
 
 
 def test_population_rates_empty_corrupt_class():
     p = make_params(q_soc=1.0, q_inf=1.0)
-    n = cm.PopulationCounts(2, 3, 0)
-    table = cm.population_rates(p, n, cm.CORRUPT_PROFILE)
-    assert table.rate("C", "R") == 0.0
-    assert table.rate("C", "H") == 0.0
+    rates = aggregate_rates(p, cm.PopulationCounts(2, 3, 0), cm.CORRUPT_PROFILE)
+    assert rates["C->R"] == 0.0
+    assert rates["C->H"] == 0.0
 
 
 def test_population_drift_matches_ode_field():
-    # (1/N) * sum over entries of rate * (target - source indicator)
-    # must reproduce the mean-field drift at x = n / N.
+    # (1/N) * sum over transitions of rate * (target - source indicator)
+    # must reproduce the mean-field drift at x = n / N; kinetic_rhs is
+    # written independently of the kernel.
     basis = {"R": np.array([1.0, 0, 0]), "H": np.array([0, 1.0, 0]), "C": np.array([0, 0, 1.0])}
     rng = np.random.default_rng(2)
     for i in range(300):
@@ -166,7 +160,8 @@ def test_population_drift_matches_ode_field():
         n = cm.PopulationCounts(int(counts[0]), int(counts[1]), int(counts[2]))
         s = cm.ALL_PROFILES[i % 4]
         drift = np.zeros(3)
-        for src, tgt, rate in cm.population_rates(p, n, s).entries:
+        for label, rate in aggregate_rates(p, n, s).items():
+            src, tgt = label.split("->")
             drift += rate * (basis[tgt] - basis[src])
         drift /= n.N
         rhs = np.array(cm.kinetic_rhs(p, n.fractions(), s))
@@ -174,50 +169,52 @@ def test_population_drift_matches_ode_field():
 
 
 def test_population_rates_are_individual_rates_per_capita():
-    # Common strategy: aggregate rate of src->tgt equals N * x_src times the
-    # tagged-agent rate of the same transition.
+    # Kernel times occupancy equals the finite-N chain's aggregate rates,
+    # written here from the counts directly.
     rng = np.random.default_rng(3)
     for i in range(200):
         p = random_params(rng)
         counts = rng.integers(1, 30, size=3)
-        n = cm.PopulationCounts(int(counts[0]), int(counts[1]), int(counts[2]))
+        n_r, n_h, n_c = (int(v) for v in counts)
+        n = cm.PopulationCounts(n_r, n_h, n_c)
         s = cm.ALL_PROFILES[i % 4]
-        x = n.fractions()
-        pop = cm.population_rates(p, n, s).as_dict()
-        ind = cm.individual_rates(p, x, s)
-        occupancy = {"R": n.n_R, "H": n.n_H, "C": n.n_C}
-        for (src, tgt), rate in pop.items():
-            assert rate == pytest.approx(occupancy[src] * ind.rate(src, tgt), rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# individual_rates
+        N = n.N
+        want = {
+            "C->R": n_c * (p.b + p.q_soc * n_h / N),
+            "R->H": n_r * p.r,
+            "H->C": n_h * (p.lam * s.u_H + p.q_inf * n_c / N),
+            "C->H": p.lam * n_c * s.u_C,
+        }
+        got = aggregate_rates(p, n, s)
+        for label in cm.TRANSITION_LABELS:
+            assert got[label] == pytest.approx(want[label], rel=1e-12, abs=0)
 
 
 def test_individual_rates_hand_values():
-    p = make_params(q_soc=1.0, q_inf=2.0)
-    x = cm.PopulationState(0.0, 0.5, 0.5)
-    table = cm.individual_rates(p, x, cm.CORRUPT_PROFILE)
-    assert table.rate("R", "H") == 1.0
-    assert table.rate("H", "C") == pytest.approx(2.0, abs=0)
-    assert table.rate("C", "R") == pytest.approx(1.5, abs=0)
-    assert table.rate("C", "H") == 0.0
+    p = make_params(lam=3.0, r=0.5, b=0.25, q_soc=1.0, q_inf=2.0)
+    assert cm.transition_rates(p, 0.5, 0.25, cm.CORRUPT_PROFILE) == (0.75, 0.5, 3.5, 0.0)
+    assert cm.transition_rates(p, 0.5, 0.25, cm.HONEST_PROFILE) == (0.75, 0.5, 0.5, 3.0)
+    assert cm.transition_rates(p, 1.0, 0.0, cm.StrategyProfile(1, 1)) == (1.25, 0.5, 3.0, 3.0)
+    assert all(type(v) is float for v in cm.transition_rates(p, 0.5, 0.25, cm.HONEST_PROFILE))
+    assert cm.TRANSITION_LABELS == ("C->R", "R->H", "H->C", "C->H")
 
 
 def test_reserved_state_only_exits_to_honest():
     rng = np.random.default_rng(4)
     for i in range(50):
         p = random_params(rng)
-        table = cm.individual_rates(p, random_simplex(rng), cm.ALL_PROFILES[i % 4])
-        outgoing = [(src, tgt) for src, tgt, rate in table.entries if src == "R" and rate > 0]
-        assert outgoing == [("R", "H")]
+        x = random_simplex(rng)
+        rates = cm.transition_rates(p, x.x_H, x.x_C, cm.ALL_PROFILES[i % 4])
+        outgoing = [label for label, rate in zip(cm.TRANSITION_LABELS, rates)
+                    if label.startswith("R->") and rate > 0]
+        assert outgoing == ["R->H"]
 
 
 def test_honest_state_absorbing_without_intent_or_infection():
     p = make_params(q_inf=0.0)
-    x = cm.PopulationState(0.2, 0.3, 0.5)
-    table = cm.individual_rates(p, x, cm.StrategyProfile(0, 0))
-    assert all(not (src == "H" and rate > 0) for src, tgt, rate in table.entries)
+    rates = cm.transition_rates(p, 0.3, 0.5, cm.StrategyProfile(0, 0))
+    assert all(rate == 0.0 for label, rate in zip(cm.TRANSITION_LABELS, rates)
+               if label.startswith("H->"))
 
 
 def test_all_rates_nonnegative():
@@ -226,11 +223,4 @@ def test_all_rates_nonnegative():
         p = random_params(rng)
         x = random_simplex(rng)
         s = cm.ALL_PROFILES[i % 4]
-        for _, _, rate in cm.individual_rates(p, x, s).entries:
-            assert rate >= 0.0
-        counts = rng.integers(0, 20, size=3)
-        if counts.sum() == 0:
-            counts[1] = 1
-        n = cm.PopulationCounts(int(counts[0]), int(counts[1]), int(counts[2]))
-        for _, _, rate in cm.population_rates(p, n, s).entries:
-            assert rate >= 0.0
+        assert all(rate >= 0.0 for rate in cm.transition_rates(p, x.x_H, x.x_C, s))

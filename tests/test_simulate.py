@@ -1,5 +1,6 @@
 """ODE integration, exact event simulation, tagged agents and estimators."""
 
+import bisect
 import dataclasses
 import math
 from types import SimpleNamespace
@@ -188,6 +189,30 @@ def test_population_all_honest_is_absorbing():
     assert len(path) == 0
 
 
+def test_event_cap_raises_before_drawing(monkeypatch):
+    def no_stream(*args):
+        raise AssertionError("uniform stream opened")
+
+    monkeypatch.setattr(simulate, "UniformStream", no_stream)
+    n0 = cm.PopulationCounts(0, 50, 50)  # rate_scale(BASELINE) * N = 300
+    for t_end in (math.inf, 1e300, simulate.MAX_EVENTS / 200):  # the last predicts 1.5 cap
+        with pytest.raises(cm.StepSizeError, match="events"):
+            cm.simulate_population(BASELINE, n0, cm.CORRUPT_PROFILE, t_end, seed=1)
+    with pytest.raises(ValueError, match="t_end must be"):
+        cm.simulate_population(BASELINE, n0, cm.CORRUPT_PROFILE, math.nan, seed=1)
+
+
+def test_event_cap_boundary(monkeypatch):
+    n0 = cm.PopulationCounts(4, 3, 3)  # rate_scale(BASELINE) * N = 30
+    want = cm.simulate_population(BASELINE, n0, cm.CORRUPT_PROFILE, 2.0, seed=3)
+    monkeypatch.setattr(simulate, "MAX_EVENTS", 60)
+    got = cm.simulate_population(BASELINE, n0, cm.CORRUPT_PROFILE, 2.0, seed=3)
+    assert len(got) > 0
+    assert got.times.tobytes() == want.times.tobytes()
+    with pytest.raises(cm.StepSizeError):
+        cm.simulate_population(BASELINE, n0, cm.CORRUPT_PROFILE, math.nextafter(2.0, 3.0), seed=3)
+
+
 def test_population_waiting_times_are_exponential():
     # Frozen-state harness: first waiting times from a fixed count vector
     # follow Exp(total rate); chi-squared GOF at the 1% level.
@@ -249,15 +274,21 @@ def _occupation(path, horizon):
     return occ
 
 
+def _generator_rates(p, x, u):
+    """The tagged chain's off-diagonal generator entries, keyed (source, target)."""
+    rates = cm.transition_rates(p, x.x_H, x.x_C, u)
+    return {tuple(label.split("->")): rate for label, rate in zip(cm.TRANSITION_LABELS, rates)}
+
+
 def _stationary_distribution(p, x, u):
     """Oracle: solve pi Q = 0 for the tagged chain's generator."""
-    table = cm.individual_rates(p, x, u)
+    rates = _generator_rates(p, x, u)
     states = ("R", "H", "C")
     q = np.zeros((3, 3))
     for i, src in enumerate(states):
         for j, tgt in enumerate(states):
             if i != j:
-                q[i, j] = table.rate(src, tgt)
+                q[i, j] = rates.get((src, tgt), 0.0)
         q[i, i] = -q[i].sum()
     a = np.vstack([q.T, np.ones(3)])
     rhs = np.array([0.0, 0.0, 0.0, 1.0])
@@ -303,11 +334,11 @@ def test_tagged_agent_empirical_rates_match_generator():
     jumps = {}
     for (_, s0), (_, s1) in zip(path, path[1:]):
         jumps[(s0, s1)] = jumps.get((s0, s1), 0) + 1
-    table = cm.individual_rates(p, x, u)
+    rates = _generator_rates(p, x, u)
     for (src, tgt), count in jumps.items():
         estimate = count / occ[src]
         se = math.sqrt(count) / occ[src]
-        assert abs(estimate - table.rate(src, tgt)) <= 3.0 * se
+        assert abs(estimate - rates[(src, tgt)]) <= 3.0 * se
 
 
 def test_tagged_agent_holds_rates_constant_per_segment():
@@ -335,6 +366,58 @@ def test_tagged_agent_holds_rates_constant_per_segment():
     counts, _ = np.histogram(waits, bins=edges)
     _, p_value = stats.chisquare(counts)
     assert p_value >= 0.01, counts.tolist()
+
+
+def _reference_tagged_agent(p, background, u, seed, stream, initial_state):
+    """The per-jump form: rates re-read and targets walked at every jump."""
+    uniform = simulate.UniformStream(seed, stream).uniform
+    times = background.times.tolist()
+    states = background.states.tolist()
+    last, horizon = len(times) - 1, times[-1]
+    path, state, t = [(0.0, initial_state)], initial_state, 0.0
+    while t < horizon:
+        i = min(max(bisect.bisect_right(times, t) - 1, 0), last)
+        seg_end = times[i + 1] if i < last else horizon
+        _, x_h, x_c = states[i]
+        targets, rates = {
+            "R": (("H",), (p.r,)),
+            "H": (("C",), (p.lam * u.u_H + p.q_inf * x_c,)),
+            "C": (("H", "R"), (p.lam * u.u_C, p.b + p.q_soc * x_h)),
+        }[state]
+        total = sum(rates)
+        if total <= 0.0:
+            t = seg_end if seg_end > t else horizon
+            continue
+        wait = -math.log1p(-uniform()) / total
+        if t + wait >= seg_end:
+            t = seg_end
+            continue
+        t += wait
+        pick, acc = uniform() * total, 0.0
+        for target, rate in zip(targets, rates):
+            acc += rate
+            if pick < acc:
+                state = target
+                break
+        else:
+            state = targets[-1]
+        path.append((t, state))
+    return path
+
+
+def test_tagged_agent_matches_per_jump_reference():
+    # Same draws, same jumps: rates read once per background segment give the
+    # path the per-jump form gives, on a moving and on a frozen background.
+    moving = cm.integrate_ode(THREE_EQ, cm.PopulationState(0.0, 1.0, 0.0),
+                              cm.CORRUPT_PROFILE, 30.0, 0.01)
+    frozen = cm.constant_trajectory(cm.PopulationState(0.2, 0.3, 0.5), 200.0)
+    for bg in (moving, frozen):
+        for seed in range(3):
+            for u in cm.ALL_PROFILES:
+                for start in ("R", "H", "C"):
+                    got = cm.simulate_tagged_agent(THREE_EQ, bg, u, seed=seed, stream=seed,
+                                                   initial_state=start)
+                    assert got == _reference_tagged_agent(THREE_EQ, bg, u, seed, seed, start)
 
 
 def test_tagged_agent_tracks_moving_background():

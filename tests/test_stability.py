@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corruption_mfg as cm
+from corruption_mfg import stability
 from support import BASELINE, THREE_EQ, fd_jacobian, make_params, random_params, random_simplex
 
 
@@ -140,7 +143,7 @@ def test_classify_three_equilibria_verdicts():
 
 def test_classify_no_interaction_both_cases_stable():
     for p in (BASELINE, make_params(w_H=5.0, w_C=5.5)):
-        rep = cm.no_interaction_equilibrium(p)
+        (rep,) = cm.enumerate_equilibria(p)
         v = cm.classify_equilibrium(p, rep)
         assert v.classification is cm.Classification.STABLE
         assert v.method is cm.Method.CLOSED_FORM
@@ -180,3 +183,62 @@ def test_honest_interior_always_stable():
         v = cm.classify_equilibrium(p, reports[0])
         assert v.classification is cm.Classification.STABLE
         assert -v.trace > 0 and v.det > 0
+
+
+def test_contradiction_beyond_roundoff_raises(monkeypatch):
+    monkeypatch.setattr(stability, "_closed_form", lambda p, e: (cm.Classification.UNSTABLE, ()))
+    rep = cm.enumerate_equilibria(BASELINE)[0]  # eigenvalues -1.5 +- 0.87i
+    with pytest.raises(cm.StabilityContradictionError):
+        cm.classify_equilibrium(BASELINE, rep)
+
+
+def test_roundoff_contradiction_falls_back_to_eigenvalues():
+    # Rates 18 decades apart: the interior's characteristic coefficients are
+    # positive (-trace = r + q_inf x_C, about 1e-8), but the numeric trace
+    # carries round-off of order 1e-16 * rate_scale, about 1e-6, and reads
+    # positive.  The eigenvalues cannot confirm the rule, so they decide.
+    p = make_params(lam=0.0027, r=8e-9, b=2e9, q_soc=130.0, q_inf=3e9, w_C=2.0)
+    (rep,) = [e for e in cm.enumerate_equilibria(p)
+              if e.provenance is cm.Provenance.HONEST_INTERIOR]
+    eig = cm.trace_det_verdict(cm.jacobian(p, rep.state, rep.strategy))
+    assert eig.classification is cm.Classification.UNSTABLE
+    assert 0.0 < max(eig.eigen_real_parts) <= stability.ROUNDOFF * cm.rate_scale(p)
+    v = cm.classify_equilibrium(p, rep)
+    assert v.flag("char_coefficients_positive")
+    assert v.method is cm.Method.FALLBACK
+    assert v.classification is eig.classification
+
+
+_DECADE = st.floats(-6.0, 6.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lam=_DECADE, r=_DECADE, b=_DECADE, q_soc=st.one_of(st.just(None), _DECADE),
+       excess=st.floats(0.01, 3.0))
+def test_interior_coefficients_match_jacobian(lam, r, b, q_soc, excess):
+    # Rates over 12 decades.  q_inf > q_soc + b + lam keeps x_H** below 1,
+    # and w_C - w_H = b / (2 r) puts the classifier bracket at -b/2, so
+    # x_bar <= 0 and the honest interior point always exists.
+    lam, r, b = 10.0**lam, 10.0**r, 10.0**b
+    q_soc = 0.0 if q_soc is None else 10.0**q_soc
+    q_inf = (q_soc + b + lam) * 10.0**excess
+    p = make_params(lam=lam, r=r, b=b, q_soc=q_soc, q_inf=q_inf, w_C=1.0 + 0.5 * b / r)
+    (rep,) = [e for e in cm.enumerate_equilibria(p)
+              if e.provenance is cm.Provenance.HONEST_INTERIOR]
+    neg_trace, det = stability._interior_coefficients(p, rep.state)
+    j = cm.jacobian(p, rep.state, rep.strategy)
+    scale = cm.rate_scale(p)
+    # The entry the closed form drops is zero up to rounding of the rates.
+    assert abs(j[1, 1]) <= 1e-15 * scale
+    assert abs(-(j[0, 0] + j[1, 1]) - neg_trace) <= 2e-15 * scale
+    numeric_det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
+    assert abs(numeric_det - det) <= 1e-15 * (abs(j[0, 0]) * scale + abs(det))
+    assert neg_trace > 0.0 and det > 0.0
+    v = cm.classify_equilibrium(p, rep)
+    positive = v.flag("char_coefficients_positive")
+    assert positive == (neg_trace > stability.MARGIN and det > stability.MARGIN)
+    if v.method is cm.Method.CLOSED_FORM:
+        assert positive and v.classification is cm.Classification.STABLE
+    else:
+        # Falls back only without the flag, or where round-off decides.
+        assert not positive or abs(max(v.eigen_real_parts)) <= stability.ROUNDOFF * scale
