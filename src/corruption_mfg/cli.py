@@ -8,7 +8,9 @@ with ``#`` comments; unknown keys are rejected.  All outputs are
 deterministic given (config, seed): CSV with 17-significant-digit reals, or
 a JSON document for ``--format structured`` where supported.
 
-Exit codes: 0 success, 1 configuration/validation error, 2 numerical guard.
+Exit codes: 0 success, 1 configuration/validation error, 2 numerical guard
+or numerical failure (a one-line message on stderr, no traceback).
+``dt`` is the ODE step of ``simulate`` and of the ``ctmc`` reference ODE.
 """
 
 from __future__ import annotations
@@ -206,48 +208,59 @@ def _fmt_threshold(v: float) -> str:
     return _g17(v)
 
 
-def _regime_line(threshold) -> str:
+def _regime(threshold) -> str:
     x_bar = threshold.value
     if threshold.indifferent_everywhere:
-        return "regime: indifferent everywhere (q_soc = 0 with zero bracket)"
+        return "indifferent everywhere (q_soc = 0 with zero bracket)"
     if x_bar > 1.0:
-        return "regime: unique corrupt equilibrium"
+        return "unique corrupt equilibrium"
     if x_bar < 0.0:
-        return "regime: corrupt equilibrium impossible; honest boundary equilibrium present"
-    return (
-        "regime: honest boundary equilibrium present; "
-        "corrupt root admissible iff Q(x_bar) >= 0"
-    )
+        return "corrupt equilibrium impossible; honest boundary equilibrium present"
+    return "honest boundary equilibrium present; corrupt root admissible iff Q(x_bar) >= 0"
 
 
 def cmd_classify(cfg: RunConfig) -> str:
-    threshold = classifier_xbar(cfg.params)
-    lines = [f"x_bar = {_fmt_threshold(threshold.value)}"]
-    if threshold.indifferent_everywhere:
-        lines[0] += "  (indifferent everywhere)"
-    lines.append(_regime_line(threshold))
-    if cfg.params.delta is not None:
-        disc = classifier_xbar_discounted(cfg.params, cfg.params.delta)
-        lines.append(
-            f"x_bar(delta={_g17(cfg.params.delta)}) = {_fmt_threshold(disc.value)}"
-        )
+    p = cfg.params
+    threshold = classifier_xbar(p)
+    regime = _regime(threshold)
+    disc = None if p.delta is None else classifier_xbar_discounted(p, p.delta)
     if cfg.format == "structured":
         record = {
             "x_bar": threshold.value,
             "indifferent_everywhere": threshold.indifferent_everywhere,
-            "regime": _regime_line(threshold).removeprefix("regime: "),
+            "regime": regime,
         }
-        if cfg.params.delta is not None:
-            record["x_bar_discounted"] = classifier_xbar_discounted(
-                cfg.params, cfg.params.delta
-            ).value
+        if disc is not None:
+            record["x_bar_discounted"] = disc.value
         return json.dumps(record, sort_keys=True, indent=2) + "\n"
+    lines = [f"x_bar = {_fmt_threshold(threshold.value)}"]
+    if threshold.indifferent_everywhere:
+        lines[0] += "  (indifferent everywhere)"
+    lines.append(f"regime: {regime}")
+    if disc is not None:
+        lines.append(f"x_bar(delta={_g17(p.delta)}) = {_fmt_threshold(disc.value)}")
     return "\n".join(lines) + "\n"
 
 
 def _equilibrium_rows(p: ModelParams) -> list[tuple[EquilibriumReport, object]]:
     reports = enumerate_equilibria(p)
     return [(rep, classify_equilibrium(p, rep)) for rep in reports]
+
+
+# The leading columns of the equilibria and sweep tables.
+_REPORT_COLUMNS = "x_bar,provenance,x_R,x_H,x_C,behavior"
+
+
+def _report_cells(rep: EquilibriumReport) -> tuple[str, ...]:
+    """One report's cells for :data:`_REPORT_COLUMNS`."""
+    return (
+        _fmt_threshold(rep.diagnostics.x_bar),
+        rep.provenance.value,
+        _g17(rep.state.x_R),
+        _g17(rep.state.x_H),
+        _g17(rep.state.x_C),
+        rep.behavior.value,
+    )
 
 
 def cmd_equilibria(cfg: RunConfig) -> str:
@@ -287,17 +300,12 @@ def cmd_equilibria(cfg: RunConfig) -> str:
             f"x_C={rep.state.x_C:.6g} behavior={rep.behavior.value} "
             f"stability={verdict.classification.value} ({verdict.method.value})"
         )
-    lines.append("x_bar,provenance,x_R,x_H,x_C,behavior,u_H,u_C,stability,residual")
+    lines.append(f"{_REPORT_COLUMNS},u_H,u_C,stability,residual")
     for rep, verdict in rows:
         lines.append(
             ",".join(
                 (
-                    _fmt_threshold(rep.diagnostics.x_bar),
-                    rep.provenance.value,
-                    _g17(rep.state.x_R),
-                    _g17(rep.state.x_H),
-                    _g17(rep.state.x_C),
-                    rep.behavior.value,
+                    *_report_cells(rep),
                     str(rep.strategy.u_H),
                     str(rep.strategy.u_C),
                     verdict.classification.value,
@@ -338,7 +346,7 @@ def cmd_ctmc(cfg: RunConfig) -> str:
                            [path.times, _LABELS[path.transition_codes], *path.counts.T])
     distance = lln_convergence(
         cfg.params, cfg.N, cfg.x0, cfg.strategy, cfg.t_end, cfg.replications, cfg.seed,
-        stream0_path=path,
+        cfg.dt, stream0_path=path,
     )
     chunks.append(f"# lln_distance = {_g17(distance)}")
     return "\n".join(chunks) + "\n"
@@ -353,27 +361,23 @@ def cmd_sweep(cfg: RunConfig) -> str:
     if cfg.sweep_param is None or cfg.sweep_grid is None:
         raise ConfigError("sweep requires sweep_param, sweep_min and sweep_max")
     field = "lam" if cfg.sweep_param == "lambda" else cfg.sweep_param
-    lines = ["param_value,x_bar,provenance,x_R,x_H,x_C,behavior,stability,residual,error"]
+    lines = [f"param_value,{_REPORT_COLUMNS},stability,residual,error"]
     for value in cfg.sweep_grid:
         p = dataclass_replace(cfg.params, **{field: float(value)})
+        cell = _g17(value)
         try:
-            validate_params(p)
+            # enumerate_equilibria validates p first.
             rows = _equilibrium_rows(p)
         except _POINT_ERRORS as exc:  # per-point failures recorded, sweep continues
             message = str(exc).replace(",", ";").replace("\n", " ")
-            lines.append(f"{_g17(value)},,,,,,,,,{message}")
+            lines.append(f"{cell},,,,,,,,,{message}")
             continue
         for rep, verdict in rows:
             lines.append(
                 ",".join(
                     (
-                        _g17(value),
-                        _fmt_threshold(rep.diagnostics.x_bar),
-                        rep.provenance.value,
-                        _g17(rep.state.x_R),
-                        _g17(rep.state.x_H),
-                        _g17(rep.state.x_C),
-                        rep.behavior.value,
+                        cell,
+                        *_report_cells(rep),
                         verdict.classification.value,
                         _g17(rep.diagnostics.residual),
                         "",
@@ -412,6 +416,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except StepSizeError as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
+        return 2
+    except (ArithmeticError, StabilityContradictionError) as exc:
+        message = str(exc).replace("\n", " ")
+        print(f"numerical failure: {type(exc).__name__}: {message}", file=sys.stderr)
         return 2
 
     if cfg.out:

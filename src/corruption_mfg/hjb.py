@@ -3,7 +3,9 @@
 For a frozen background distribution ``x`` the tagged agent's long-run
 average payoff solves a three-line stationary Bellman system.  Normalizing
 ``g_R = 0`` and shifting wages by ``w_R`` reduces it to a 2x2 linear system
-per behavioral regime, solved here in closed form.  The regime boundary is a
+per behavioral regime; :func:`solve_regime` solves it in closed form for
+either regime, with coefficients from the rate kernel
+:func:`~corruption_mfg.model.transition_rates`.  The regime boundary is a
 single threshold ``x_bar`` on the honest fraction: corruption pays iff
 ``x_H <= x_bar``.  A discounted-criterion variant (3x3 solve, no
 normalization) is provided alongside.
@@ -18,8 +20,6 @@ import numpy as np
 
 from .model import (
     Behavior,
-    CORRUPT_PROFILE,
-    HONEST_PROFILE,
     ModelParams,
     PopulationState,
     transition_rates,
@@ -107,45 +107,32 @@ def classifier_xbar_discounted(p: ModelParams, delta: float) -> ClassifierThresh
     return _threshold(p, p.r + delta)
 
 
-def solve_regime_corrupt(p: ModelParams, x: PopulationState) -> RegimeSolution:
-    """Average-payoff values assuming corruption is optimal (u_H=1, u_C=0).
+def solve_regime(p: ModelParams, x: PopulationState, regime: Behavior) -> RegimeSolution:
+    """Average-payoff values assuming ``regime`` is optimal.
 
-    On shifted wages with ``g_R = 0`` the two remaining Bellman lines are
-    linear in ``(g_H, g_C)``::
+    On shifted wages with ``g_R = 0`` the two remaining Bellman lines, with
+    the max resolved by the regime's profile, are linear in ``(g_H, g_C)``::
 
-        w_H + (lam + q_inf x_C) (g_C - g_H)            = r g_H
-        w_C - k f - k g_C                              = r g_H,   k = b + q_soc x_H
+        w_H + a (g_C - g_H)                            = r g_H
+        w_C - k f + s (g_H - g_C) - k g_C              = r g_H
 
-    whose solution has common denominator ``r (a + k) + a k`` with
-    ``a = lam + q_inf x_C``; the denominator is strictly positive for valid
-    parameters.  ``k`` and ``a`` are the C->R and H->C rates of
-    :func:`~corruption_mfg.model.transition_rates`.
+    with the C->R rate ``k = b + q_soc x_H``, the H->C rate ``a = lam u_H +
+    q_inf x_C`` and the C->H rate ``s = lam u_C`` of
+    :func:`~corruption_mfg.model.transition_rates`.  The common denominator
+    ``r (s + a + k) + a k`` is strictly positive for valid parameters.
     """
-    k, _, a, _ = transition_rates(p, x.x_H, x.x_C, CORRUPT_PROFILE)
+    k, _, a, s = transition_rates(p, x.x_H, x.x_C, regime.profile())
     w_h = p.w_H - p.w_R
     net_c = (p.w_C - p.w_R) - k * p.f
-    den = p.r * (a + k) + a * k
-    g_C = ((p.r + a) * net_c - p.r * w_h) / den
-    g_H = (a * net_c + k * w_h) / den
+    den = p.r * (s + a + k) + a * k
+    g_C = ((p.r + a) * net_c + (s - p.r) * w_h) / den
+    g_H = (a * net_c + (s + k) * w_h) / den
     value = ValueFunction(0.0, g_H, g_C, mu=p.r * g_H + p.w_R)
-    return RegimeSolution(value, Behavior.CORRUPT, consistent=g_C >= g_H - TIE_TOL)
-
-
-def solve_regime_honest(p: ModelParams, x: PopulationState) -> RegimeSolution:
-    """Average-payoff values assuming honesty is optimal (u_H=0, u_C=1).
-
-    Same reduction as :func:`solve_regime_corrupt` with the max resolved the
-    other way; the denominator becomes ``r (lam + c + k) + c k`` with
-    ``c = q_inf x_C``, the H->C rate without switching intent.
-    """
-    k, _, c, _ = transition_rates(p, x.x_H, x.x_C, HONEST_PROFILE)
-    w_h = p.w_H - p.w_R
-    net_c = (p.w_C - p.w_R) - k * p.f
-    den = p.r * (p.lam + c + k) + c * k
-    g_C = ((p.r + c) * net_c + (p.lam - p.r) * w_h) / den
-    g_H = (c * net_c + (p.lam + k) * w_h) / den
-    value = ValueFunction(0.0, g_H, g_C, mu=p.r * g_H + p.w_R)
-    return RegimeSolution(value, Behavior.HONEST, consistent=g_C <= g_H + TIE_TOL)
+    if regime is Behavior.CORRUPT:
+        consistent = g_C >= g_H - TIE_TOL
+    else:
+        consistent = g_C <= g_H + TIE_TOL
+    return RegimeSolution(value, regime, consistent)
 
 
 @dataclass(frozen=True)
@@ -167,8 +154,8 @@ def best_response(p: ModelParams, x: PopulationState) -> BestResponse:
     within tolerance; the corrupt branch is reported as ``value``).
     """
     threshold = classifier_xbar(p)
-    corrupt = solve_regime_corrupt(p, x)
-    honest = solve_regime_honest(p, x)
+    corrupt = solve_regime(p, x, Behavior.CORRUPT)
+    honest = solve_regime(p, x, Behavior.HONEST)
     if threshold.indifferent_everywhere:
         behavior = Behavior.INDIFFERENT
     elif x.x_H < threshold.value - TIE_TOL:

@@ -180,14 +180,6 @@ class Behavior(Enum):
             return HONEST_PROFILE
         raise ValueError("indifferent behavior has no canonical strategy profile")
 
-    @classmethod
-    def from_profile(cls, u: StrategyProfile) -> "Behavior | None":
-        if u == CORRUPT_PROFILE:
-            return cls.CORRUPT
-        if u == HONEST_PROFILE:
-            return cls.HONEST
-        return None
-
 
 # The four transitions, in the order of the rates returned by
 # ``transition_rates``; the population chain's event selection walks its

@@ -5,8 +5,12 @@ Three simulators share the kinetics of :mod:`corruption_mfg.model`:
 * :func:`integrate_ode`: fixed-step RK4 on the mean-field drift;
 * :func:`simulate_population`: exact-event (competing exponential clocks)
   simulation of the finite-N jump chain;
-* :func:`simulate_tagged_agent`: one agent's jump path against a frozen
-  background trajectory.
+* :func:`simulate_tagged_agent`: one agent's jump path against a
+  background trajectory, held constant between its samples.
+
+A :class:`Trajectory` is only its sample times and states; the ODE returns
+one, and :func:`constant_trajectory` builds the frozen background of the
+approximate-Nash check.
 
 The tagged agent and the payoff flows read the rate kernel
 :func:`~corruption_mfg.model.transition_rates`; the two hot loops,
@@ -57,30 +61,16 @@ class StepSizeError(ValueError):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled ODE solution: times, states (rows ``x_R, x_H, x_C``), metadata."""
+    """Sampled path: times and states (rows ``x_R, x_H, x_C``)."""
 
     times: np.ndarray
     states: np.ndarray
-    strategy: StrategyProfile
-    dt: float
-    method: str = "rk4"
-
-    def final_state(self) -> PopulationState:
-        return PopulationState(*self.states[-1])
 
 
-def constant_trajectory(
-    state: PopulationState, t_end: float, strategy: StrategyProfile | None = None
-) -> Trajectory:
+def constant_trajectory(state: PopulationState, t_end: float) -> Trajectory:
     """A frozen background: the same state over ``[0, t_end]``."""
     row = np.array(state.as_tuple())
-    return Trajectory(
-        times=np.array([0.0, t_end]),
-        states=np.vstack([row, row]),
-        strategy=strategy if strategy is not None else StrategyProfile(0, 0),
-        dt=t_end,
-        method="constant",
-    )
+    return Trajectory(times=np.array([0.0, t_end]), states=np.vstack([row, row]))
 
 
 def integrate_ode(
@@ -158,7 +148,7 @@ def integrate_ode(
         buf[j], buf[j + 1], buf[j + 2] = x_r, x_h, x_c
     times = np.arange(n_steps + 1) * dt
     states = np.frombuffer(buf).reshape(n_steps + 1, 3)
-    return Trajectory(times=times, states=states, strategy=s, dt=dt)
+    return Trajectory(times=times, states=states)
 
 
 @dataclass(frozen=True)
@@ -191,12 +181,6 @@ class EventPath:
             yield float(t), TRANSITION_LABELS[code], PopulationCounts(
                 int(n_r), int(n_h), int(n_c)
             )
-
-    def counts_at(self, t: float) -> tuple[int, int, int]:
-        i = int(np.searchsorted(self.times, t, side="right"))
-        if i == 0:
-            return (self.initial.n_R, self.initial.n_H, self.initial.n_C)
-        return tuple(int(v) for v in self.counts[i - 1])
 
 
 def simulate_population(
@@ -470,8 +454,9 @@ def deviation_gain(
     ``w_H`` in H, ``w_C - (b + q_soc x_H) f`` in C) over ``horizon`` against
     the background frozen at ``e.state``; the baseline plays ``e.strategy``
     and the deviation is the best of the three other intent profiles.
-    ``N`` is accepted for interface compatibility; the background is the
-    mean-field limit, so it does not enter.
+    ``N`` does not enter, because the background is the mean-field limit;
+    it stays in the signature because callers pass the arguments by
+    position.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")

@@ -57,7 +57,7 @@ def test_criterion_02_regime_classifier_equivalence():
         x_bar = cm.classifier_xbar(p).value
         if abs(x.x_H - x_bar) <= cm.TIE_TOL:
             continue
-        sol = cm.solve_regime_corrupt(p, x).value
+        sol = cm.solve_regime(p, x, cm.Behavior.CORRUPT).value
         if (sol.g_C > sol.g_H) != (x.x_H < x_bar):
             violations += 1
     elapsed = time.perf_counter() - t0
@@ -169,7 +169,7 @@ def test_criterion_07_flow_corroborates_verdicts():
     for p, rep in stable_targets:
         for x_start in _perturbations(rep.state, rng):
             traj = cm.integrate_ode(p, x_start, rep.strategy, 200.0, 0.01)
-            final = traj.final_state()
+            final = cm.PopulationState(*traj.states[-1])
             dist = max(abs(a - b) for a, b in zip(final.as_tuple(), rep.state.as_tuple()))
             assert dist <= 1e-6
 

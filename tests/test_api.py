@@ -1,8 +1,41 @@
-"""The package namespace."""
+"""The package namespace, and what the benchmark harness needs of it."""
+
+import importlib.util
+from pathlib import Path
 
 import corruption_mfg as cm
+from corruption_mfg import cli, equilibria, simulate
+from support import THREE_EQ
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def test_all_names_resolve_without_duplicates():
     assert len(cm.__all__) == len(set(cm.__all__))
     assert [name for name in cm.__all__ if not hasattr(cm, name)] == []
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_bindings_resolve_to_callables():
+    # The traced benchmark run rebinds these attributes; a rename breaks it.
+    bindings = _load_tracer().program_bindings(cli, equilibria, simulate)
+    missing = []
+    for owner, key, _, _ in bindings:
+        target = owner.get(key) if isinstance(owner, dict) else getattr(owner, key, None)
+        if not callable(target):
+            missing.append(key)
+    assert missing == []
+
+
+def test_deviation_gain_takes_the_benchmark_positional_arguments():
+    # deviation_gain(p, report, horizon, N, replications, seed), as the
+    # benchmark calls it.
+    report = cm.enumerate_equilibria(THREE_EQ)[0]
+    estimate = simulate.deviation_gain(THREE_EQ, report, 2.0, 1000, 3, 7)
+    assert estimate.replications == 3 and estimate.horizon == 2.0

@@ -278,6 +278,17 @@ def test_ctmc_event_cap_boundary(tmp_path, monkeypatch):
     assert out == b""
 
 
+def test_ctmc_reference_ode_uses_configured_dt(tmp_path):
+    # Every rate 1e-6: about 300 predicted events at N = 100, and dt = 1000
+    # gives the reference ODE 1001 rows, where a step of 0.01 would ask for
+    # 10**8.
+    cfg = (BASE_CFG.replace("lambda = 1\nr = 1\nb = 1", "lambda = 1e-6\nr = 1e-6\nb = 1e-6")
+           + "t_end = 1e6\ndt = 1000\nN = 100\nreplications = 3\n")
+    rc, out = run_cli(tmp_path, cfg, "ctmc")
+    assert rc == 0
+    assert out.decode().splitlines()[-1].startswith("# lln_distance = ")
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -378,6 +389,34 @@ def test_missing_config_is_validation_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("error", [ArithmeticError, cm.StabilityContradictionError])
+def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch, error):
+    def failing(p):
+        raise error("expected one root\nof Q")
+
+    monkeypatch.setattr(cli, "enumerate_equilibria", failing)
+    rc, out = run_cli(tmp_path, THREE_CFG, "equilibria")
+    assert rc == 2
+    assert out == b""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "expected one root of Q" in err
+
+
+def test_equilibria_on_twelve_decades_ends_with_a_message(tmp_path, capsys):
+    # Rates spread over about 12 decades, where the corrupt root search can
+    # find no root in (0, 1).
+    cfg = (
+        "lambda = 1.0978132263542409e-07\nr = 469715209026.1259\nb = 301907984607.55853\n"
+        "f = 0\nq_soc = 326762.8996232763\nq_inf = 0.23761210498252988\n"
+        "w_R = 0.683954349738548\nw_H = 0.9408848512268297\nw_C = 2.287832093913644\n"
+    )
+    rc, _ = run_cli(tmp_path, cfg, "equilibria")
+    assert rc in (0, 2)
+    if rc == 2:
+        assert "Traceback" not in capsys.readouterr().err
+
+
 def test_stdout_output(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(BASE_CFG)
@@ -434,14 +473,60 @@ GOLDEN = [
     ("simulate", CORNER_CFG + "strategy = honest\n",
      "fff78fdbdd5e226498c44f1f944e4573af1596eaf47bede898c2d7199d6f484b"),
 ]
+GOLDEN_IDS = ["simulate-corrupt", "simulate-honest", "ctmc-corrupt", "ctmc-honest", "sweep",
+              "simulate-slow-corrupt", "simulate-slow-honest", "simulate-fast-corrupt",
+              "simulate-fast-honest", "simulate-corner-corrupt", "simulate-corner-honest"]
+
+# classify and equilibria on four configs, recorded before either command's
+# rendering was shared between its two formats: three equilibria, an infinite
+# threshold with a discounted one, the indifferent-everywhere corner
+# (q_soc = 0, zero bracket) and the x_bar = 1 tie.
+ANSWER_CFGS = {
+    "three": THREE_CFG,
+    "base-delta": BASE_CFG + "delta = 1\n",
+    "indifferent": BASE_CFG.replace("w_C = 10", "w_C = 2"),
+    "tie": BASE_CFG.replace("q_soc = 0", "q_soc = 1").replace("w_C = 10", "w_C = 3"),
+}
+ANSWER_DIGESTS = {
+    ("classify", "three", "csv"):
+        "bb26c61202f4cc86aedfb481d423114713c5df59b4fae43f58bb39caebcb5e3e",
+    ("classify", "three", "structured"):
+        "6e451e0614a438042e9c1de814cdf7b159b3e17bd1d1f4bd120f2957c79e77f6",
+    ("classify", "base-delta", "csv"):
+        "09bf479804ae7c2571e75cbf4677e157af5d960c5a7d4c3c4dbca495e9735767",
+    ("classify", "base-delta", "structured"):
+        "e1a534f7ad9b2b250510ff0ff17cfa91d582a89cd109c009455e66b13240972d",
+    ("classify", "indifferent", "csv"):
+        "b3a9dbe52fb885463b884d49e9b06a174f4a0203c242e39acd231d977a18b76e",
+    ("classify", "indifferent", "structured"):
+        "0cc878562af73129f71115e1c6f0ee5d67e3a29871d8ac03573b765ca9ca6292",
+    ("classify", "tie", "csv"):
+        "2aace5961f886c39bf70ea790fbc54221183847a982954a73b12071aa70c5411",
+    ("classify", "tie", "structured"):
+        "6a7ca6216514a9fbfb053a40664922f9f8e1fd08b33874402a47520eb7f7f3ee",
+    ("equilibria", "three", "csv"):
+        "058b34cf674cd9112662329a7080c456e52d3f5d3b1a357e29f8de1d829aa853",
+    ("equilibria", "three", "structured"):
+        "3eea2e590ff49d986e944fd432f994644e1a6bcf9438702d0b8c764fc11acde5",
+    ("equilibria", "base-delta", "csv"):
+        "d31039fe4cf4891c8b32b8c401e3bd40083a9c75696c794d0d88bf0f2c29bbeb",
+    ("equilibria", "base-delta", "structured"):
+        "e136370197630cac4df751a54afe2f13b7705bb6431bf69c5fa99edc2ecfd7b6",
+    ("equilibria", "indifferent", "csv"):
+        "a635748ffb216c2927a3752895995942d9007ca82a085cccda68b8ab25f3e11a",
+    ("equilibria", "indifferent", "structured"):
+        "50330c6d9834e61ca06c894e32db1fb77683753b51cc97d9bb38a16e134778eb",
+    ("equilibria", "tie", "csv"):
+        "55acc9144cdfecfb749074a5a4266bc0ece5dea4ab6625e06b776621c7f79efd",
+    ("equilibria", "tie", "structured"):
+        "fe214579bac60545f7acdb1a8b68494cd5b34e337b8af34bc5cfeee3cfffecca",
+}
+for (command, name, fmt), digest in ANSWER_DIGESTS.items():
+    GOLDEN.append((command, ANSWER_CFGS[name] + f"format = {fmt}\n", digest))
+    GOLDEN_IDS.append(f"{command}-{name}-{fmt}")
 
 
-@pytest.mark.parametrize("command,cfg,digest", GOLDEN,
-                         ids=["simulate-corrupt", "simulate-honest", "ctmc-corrupt",
-                              "ctmc-honest", "sweep", "simulate-slow-corrupt",
-                              "simulate-slow-honest", "simulate-fast-corrupt",
-                              "simulate-fast-honest", "simulate-corner-corrupt",
-                              "simulate-corner-honest"])
+@pytest.mark.parametrize("command,cfg,digest", GOLDEN, ids=GOLDEN_IDS)
 def test_output_matches_golden_digest(tmp_path, command, cfg, digest):
     rc, out = run_cli(tmp_path, cfg, command)
     assert rc == 0

@@ -58,7 +58,7 @@ def test_corrupt_regime_hand_solution():
     #   w_H + lam (g_C - g_H) = r g_H    and    w_C - b g_C = r g_H
     # => denominator r(a+k)+a k = 3, g_C = (2*10 - 1)/3, g_H = (10 + 1)/3.
     x = cm.PopulationState(0.2, 0.3, 0.5)
-    sol = cm.solve_regime_corrupt(BASELINE, x)
+    sol = cm.solve_regime(BASELINE, x, cm.Behavior.CORRUPT)
     assert sol.value.g_C == pytest.approx(19.0 / 3.0, abs=1e-14)
     assert sol.value.g_H == pytest.approx(11.0 / 3.0, abs=1e-14)
     assert sol.value.mu == pytest.approx(11.0 / 3.0, abs=1e-14)
@@ -70,7 +70,7 @@ def test_corrupt_regime_restores_reserved_wage():
     # Shifting all wages by w_R leaves (g_H, g_C) unchanged and adds w_R to mu.
     x = cm.PopulationState(0.2, 0.3, 0.5)
     shifted = make_params(w_R=2.0, w_H=3.0, w_C=12.0)
-    sol = cm.solve_regime_corrupt(shifted, x)
+    sol = cm.solve_regime(shifted, x, cm.Behavior.CORRUPT)
     assert sol.value.g_C == pytest.approx(19.0 / 3.0, abs=1e-12)
     assert sol.value.g_H == pytest.approx(11.0 / 3.0, abs=1e-12)
     assert sol.value.mu == pytest.approx(11.0 / 3.0 + 2.0, abs=1e-12)
@@ -78,7 +78,7 @@ def test_corrupt_regime_restores_reserved_wage():
 
 def test_honest_regime_hand_solution_corruption_pays():
     x = cm.PopulationState(0.2, 0.3, 0.5)
-    sol = cm.solve_regime_honest(BASELINE, x)
+    sol = cm.solve_regime(BASELINE, x, cm.Behavior.HONEST)
     assert sol.value.g_C == pytest.approx(5.0, abs=1e-14)
     assert sol.value.g_H == pytest.approx(1.0, abs=1e-14)
     assert not sol.consistent  # corruption pays here
@@ -87,7 +87,7 @@ def test_honest_regime_hand_solution_corruption_pays():
 def test_honest_regime_hand_solution_consistent():
     p = make_params(f=1.0, q_soc=1.0, w_H=5.0, w_C=5.5)
     x = cm.PopulationState(0.0, 1.0, 0.0)
-    sol = cm.solve_regime_honest(p, x)
+    sol = cm.solve_regime(p, x, cm.Behavior.HONEST)
     assert sol.value.g_C == pytest.approx(3.5 / 3.0, abs=1e-14)
     assert sol.value.g_H == pytest.approx(5.0, abs=1e-14)
     assert sol.consistent
@@ -96,7 +96,7 @@ def test_honest_regime_hand_solution_consistent():
 def test_honest_regime_large_fine_dominates():
     p = make_params(f=100.0, q_soc=0.5, w_H=1.0, w_C=1.0 + 1e-6)
     x = cm.PopulationState(0.3, 0.4, 0.3)
-    sol = cm.solve_regime_honest(p, x)
+    sol = cm.solve_regime(p, x, cm.Behavior.HONEST)
     assert sol.value.g_C < sol.value.g_H
     assert sol.consistent
 
@@ -122,7 +122,8 @@ def test_branch_solutions_satisfy_their_systems():
         p = random_params(rng)
         x = random_simplex(rng)
         tol = 1e-10 * max(1.0, abs(p.w_C), abs(p.w_H))
-        for sol in (cm.solve_regime_corrupt(p, x), cm.solve_regime_honest(p, x)):
+        for regime in (cm.Behavior.CORRUPT, cm.Behavior.HONEST):
+            sol = cm.solve_regime(p, x, regime)
             r1, r2 = _branch_residuals(p, x, sol)
             assert r1 <= tol and r2 <= tol
 
@@ -137,8 +138,8 @@ def test_consistency_flags_match_threshold():
         if abs(x.x_H - x_bar) <= 1e-9:
             continue
         corrupt_ok = x.x_H < x_bar
-        assert cm.solve_regime_corrupt(p, x).consistent == corrupt_ok
-        assert cm.solve_regime_honest(p, x).consistent == (not corrupt_ok)
+        assert cm.solve_regime(p, x, cm.Behavior.CORRUPT).consistent == corrupt_ok
+        assert cm.solve_regime(p, x, cm.Behavior.HONEST).consistent == (not corrupt_ok)
 
 
 # ---------------------------------------------------------------------------

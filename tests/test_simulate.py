@@ -49,7 +49,7 @@ def test_equilibrium_is_invariant():
 def test_flow_converges_to_stable_equilibrium():
     x0 = cm.PopulationState(0.0, 1.0, 0.0)
     traj = cm.integrate_ode(BASELINE, x0, cm.CORRUPT_PROFILE, 50.0, 0.01)
-    final = traj.final_state()
+    final = cm.PopulationState(*traj.states[-1])
     assert max(abs(a - b) for a, b in zip(final.as_tuple(), THIRDS.as_tuple())) <= 1e-6
 
 
@@ -233,13 +233,13 @@ def test_population_waiting_times_are_exponential():
 def test_event_path_accessors():
     n0 = cm.PopulationCounts(5, 5, 5)
     path = cm.simulate_population(BASELINE, n0, cm.CORRUPT_PROFILE, 2.0, seed=3)
-    assert path.counts_at(0.0) == (5, 5, 5)
-    t_mid = float(path.times[0])
-    assert path.counts_at(t_mid) == tuple(path.counts[0])
+    assert path.initial == n0
     events = list(path.events())
     assert len(events) == len(path)
     t0, label, counts0 = events[0]
+    assert t0 == float(path.times[0])
     assert label in cm.TRANSITION_LABELS
+    assert (counts0.n_R, counts0.n_H, counts0.n_C) == tuple(path.counts[0])
     assert counts0.N == 15
 
 
@@ -349,8 +349,7 @@ def test_tagged_agent_holds_rates_constant_per_segment():
     p = make_params(q_inf=2.0)
     times = np.array([0.0, 1.0, 21.0])
     states = np.array([[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [0.25, 0.25, 0.5]])
-    bg = cm.Trajectory(times=times, states=states, strategy=cm.StrategyProfile(0, 0),
-                       dt=1.0, method="manual")
+    bg = cm.Trajectory(times=times, states=states)
     waits = []
     for stream in range(800):
         path = cm.simulate_tagged_agent(p, bg, cm.StrategyProfile(0, 0),
