@@ -8,9 +8,10 @@ with ``#`` comments; unknown keys are rejected.  All outputs are
 deterministic given (config, seed): CSV with 17-significant-digit reals, or
 a JSON document for ``--format structured`` where supported.
 
-Exit codes: 0 success, 1 configuration/validation error, 2 numerical guard
-or numerical failure (a one-line message on stderr, no traceback).
-``dt`` is the ODE step of ``simulate`` and of the ``ctmc`` reference ODE.
+Exit codes: 0 success (also ``--help``), 1 usage, configuration or
+validation error, 2 numerical guard or numerical failure (a one-line
+message on stderr, no traceback).  ``dt`` is the ODE step of ``simulate``
+and of the ``ctmc`` reference ODE.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ from .simulate import (
     StepSizeError,
     integrate_ode,
     lln_convergence,
-    round_counts,
-    simulate_population,
+    simulate_population,  # unused: perfbench/tracer.py rebinds it, tests/test_api.py checks it
 )
 from .stability import StabilityContradictionError, classify_equilibrium
 
@@ -340,14 +340,11 @@ def cmd_simulate(cfg: RunConfig) -> str:
 
 
 def cmd_ctmc(cfg: RunConfig) -> str:
-    n0 = round_counts(cfg.N, cfg.x0)
-    path = simulate_population(cfg.params, n0, cfg.strategy, cfg.t_end, cfg.seed, stream=0)
+    distance, path = lln_convergence(
+        cfg.params, cfg.N, cfg.x0, cfg.strategy, cfg.t_end, cfg.replications, cfg.seed, cfg.dt
+    )
     chunks = _table_chunks("t,transition,n_R,n_H,n_C", "%.17g,%s,%d,%d,%d",
                            [path.times, _LABELS[path.transition_codes], *path.counts.T])
-    distance = lln_convergence(
-        cfg.params, cfg.N, cfg.x0, cfg.strategy, cfg.t_end, cfg.replications, cfg.seed,
-        cfg.dt, stream0_path=path,
-    )
     chunks.append(f"# lln_distance = {_g17(distance)}")
     return "\n".join(chunks) + "\n"
 
@@ -406,7 +403,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--format", choices=("csv", "structured"), default=None)
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error; here 2 means a numerical guard.
+        return 1 if exc.code else 0
 
     try:
         cfg = load_config(args.config, fmt=args.format, out=args.out, seed=args.seed)

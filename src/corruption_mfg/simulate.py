@@ -18,10 +18,11 @@ The tagged agent and the payoff flows read the rate kernel
 inline.
 
 On top sit two estimators: :func:`lln_convergence` (averaged empirical
-fraction paths vs the ODE path) and :func:`deviation_gain` (payoff of
-unilateral strategy deviations at an equilibrium, the approximate-Nash
-check).  Everything is deterministic given a seed; replications use
-distinct documented streams and may run concurrently.
+fraction paths vs the ODE path; it owns a whole finite-N run and also
+returns the event path of replication 0) and :func:`deviation_gain`
+(payoff of unilateral strategy deviations at an equilibrium, the
+approximate-Nash check).  Everything is deterministic given a seed;
+replications use distinct documented streams and may run concurrently.
 """
 
 from __future__ import annotations
@@ -157,20 +158,17 @@ class EventPath:
 
     ``times``, ``transition_codes`` (indices into :data:`TRANSITION_LABELS`)
     and ``counts`` (counts *after* each event) are parallel arrays;
-    ``initial`` holds the counts at time zero; the remaining fields record
-    the arguments of the :func:`simulate_population` call that produced it.
+    ``initial`` holds the counts at time zero.
     """
 
     initial: PopulationCounts
     times: np.ndarray
     transition_codes: np.ndarray
     counts: np.ndarray
-    seed: int
-    stream: int
-    N: int
-    t_end: float
-    params: ModelParams
-    strategy: StrategyProfile
+
+    @property
+    def N(self) -> int:
+        return self.initial.N
 
     def __len__(self) -> int:
         return len(self.times)
@@ -181,6 +179,17 @@ class EventPath:
             yield float(t), TRANSITION_LABELS[code], PopulationCounts(
                 int(n_r), int(n_h), int(n_c)
             )
+
+
+def _check_event_bound(p: ModelParams, N: int, t_end: float) -> None:
+    """Refuse a run whose event bound ``rate_scale(p) * N * t_end`` exceeds :data:`MAX_EVENTS`."""
+    if not t_end >= 0:
+        raise ValueError("t_end must be >= 0")
+    predicted = rate_scale(p) * N * t_end
+    if not predicted <= MAX_EVENTS:
+        raise StepSizeError(
+            f"rate_scale*N*t_end={predicted:.6g} predicts more than {MAX_EVENTS} events"
+        )
 
 
 def simulate_population(
@@ -203,13 +212,7 @@ def simulate_population(
     t_end`` bounds the expected number of events; above :data:`MAX_EVENTS`
     :class:`StepSizeError` is raised before anything is drawn.
     """
-    if not t_end >= 0:
-        raise ValueError("t_end must be >= 0")
-    predicted = rate_scale(p) * n0.N * t_end
-    if not predicted <= MAX_EVENTS:
-        raise StepSizeError(
-            f"rate_scale*N*t_end={predicted:.6g} predicts more than {MAX_EVENTS} events"
-        )
+    _check_event_bound(p, n0.N, t_end)
     uniform = UniformStream(seed, stream).uniform
     log1p = math.log1p
     lam, r, b, qs, qi = p.lam, p.r, p.b, p.q_soc, p.q_inf
@@ -261,12 +264,6 @@ def simulate_population(
         times=np.frombuffer(times, dtype=np.float64),
         transition_codes=np.frombuffer(codes, dtype=np.uint8),
         counts=np.frombuffer(counts, dtype=np.int64).reshape(len(times), 3),
-        seed=seed,
-        stream=stream,
-        N=N,
-        t_end=t_end,
-        params=p,
-        strategy=s,
     )
 
 
@@ -351,53 +348,38 @@ def lln_convergence(
     replications: int,
     seed: int,
     dt: float | None = None,
-    *,
-    stream0_path: EventPath | None = None,
-) -> float:
+) -> tuple[float, EventPath]:
     """Sup-norm distance between the replication-averaged empirical path and the ODE.
 
-    Replication ``i`` runs on stream ``(seed, i)``; its piecewise-constant
-    fraction path is sampled on the ODE grid, averaged across replications,
-    and compared with the ODE states in the max norm over the whole grid.
+    Replication ``i`` runs on stream ``(seed, i)`` from the rounded initial
+    counts; its piecewise-constant fraction path is sampled on the ODE grid,
+    averaged across replications, and compared with the ODE states in the
+    max norm over the whole grid.  Returns the distance and the event path
+    of replication 0.
 
-    ``stream0_path``, if given, is used as replication 0 instead of
-    simulating it again.  It must be the :func:`simulate_population` path of
-    these ``p`` and ``s`` on stream ``(seed, 0)`` from the rounded initial
-    counts up to ``t_end``; its seed, stream, initial counts, ``N``,
-    ``t_end``, params and strategy are checked, and a mismatch raises
-    ``ValueError``.
+    The guards run before anything is drawn: first the event bound of
+    :func:`simulate_population`, then the step and row guards of
+    :func:`integrate_ode`, whose reference path is computed before any
+    stream is opened.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    n0 = round_counts(N, x0)
+    _check_event_bound(p, N, t_end)
     if dt is None:
         dt = min(0.01, _STEP_GUARD / rate_scale(p) / 2.0)
-    n0 = round_counts(N, x0)
-    if stream0_path is not None:
-        given = (stream0_path.seed, stream0_path.stream, stream0_path.initial,
-                 stream0_path.N, stream0_path.t_end, stream0_path.params,
-                 stream0_path.strategy)
-        if given != (seed, 0, n0, N, t_end, p, s):
-            raise ValueError(
-                f"stream0_path (seed, stream, initial, N, t_end, params, strategy) = "
-                f"{given} does not match replication 0 {(seed, 0, n0, N, t_end, p, s)}"
-            )
     ode = integrate_ode(p, x0, s, t_end, dt)
     grid = ode.times
+    start = np.array([n0.n_R, n0.n_H, n0.n_C], dtype=np.int64)
     mean = np.zeros_like(ode.states)
-    for i in range(replications):
-        if i == 0 and stream0_path is not None:
-            path = stream0_path
-        else:
-            path = simulate_population(p, n0, s, t_end, seed, stream=i)
+    for stream in range(replications):
+        path = simulate_population(p, n0, s, t_end, seed, stream=stream)
+        if stream == 0:
+            first = path
         idx = np.searchsorted(path.times, grid, side="right")
-        stacked = np.vstack(
-            [np.array([n0.n_R, n0.n_H, n0.n_C], dtype=np.int64), path.counts]
-        )
-        mean += stacked[idx] / N
+        mean += np.vstack([start, path.counts])[idx] / N
     mean /= replications
-    return float(np.max(np.abs(mean - ode.states)))
+    return float(np.max(np.abs(mean - ode.states))), first
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,9 @@ def make_params(lam=1.0, r=1.0, b=1.0, f=0.0, q_soc=0.0, q_inf=0.0,
 BASELINE = make_params()
 THREE_EQ = make_params(lam=0.1, r=1.0, b=0.2, f=0.0, q_soc=0.5, q_inf=2.0,
                        w_R=0.0, w_H=1.0, w_C=1.275)
+# THREE_EQ as the model lines of a CLI config.
+THREE_EQ_CONFIG = ("lambda = 0.1\nr = 1\nb = 0.2\nf = 0\nq_soc = 0.5\nq_inf = 2\n"
+                   "w_R = 0\nw_H = 1\nw_C = 1.275\n")
 
 
 def random_params(rng, zero_q=False):

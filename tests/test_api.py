@@ -5,7 +5,7 @@ from pathlib import Path
 
 import corruption_mfg as cm
 from corruption_mfg import cli, equilibria, simulate
-from support import THREE_EQ
+from support import THREE_EQ, THREE_EQ_CONFIG
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -39,3 +39,22 @@ def test_deviation_gain_takes_the_benchmark_positional_arguments():
     report = cm.enumerate_equilibria(THREE_EQ)[0]
     estimate = simulate.deviation_gain(THREE_EQ, report, 2.0, 1000, 3, 7)
     assert estimate.replications == 3 and estimate.horizon == 2.0
+
+
+def test_traced_ctmc_run_counts_every_stream(tmp_path):
+    # The traced benchmark run reads the event paths that ctmc returns; a
+    # change that breaks its counters must fail here too.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(THREE_EQ_CONFIG + "N = 50\nt_end = 2\nreplications = 3\n")
+    module = _load_tracer()
+    tracer = module.Tracer()
+    tracer.install(module.program_bindings(cli, equilibria, simulate))
+    try:
+        rc = cli.main(["ctmc", "--config", str(cfg), "--out", str(tmp_path / "ctmc.out")])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    counts = tracer.current.exact_counts()
+    assert counts["simulate.simulate_population.calls"] == 3
+    assert counts["simulate.simulate_population.events"] > 0
+    assert counts["_rng.UniformStream.calls"] == 3

@@ -289,6 +289,20 @@ def test_ctmc_reference_ode_uses_configured_dt(tmp_path):
     assert out.decode().splitlines()[-1].startswith("# lln_distance = ")
 
 
+def test_ctmc_step_guard_fails_before_any_stream(tmp_path, capsys, monkeypatch):
+    # Rate sum 22: the default dt = 0.01 exceeds the guard 0.1/22, while the
+    # event bound 22 * 5000 * 20 is within MAX_EVENTS.
+    def no_stream(*args):
+        raise AssertionError("uniform stream opened")
+
+    monkeypatch.setattr(simulate, "UniformStream", no_stream)
+    cfg = BASE_CFG.replace("b = 1\n", "b = 20\n") + "N = 5000\nt_end = 20\n"
+    rc, out = run_cli(tmp_path, cfg, "ctmc")
+    assert rc == 2
+    assert out == b""
+    assert "stability guard" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -387,6 +401,21 @@ def test_missing_config_is_validation_error(tmp_path, capsys):
     rc = cli.main(["classify", "--config", str(tmp_path / "absent.cfg")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bogus", "--config", "run.cfg"],
+    ["ctmc"],
+    ["ctmc", "--config", "run.cfg", "--seed", "x"],
+], ids=["unknown-command", "missing-config", "non-integer-seed"])
+def test_usage_error_is_exit_1(capsys, argv):
+    assert cli.main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert cli.main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("error", [ArithmeticError, cm.StabilityContradictionError])

@@ -7,13 +7,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 import corruption_mfg as cm
-from corruption_mfg import simulate
-from support import BASELINE, THREE_EQ, make_params
+from corruption_mfg import cli, simulate
+from support import BASELINE, THREE_EQ, THREE_EQ_CONFIG, make_params
 
 THIRDS = cm.PopulationState(1 / 3, 1 / 3, 1 / 3)
 
@@ -456,21 +456,53 @@ def test_lln_requires_replications():
 
 
 def test_lln_improves_with_population_size():
-    d_small = cm.lln_convergence(THREE_EQ, 50, THIRDS, cm.CORRUPT_PROFILE, 5.0, 10, seed=42)
-    d_large = cm.lln_convergence(THREE_EQ, 5000, THIRDS, cm.CORRUPT_PROFILE, 5.0, 10, seed=42)
+    d_small, _ = cm.lln_convergence(THREE_EQ, 50, THIRDS, cm.CORRUPT_PROFILE, 5.0, 10, seed=42)
+    d_large, _ = cm.lln_convergence(THREE_EQ, 5000, THIRDS, cm.CORRUPT_PROFILE, 5.0, 10, seed=42)
     assert d_large < d_small
 
 
 def test_lln_deterministic():
-    a = cm.lln_convergence(BASELINE, 100, THIRDS, cm.CORRUPT_PROFILE, 3.0, 5, seed=7)
-    b = cm.lln_convergence(BASELINE, 100, THIRDS, cm.CORRUPT_PROFILE, 3.0, 5, seed=7)
+    a, path_a = cm.lln_convergence(BASELINE, 100, THIRDS, cm.CORRUPT_PROFILE, 3.0, 5, seed=7)
+    b, path_b = cm.lln_convergence(BASELINE, 100, THIRDS, cm.CORRUPT_PROFILE, 3.0, 5, seed=7)
     assert a == b
+    assert path_a.times.tobytes() == path_b.times.tobytes()
 
 
-def test_lln_reuses_stream0_path(monkeypatch):
-    n0 = cm.round_counts(200, THIRDS)
-    path = cm.simulate_population(THREE_EQ, n0, cm.CORRUPT_PROFILE, 3.0, seed=9, stream=0)
-    plain = cm.lln_convergence(THREE_EQ, 200, THIRDS, cm.CORRUPT_PROFILE, 3.0, 4, seed=9)
+@settings(max_examples=6, deadline=None)
+@given(N=st.integers(1, 80), seed=st.integers(0, 2**32 - 1), replications=st.integers(1, 4),
+       strategy=st.sampled_from([cm.CORRUPT_PROFILE, cm.HONEST_PROFILE]))
+@example(N=60, seed=5, replications=3, strategy=cm.CORRUPT_PROFILE)
+def test_lln_returns_replication_0_path(tmp_path_factory, N, seed, replications, strategy):
+    t_end, dt = 2.0, 0.02
+    distance, path = cm.lln_convergence(THREE_EQ, N, THIRDS, strategy, t_end, replications,
+                                        seed, dt)
+    n0 = cm.round_counts(N, THIRDS)
+    paths = [cm.simulate_population(THREE_EQ, n0, strategy, t_end, seed, stream=i)
+             for i in range(replications)]
+    assert path.initial == n0 and path.N == N
+    for name in ("times", "transition_codes", "counts"):
+        assert getattr(path, name).tobytes() == getattr(paths[0], name).tobytes()
+
+    # Independent oracle: each replication's count vector holds from its event
+    # time until the next event; average the fractions at every ODE time.
+    ode = cm.integrate_ode(THREE_EQ, THIRDS, strategy, t_end, dt)
+    rows = [([n0.n_R, n0.n_H, n0.n_C], *q.counts.tolist()) for q in paths]
+    event_times = [q.times.tolist() for q in paths]
+    worst = 0.0
+    for t, state in zip(ode.times.tolist(), ode.states.tolist()):
+        for k in range(3):
+            total = 0.0
+            for times, counts in zip(event_times, rows):
+                total += counts[bisect.bisect_right(times, t)][k] / N
+            worst = max(worst, abs(total / replications - state[k]))
+    assert distance == worst
+
+    # The ctmc answer simulates each stream once, all inside lln_convergence.
+    cfg = tmp_path_factory.mktemp("ctmc") / "run.cfg"
+    strategy_name = "corrupt" if strategy == cm.CORRUPT_PROFILE else "honest"
+    cfg.write_text(THREE_EQ_CONFIG + f"N = {N}\nseed = {seed}\nreplications = {replications}\n"
+                   f"strategy = {strategy_name}\nt_end = {t_end!r}\ndt = {dt!r}\n")
+    out = cfg.with_suffix(".out")
     streams = []
     simulate_population = simulate.simulate_population
 
@@ -478,30 +510,14 @@ def test_lln_reuses_stream0_path(monkeypatch):
         streams.append(kwargs["stream"])
         return simulate_population(*args, **kwargs)
 
-    monkeypatch.setattr(simulate, "simulate_population", counting)
-    handed = cm.lln_convergence(THREE_EQ, 200, THIRDS, cm.CORRUPT_PROFILE, 3.0, 4, seed=9,
-                                stream0_path=path)
-    assert handed == plain
-    assert streams == [1, 2, 3]
-
-
-@pytest.mark.parametrize("change", [
-    {"seed": 10},
-    {"stream": 1},
-    {"t_end": 2.0},
-    {"n0": cm.PopulationCounts(70, 64, 66)},   # same N, other counts
-    {"n0": cm.PopulationCounts(33, 34, 33)},   # another N
-    {"p": BASELINE},
-    {"s": cm.HONEST_PROFILE},
-])
-def test_lln_rejects_mismatched_stream0_path(change):
-    args = {"p": THREE_EQ, "n0": cm.round_counts(200, THIRDS), "s": cm.CORRUPT_PROFILE,
-            "t_end": 3.0, "seed": 9, "stream": 0}
-    args.update(change)
-    path = cm.simulate_population(**args)
-    with pytest.raises(ValueError, match="stream0_path"):
-        cm.lln_convergence(THREE_EQ, 200, THIRDS, cm.CORRUPT_PROFILE, 3.0, 4, seed=9,
-                           stream0_path=path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "simulate_population", counting)
+        patch.setattr(cli, "simulate_population", counting)
+        assert cli.main(["ctmc", "--config", str(cfg), "--out", str(out)]) == 0
+    assert streams == list(range(replications))
+    lines = out.read_text().splitlines()
+    assert lines[-1] == f"# lln_distance = {distance:.17g}"
+    assert len(lines) == len(path) + 2
 
 
 # ---------------------------------------------------------------------------
