@@ -1,6 +1,6 @@
 """Every stationary equilibrium, and whether it can persist.
 
-Three constructors cover the whole equilibrium set: an interior point with
+Three candidates cover the whole equilibrium set: an interior point with
 corrupt behavior (root of a quadratic), an interior point with honest
 behavior, and the all-honest boundary.  Depending on the parameters one,
 two or three of them coexist, and only the stable ones can model observed

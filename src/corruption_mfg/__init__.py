@@ -45,8 +45,6 @@ from .equilibria import (
     Provenance,
     corrupt_root,
     enumerate_equilibria,
-    honest_boundary,
-    honest_interior,
     mfg_consistent,
     q_coefficients,
     q_polynomial,
@@ -115,8 +113,6 @@ __all__ = [
     "corrupt_stability_band",
     "deviation_gain",
     "enumerate_equilibria",
-    "honest_boundary",
-    "honest_interior",
     "integrate_ode",
     "jacobian",
     "kinetic_rhs",

@@ -65,6 +65,10 @@ _SWEEP_AXES = ("b", "f", "q_soc", "q_inf", "lambda")
 
 DEFAULTS = {"dt": 0.01, "t_end": 50.0, "N": 1000, "seed": 42, "replications": 20}
 
+# Largest sweep grid ``parse_config`` will build: a sweep holds about 0.8 KB
+# per point until it is written, so 10**6 points peak near 0.8 GB.
+MAX_SWEEP_POINTS = 10**6
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -170,6 +174,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("sweep bounds must be finite")
         if points < 1:
             raise ConfigError("sweep_points must be >= 1")
+        if points > MAX_SWEEP_POINTS:
+            raise StepSizeError(f"sweep_points={points} exceeds the cap of {MAX_SWEEP_POINTS}")
         sweep_grid = tuple(float(v) for v in np.linspace(lo, hi, points))
 
     out_format = values.get("format", "csv")
@@ -186,8 +192,12 @@ def parse_config(text: str) -> RunConfig:
 
 def load_config(path: str, fmt: str | None = None, out: str | None = None,
                 seed: int | None = None) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        cfg = parse_config(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+    cfg = parse_config(text)
     updates = {}
     if fmt is not None:
         updates["format"] = fmt
@@ -412,7 +422,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, fmt=args.format, out=args.out, seed=args.seed)
         text = _COMMANDS[args.command](cfg)
-    except (ConfigError, ParameterError, FileNotFoundError) as exc:
+        if cfg.out:
+            with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (ConfigError, ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except StepSizeError as exc:
@@ -422,12 +437,6 @@ def main(argv: list[str] | None = None) -> int:
         message = str(exc).replace("\n", " ")
         print(f"numerical failure: {type(exc).__name__}: {message}", file=sys.stderr)
         return 2
-
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

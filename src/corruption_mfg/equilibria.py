@@ -2,17 +2,24 @@
 
 A stationary equilibrium is a distribution fixed under the common-strategy
 kinetics whose strategy is individually optimal against that distribution.
-There are at most three, built by three explicit constructors:
+:func:`enumerate_equilibria` makes one pass: it computes the classifier
+threshold ``x_bar`` once, and ``x_bar`` decides each of at most three
+candidates:
 
 * the *corrupt root*: the unique zero in (0, 1) of a quadratic ``Q`` in
-  ``x_H``, admissible while corruption stays optimal there;
-* the *honest interior* point ``x_H = (b + lam) / (q_inf - q_soc)`` when the
-  infection pressure dominates the social norm strongly enough;
+  ``x_H``, admissible while corruption stays optimal there (``x_H* <=
+  x_bar``);
+* the *honest interior* point ``x_H** = (b + lam) / (q_inf - q_soc)`` when
+  the infection pressure dominates the social norm strongly enough and
+  honesty is optimal there (``x_H** >= x_bar``);
 * the *honest boundary* ``x = (0, 1, 0)``, present whenever honesty is
   optimal in a fully honest society (``x_bar < 1``).
 
-The interaction-free case ``q_soc = q_inf = 0`` needs no constructor of its
-own: ``Q`` is then linear with root ``x_H* = r b / (lam r + lam b + r b)``,
+A candidate within :data:`~corruption_mfg.hjb.TIE_TOL` of ``x_bar`` is
+admitted and reported indifferent, with a warning and its tie flag set.
+
+The interaction-free case ``q_soc = q_inf = 0`` needs no case of its own:
+``Q`` is then linear with root ``x_H* = r b / (lam r + lam b + r b)``,
 ``x_bar`` is infinite, and the sign of the classifier bracket (the wage/fine
 inequality ``w_C - w_R >= b f + (w_H - w_R)(1 + b/r)``) picks the corrupt
 root or the honest boundary; a zero bracket reports both, indifferent.
@@ -24,7 +31,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .hjb import TIE_TOL, best_response, classifier_xbar
+from .hjb import TIE_TOL, ClassifierThreshold, best_response, classifier_xbar
 from .model import (
     Behavior,
     CORRUPT_PROFILE,
@@ -43,7 +50,7 @@ DEGENERATE_LEADING = 1e-14
 
 
 class Provenance(Enum):
-    """Which constructor produced an equilibrium."""
+    """Which of the three candidates an equilibrium is."""
 
     CORRUPT_ROOT = "corrupt_root"
     HONEST_INTERIOR = "honest_interior"
@@ -91,11 +98,6 @@ def q_polynomial(p: ModelParams, x_H: float) -> float:
     return (alpha * x_H + beta) * x_H + gamma
 
 
-def _companion_x_c(p: ModelParams, x_H: float) -> float:
-    # Fixed-point relation shared by every interior equilibrium.
-    return (1.0 - x_H) * p.r / (p.r + p.b + p.q_soc * x_H)
-
-
 def corrupt_root(p: ModelParams) -> tuple[float, float]:
     """The corrupt-branch fixed point ``(x_H*, x_C*)``.
 
@@ -121,145 +123,119 @@ def corrupt_root(p: ModelParams) -> tuple[float, float]:
             polished = root - ((alpha * root + beta) * root + gamma) / slope
             if 0.0 < polished < 1.0:
                 root = polished
-    return root, _companion_x_c(p, root)
-
-
-def honest_interior(p: ModelParams) -> tuple[float, float] | None:
-    """The interior honest fixed point ``(x_H**, x_C**)``, if admissible.
-
-    Exists iff ``q_inf > q_soc`` and ``max(x_bar, 0) <= (b + lam) /
-    (q_inf - q_soc) < 1``; then ``x_C** = r (q_inf - q_soc - b - lam) /
-    ((r + b) q_inf + (lam - r) q_soc)``.
-    """
-    gap = p.q_inf - p.q_soc
-    if gap <= 0.0:
-        return None
-    x_h = (p.b + p.lam) / gap
-    if x_h >= 1.0:
-        return None
-    x_bar = classifier_xbar(p).value
-    if max(x_bar, 0.0) > x_h:
-        return None
-    x_c = p.r * (gap - p.b - p.lam) / ((p.r + p.b) * p.q_inf + (p.lam - p.r) * p.q_soc)
-    return x_h, x_c
+    return root, (1.0 - root) * p.r / (p.r + p.b + p.q_soc * root)
 
 
 def _report(
     p: ModelParams,
-    state: PopulationState,
-    behavior: Behavior,
-    strategy: StrategyProfile,
+    point: tuple[float, float],
     provenance: Provenance,
     x_bar: float,
-    flags: tuple[tuple[str, bool], ...] = (),
-    warnings: tuple[str, ...] = (),
+    warning: str | None = None,
+    flag: str | None = "classifier_tie",
 ) -> EquilibriumReport:
-    residual = max(abs(v) for v in kinetic_rhs(p, state, strategy))
+    # The one place a report is built from ``(x_H, x_C)``.  A warning marks
+    # a tie: the report is indifferent and ``flag`` is set; ``flag=None``
+    # records no flag at all.
+    x_h, x_c = point
+    state = PopulationState(1.0 - x_h - x_c, x_h, x_c)
+    corrupt = provenance is Provenance.CORRUPT_ROOT
+    strategy = CORRUPT_PROFILE if corrupt else HONEST_PROFILE
+    tie = warning is not None
+    if tie:
+        behavior = Behavior.INDIFFERENT
+    else:
+        behavior = Behavior.CORRUPT if corrupt else Behavior.HONEST
     diag = EquilibriumDiagnostics(
-        q_value=q_polynomial(p, state.x_H), x_bar=x_bar, residual=residual, flags=flags
+        q_value=q_polynomial(p, state.x_H),
+        x_bar=x_bar,
+        residual=max(abs(v) for v in kinetic_rhs(p, state, strategy)),
+        flags=((flag, tie),) if flag else (),
     )
-    return EquilibriumReport(state, behavior, strategy, provenance, diag, warnings)
+    return EquilibriumReport(
+        state, behavior, strategy, provenance, diag, (warning,) if tie else ()
+    )
 
 
-def honest_boundary(p: ModelParams) -> EquilibriumReport | None:
-    """The all-honest boundary equilibrium ``x = (0, 1, 0)``, if present.
-
-    Present with honest behavior iff ``x_bar < 1``; absent when
-    ``x_bar > 1`` (corruption is optimal even in a fully honest society);
-    at ``x_bar = 1`` reported indifferent with a warning.
-    """
-    threshold = classifier_xbar(p)
+def _corrupt(p: ModelParams, threshold: ClassifierThreshold) -> EquilibriumReport | None:
+    # Admitted when x_bar > 1, or when x_bar lies in (0, 1] with Q(x_bar) >=
+    # 0 (equivalently x_H* <= x_bar; both forms are evaluated and must agree).
     x_bar = threshold.value
-    state = PopulationState(0.0, 1.0, 0.0)
+    if threshold.indifferent_everywhere:
+        return _report(
+            p, corrupt_root(p), Provenance.CORRUPT_ROOT, x_bar,
+            "regimes tie at every x (q_soc = 0 with zero bracket)", "indifferent_everywhere",
+        )
+    if x_bar > 1.0 + TIE_TOL:
+        return _report(p, corrupt_root(p), Provenance.CORRUPT_ROOT, x_bar)
+    if not x_bar > 0.0:
+        return None
+    q_at_bar = q_polynomial(p, min(x_bar, 1.0))
+    root = corrupt_root(p)
+    x_h_star = root[0]
+    below = x_h_star <= x_bar + TIE_TOL
+    off = abs(x_h_star - x_bar)
+    if (q_at_bar >= 0.0) != below and off > TIE_TOL:
+        raise ArithmeticError(
+            "admissibility checks disagree: "
+            f"Q(x_bar)={q_at_bar!r} vs x_H*={x_h_star!r}, x_bar={x_bar!r}"
+        )
+    if not below:
+        return None
+    return _report(
+        p, root, Provenance.CORRUPT_ROOT, x_bar,
+        "corrupt root sits on the classifier boundary; both regimes are optimal here"
+        if off <= TIE_TOL else None,
+    )
+
+
+def _boundary(p: ModelParams, threshold: ClassifierThreshold) -> EquilibriumReport | None:
+    # x = (0, 1, 0): honest while x_bar < 1, absent when x_bar > 1 (corruption
+    # pays even in a fully honest society), indifferent at x_bar = 1.
+    x_bar = threshold.value
     if threshold.indifferent_everywhere or abs(x_bar - 1.0) <= TIE_TOL:
         return _report(
-            p, state, Behavior.INDIFFERENT, HONEST_PROFILE, Provenance.HONEST_BOUNDARY,
-            x_bar, flags=(("classifier_tie", True),),
-            warnings=("classifier threshold ties with x_H = 1; both regimes are optimal here",),
+            p, (1.0, 0.0), Provenance.HONEST_BOUNDARY, x_bar,
+            "classifier threshold ties with x_H = 1; both regimes are optimal here",
         )
     if x_bar > 1.0:
         return None
-    return _report(p, state, Behavior.HONEST, HONEST_PROFILE, Provenance.HONEST_BOUNDARY, x_bar)
+    return _report(p, (1.0, 0.0), Provenance.HONEST_BOUNDARY, x_bar, flag=None)
 
 
-def _corrupt_report(
-    p: ModelParams, x_bar: float, flag: str, warning: str | None = None
-) -> EquilibriumReport:
-    # The one place the corrupt state is built; a warning marks the report
-    # indifferent and sets ``flag``.
-    x_h, x_c = corrupt_root(p)
-    tie = warning is not None
+def _interior(p: ModelParams, x_bar: float) -> EquilibriumReport | None:
+    # x_H** = (b + lam) / (q_inf - q_soc), present iff q_inf > q_soc and
+    # x_bar - TIE_TOL <= x_H** < 1 (the tie band admits it, as it admits the
+    # other two); then x_C** = r (q_inf - q_soc - b - lam) / ((r + b) q_inf +
+    # (lam - r) q_soc).
+    gap = p.q_inf - p.q_soc
+    if gap <= 0.0:
+        return None
+    x_h = (p.b + p.lam) / gap
+    if x_h >= 1.0 or x_h < x_bar - TIE_TOL:
+        return None
+    x_c = p.r * (gap - p.b - p.lam) / ((p.r + p.b) * p.q_inf + (p.lam - p.r) * p.q_soc)
     return _report(
-        p, PopulationState(1.0 - x_h - x_c, x_h, x_c),
-        Behavior.INDIFFERENT if tie else Behavior.CORRUPT,
-        CORRUPT_PROFILE, Provenance.CORRUPT_ROOT, x_bar,
-        flags=((flag, tie),), warnings=(warning,) if tie else (),
+        p, (x_h, x_c), Provenance.HONEST_INTERIOR, x_bar,
+        "interior honest point sits on the classifier boundary"
+        if abs(x_h - x_bar) <= TIE_TOL else None,
     )
 
 
 def enumerate_equilibria(p: ModelParams) -> list[EquilibriumReport]:
     """All stationary equilibria for ``p``, sorted by ``x_H`` (1 to 3 of them).
 
-    The corrupt root is admitted when ``x_bar > 1`` or when ``x_bar`` lies in
-    (0, 1] with ``Q(x_bar) >= 0`` (equivalently ``x_H* <= x_bar``; both forms
-    are evaluated and must agree).  The honest boundary is admitted when
-    ``x_bar < 1`` and the honest interior point whenever it exists.
+    One threshold ``x_bar`` decides each of the three candidates: the
+    corrupt root, the honest boundary and the honest interior point.
     """
     validate_params(p)
     threshold = classifier_xbar(p)
-    x_bar = threshold.value
-    reports: list[EquilibriumReport] = []
-
-    if threshold.indifferent_everywhere:
-        reports.append(
-            _corrupt_report(
-                p, x_bar, "indifferent_everywhere",
-                "regimes tie at every x (q_soc = 0 with zero bracket)",
-            )
-        )
-    elif x_bar > 1.0 + TIE_TOL:
-        reports.append(_corrupt_report(p, x_bar, "classifier_tie"))
-    elif x_bar > 0.0:
-        q_at_bar = q_polynomial(p, min(x_bar, 1.0))
-        x_h_star, _ = corrupt_root(p)
-        below = x_h_star <= x_bar + TIE_TOL
-        if (q_at_bar >= 0.0) != below and abs(x_h_star - x_bar) > TIE_TOL:
-            raise ArithmeticError(
-                "admissibility checks disagree: "
-                f"Q(x_bar)={q_at_bar!r} vs x_H*={x_h_star!r}, x_bar={x_bar!r}"
-            )
-        if below:
-            reports.append(
-                _corrupt_report(
-                    p, x_bar, "classifier_tie",
-                    "corrupt root sits on the classifier boundary; both regimes are optimal here"
-                    if abs(x_h_star - x_bar) <= TIE_TOL else None,
-                )
-            )
-
-    boundary = honest_boundary(p)
-    if boundary is not None:
-        reports.append(boundary)
-
-    interior = honest_interior(p)
-    if interior is not None:
-        x_h, x_c = interior
-        tie = abs(x_h - x_bar) <= TIE_TOL
-        reports.append(
-            _report(
-                p,
-                PopulationState(1.0 - x_h - x_c, x_h, x_c),
-                Behavior.INDIFFERENT if tie else Behavior.HONEST,
-                HONEST_PROFILE,
-                Provenance.HONEST_INTERIOR,
-                x_bar,
-                flags=(("classifier_tie", tie),),
-                warnings=(
-                    ("interior honest point sits on the classifier boundary",) if tie else ()
-                ),
-            )
-        )
-
+    candidates = (
+        _corrupt(p, threshold),
+        _boundary(p, threshold),
+        _interior(p, threshold.value),
+    )
+    reports = [rep for rep in candidates if rep is not None]
     reports.sort(key=lambda rep: rep.state.x_H)
     return reports
 

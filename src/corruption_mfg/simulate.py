@@ -57,7 +57,7 @@ MAX_EVENTS = 10**7
 
 
 class StepSizeError(ValueError):
-    """The requested ODE step, or the work it implies, exceeds a guard."""
+    """The requested ODE step, or the work a run asks for, exceeds a guard."""
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,13 @@ def moderate_params(rng):
     return make_params(lam, r, b, f, q_soc, q_inf, w_R, w_H, w_C)
 
 
+def report_of(p, provenance):
+    """The report of ``provenance`` in the enumeration of ``p``, or None."""
+    found = [rep for rep in cm.enumerate_equilibria(p) if rep.provenance is provenance]
+    assert len(found) <= 1
+    return found[0] if found else None
+
+
 def random_simplex(rng, margin=0.0):
     x = rng.dirichlet((1.0, 1.0, 1.0))
     if margin:

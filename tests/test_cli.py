@@ -393,6 +393,32 @@ def test_sweep_requires_grid(tmp_path):
     assert rc == 1
 
 
+def test_sweep_points_cap_fails_before_the_grid_is_built(tmp_path, capsys, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("sweep grid built")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    cfg = THREE_CFG + "sweep_param = b\nsweep_min = 0.1\nsweep_max = 1\n"
+    rc, out = run_cli(tmp_path, cfg + "sweep_points = 100000000000\n", "sweep")
+    assert rc == 2
+    assert out == b""
+    err = capsys.readouterr().err
+    assert err.startswith("numerical guard: ") and err.count("\n") == 1
+    assert "sweep_points" in err
+
+
+def test_sweep_points_cap_boundary(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 3)
+    cfg = THREE_CFG + "sweep_param = b\nsweep_min = 0.1\nsweep_max = 1\n"
+    rc, out = run_cli(tmp_path, cfg + "sweep_points = 3\n", "sweep")
+    assert rc == 0
+    assert len({line.split(",")[0] for line in out.decode().splitlines()[1:]}) == 3
+    (tmp_path / "sweep.out").unlink()
+    rc, out = run_cli(tmp_path, cfg + "sweep_points = 4\n", "sweep")
+    assert rc == 2
+    assert out == b""
+
+
 # ---------------------------------------------------------------------------
 # exit codes and stdout path
 
@@ -444,6 +470,27 @@ def test_equilibria_on_twelve_decades_ends_with_a_message(tmp_path, capsys):
     assert rc in (0, 2)
     if rc == 2:
         assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", [
+    "out-is-a-directory", "out-under-a-missing-directory", "config-is-a-directory",
+    "config-not-utf8",
+])
+def test_file_errors_exit_1_with_one_line(tmp_path, capsys, case):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(BASE_CFG.encode() + (b"# caf\xe9\n" if case == "config-not-utf8" else b""))
+    out = tmp_path / "answer.out"
+    if case == "out-is-a-directory":
+        out.mkdir()
+    elif case == "out-under-a-missing-directory":
+        out = tmp_path / "missing" / "answer.out"
+    elif case == "config-is-a-directory":
+        cfg = tmp_path / "configs"
+        cfg.mkdir()
+    rc = cli.main(["classify", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_stdout_output(tmp_path, capsys):

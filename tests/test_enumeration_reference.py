@@ -1,0 +1,243 @@
+"""The one-pass enumeration gives the reports of the three constructors it replaced."""
+
+import math
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+import corruption_mfg as cm  # noqa: E402
+from corruption_mfg.equilibria import (  # noqa: E402
+    DEGENERATE_LEADING,
+    EquilibriumDiagnostics,
+    EquilibriumReport,
+    Provenance,
+    q_coefficients,
+    q_polynomial,
+)
+from corruption_mfg.hjb import TIE_TOL, classifier_xbar  # noqa: E402
+from corruption_mfg.model import (  # noqa: E402
+    Behavior,
+    CORRUPT_PROFILE,
+    HONEST_PROFILE,
+    ModelParams,
+    PopulationState,
+    StrategyProfile,
+    kinetic_rhs,
+    validate_params,
+)
+from support import make_params  # noqa: E402
+
+
+# The enumeration as it stood before the merge into one pass, kept as the
+# reference.  The one edit is the interior's tie-band admission in
+# honest_interior (it was ``max(x_bar, 0.0) > x_h``).
+def _companion_x_c(p: ModelParams, x_H: float) -> float:
+    return (1.0 - x_H) * p.r / (p.r + p.b + p.q_soc * x_H)
+
+
+def corrupt_root(p: ModelParams) -> tuple[float, float]:
+    alpha, beta, gamma = q_coefficients(p)
+    if abs(alpha) <= DEGENERATE_LEADING * abs(beta):
+        root = -gamma / beta
+    else:
+        disc = beta * beta - 4.0 * alpha * gamma
+        sign_b = 1.0 if beta >= 0.0 else -1.0
+        q = -0.5 * (beta + sign_b * math.sqrt(disc))
+        candidates = [c for c in (q / alpha, gamma / q) if 0.0 < c < 1.0]
+        if len(candidates) != 1:
+            raise ArithmeticError(f"expected one root of Q in (0,1), got {candidates}")
+        root = candidates[0]
+        slope = 2.0 * alpha * root + beta
+        if slope != 0.0:
+            polished = root - ((alpha * root + beta) * root + gamma) / slope
+            if 0.0 < polished < 1.0:
+                root = polished
+    return root, _companion_x_c(p, root)
+
+
+def honest_interior(p: ModelParams) -> tuple[float, float] | None:
+    gap = p.q_inf - p.q_soc
+    if gap <= 0.0:
+        return None
+    x_h = (p.b + p.lam) / gap
+    if x_h >= 1.0:
+        return None
+    x_bar = classifier_xbar(p).value
+    if x_h < x_bar - TIE_TOL:
+        return None
+    x_c = p.r * (gap - p.b - p.lam) / ((p.r + p.b) * p.q_inf + (p.lam - p.r) * p.q_soc)
+    return x_h, x_c
+
+
+def _report(
+    p: ModelParams,
+    state: PopulationState,
+    behavior: Behavior,
+    strategy: StrategyProfile,
+    provenance: Provenance,
+    x_bar: float,
+    flags: tuple[tuple[str, bool], ...] = (),
+    warnings: tuple[str, ...] = (),
+) -> EquilibriumReport:
+    residual = max(abs(v) for v in kinetic_rhs(p, state, strategy))
+    diag = EquilibriumDiagnostics(
+        q_value=q_polynomial(p, state.x_H), x_bar=x_bar, residual=residual, flags=flags
+    )
+    return EquilibriumReport(state, behavior, strategy, provenance, diag, warnings)
+
+
+def honest_boundary(p: ModelParams) -> EquilibriumReport | None:
+    threshold = classifier_xbar(p)
+    x_bar = threshold.value
+    state = PopulationState(0.0, 1.0, 0.0)
+    if threshold.indifferent_everywhere or abs(x_bar - 1.0) <= TIE_TOL:
+        return _report(
+            p, state, Behavior.INDIFFERENT, HONEST_PROFILE, Provenance.HONEST_BOUNDARY,
+            x_bar, flags=(("classifier_tie", True),),
+            warnings=("classifier threshold ties with x_H = 1; both regimes are optimal here",),
+        )
+    if x_bar > 1.0:
+        return None
+    return _report(p, state, Behavior.HONEST, HONEST_PROFILE, Provenance.HONEST_BOUNDARY, x_bar)
+
+
+def _corrupt_report(
+    p: ModelParams, x_bar: float, flag: str, warning: str | None = None
+) -> EquilibriumReport:
+    x_h, x_c = corrupt_root(p)
+    tie = warning is not None
+    return _report(
+        p, PopulationState(1.0 - x_h - x_c, x_h, x_c),
+        Behavior.INDIFFERENT if tie else Behavior.CORRUPT,
+        CORRUPT_PROFILE, Provenance.CORRUPT_ROOT, x_bar,
+        flags=((flag, tie),), warnings=(warning,) if tie else (),
+    )
+
+
+def reference_enumeration(p: ModelParams) -> list[EquilibriumReport]:
+    validate_params(p)
+    threshold = classifier_xbar(p)
+    x_bar = threshold.value
+    reports: list[EquilibriumReport] = []
+
+    if threshold.indifferent_everywhere:
+        reports.append(
+            _corrupt_report(
+                p, x_bar, "indifferent_everywhere",
+                "regimes tie at every x (q_soc = 0 with zero bracket)",
+            )
+        )
+    elif x_bar > 1.0 + TIE_TOL:
+        reports.append(_corrupt_report(p, x_bar, "classifier_tie"))
+    elif x_bar > 0.0:
+        q_at_bar = q_polynomial(p, min(x_bar, 1.0))
+        x_h_star, _ = corrupt_root(p)
+        below = x_h_star <= x_bar + TIE_TOL
+        if (q_at_bar >= 0.0) != below and abs(x_h_star - x_bar) > TIE_TOL:
+            raise ArithmeticError(
+                "admissibility checks disagree: "
+                f"Q(x_bar)={q_at_bar!r} vs x_H*={x_h_star!r}, x_bar={x_bar!r}"
+            )
+        if below:
+            reports.append(
+                _corrupt_report(
+                    p, x_bar, "classifier_tie",
+                    "corrupt root sits on the classifier boundary; both regimes are optimal here"
+                    if abs(x_h_star - x_bar) <= TIE_TOL else None,
+                )
+            )
+
+    boundary = honest_boundary(p)
+    if boundary is not None:
+        reports.append(boundary)
+
+    interior = honest_interior(p)
+    if interior is not None:
+        x_h, x_c = interior
+        tie = abs(x_h - x_bar) <= TIE_TOL
+        reports.append(
+            _report(
+                p,
+                PopulationState(1.0 - x_h - x_c, x_h, x_c),
+                Behavior.INDIFFERENT if tie else Behavior.HONEST,
+                HONEST_PROFILE,
+                Provenance.HONEST_INTERIOR,
+                x_bar,
+                flags=(("classifier_tie", tie),),
+                warnings=(
+                    ("interior honest point sits on the classifier boundary",) if tie else ()
+                ),
+            )
+        )
+
+    reports.sort(key=lambda rep: rep.state.x_H)
+    return reports
+
+
+def _outcome(enumerate_fn, p):
+    try:
+        return repr(enumerate_fn(p))
+    except Exception as exc:  # the exception is part of the compared outcome
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _tie_w_C(kw, x_bar):
+    # The corrupt wage that puts the threshold at x_bar; with q_soc = 0 it
+    # zeroes the classifier bracket instead.
+    return kw["w_H"] + (x_bar * kw["q_soc"] + kw["b"]) * (
+        kw["w_H"] - kw["w_R"] + kw["r"] * kw["f"]) / kw["r"]
+
+
+# Rates and wage gaps spread over a span of 2 to 32 decades.
+_RATES = st.floats(2.0, 32.0).flatmap(
+    lambda span: st.lists(st.floats(-span / 2, span / 2).map(lambda e: 10.0**e),
+                          min_size=9, max_size=9)
+)
+_CORNERS = ("none", "x_bar=0", "x_bar=1", "x_bar=x_H**", "x_bar=x_H*")
+
+
+@settings(max_examples=400, deadline=None)
+@given(rates=_RATES, zeros=st.lists(st.booleans(), min_size=4, max_size=4),
+       corner=st.sampled_from(_CORNERS),
+       offset=st.sampled_from([0.0, TIE_TOL, -TIE_TOL, 0.5 * TIE_TOL, -2.0 * TIE_TOL]),
+       ulps=st.integers(-2, 2))
+def test_enumeration_matches_the_three_constructors(rates, zeros, corner, offset, ulps):
+    lam, r, b, f, q_soc, q_inf, w_R, gap_h, gap_c = rates
+    zero_f, zero_q_soc, zero_q_inf, zero_w_R = zeros
+    kw = dict(lam=lam, r=r, b=b, f=0.0 if zero_f else f, q_soc=0.0 if zero_q_soc else q_soc,
+              q_inf=0.0 if zero_q_inf else q_inf, w_R=0.0 if zero_w_R else w_R)
+    kw["w_H"] = kw["w_R"] + gap_h
+    kw["w_C"] = kw["w_H"] + gap_c
+    target = {"x_bar=0": 0.0, "x_bar=1": 1.0}.get(corner)
+    if corner == "x_bar=x_H**" and kw["q_inf"] > kw["q_soc"]:
+        target = (kw["b"] + kw["lam"]) / (kw["q_inf"] - kw["q_soc"])
+    if corner == "x_bar=x_H*":
+        try:
+            target = corrupt_root(make_params(**kw))[0]
+        except (ArithmeticError, ValueError):
+            target = None
+    if target is not None:
+        w_C = _tie_w_C(kw, target + offset)
+        for _ in range(abs(ulps)):
+            w_C = math.nextafter(w_C, math.copysign(math.inf, ulps))
+        kw["w_C"] = w_C
+    p = make_params(**kw)
+    assert _outcome(cm.enumerate_equilibria, p) == _outcome(reference_enumeration, p)
+
+
+# Rates over about 20 decades, where the corrupt root rounds onto x_H = 1:
+# the report's Q value is taken at the clamped state, not at the raw root.
+@pytest.mark.parametrize("kw", [
+    dict(lam=3.856266586519596e-11, r=50033405.30345697, b=391828199739.4547,
+         q_soc=5.823912934230625e-05, w_R=8.509372049268326e-14, w_H=357606234344.7427,
+         w_C=2800890693460065.5),
+    dict(lam=1.6298512389800823e-13, r=100035091.5571814, b=7633452574.650776,
+         q_soc=5.698965814037954e-06, w_R=1.0626743915656178e-07, w_H=1.8387219043618423e-05,
+         w_C=0.0014133654703743419),
+])
+def test_enumeration_matches_where_the_root_rounds_onto_one(kw):
+    p = make_params(**kw)
+    assert _outcome(cm.enumerate_equilibria, p) == _outcome(reference_enumeration, p)

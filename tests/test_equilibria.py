@@ -1,9 +1,10 @@
-"""Equilibrium constructors and the full enumeration."""
+"""The quadratic Q, the corrupt root and the enumeration of equilibria."""
 
 import numpy as np
 import pytest
 
 import corruption_mfg as cm
+from corruption_mfg import equilibria
 from support import (
     BASELINE,
     THREE_EQ,
@@ -11,7 +12,11 @@ from support import (
     make_params,
     max_rhs,
     random_params,
+    report_of,
 )
+
+INTERIOR = cm.Provenance.HONEST_INTERIOR
+BOUNDARY = cm.Provenance.HONEST_BOUNDARY
 
 
 # ---------------------------------------------------------------------------
@@ -83,26 +88,26 @@ def test_corrupt_root_bounds_and_residual():
 
 
 # ---------------------------------------------------------------------------
-# honest interior point
+# honest interior point, read from the enumeration
 
 
 def test_honest_interior_hand_value():
     p = make_params(lam=0.1, r=1.0, b=0.2, q_soc=0.5, q_inf=1.0, w_C=1.1)
     # x_bar = 2 * (0.1 - 0.2) < 0, gap = 0.5: point = (0.3/0.5, 0.2/0.75)
-    pair = cm.honest_interior(p)
-    assert pair is not None
-    assert pair[0] == pytest.approx(0.6, abs=1e-15)
-    assert pair[1] == pytest.approx(0.2 / 0.75, abs=1e-15)
+    rep = report_of(p, INTERIOR)
+    assert rep is not None
+    assert rep.state.x_H == pytest.approx(0.6, abs=1e-15)
+    assert rep.state.x_C == pytest.approx(0.2 / 0.75, abs=1e-15)
 
 
 def test_honest_interior_absent_without_dominant_infection():
-    assert cm.honest_interior(make_params(q_soc=2.0, q_inf=2.0, w_C=1.5)) is None
-    assert cm.honest_interior(make_params(q_soc=3.0, q_inf=1.0, w_C=1.5)) is None
+    assert report_of(make_params(q_soc=2.0, q_inf=2.0, w_C=1.5), INTERIOR) is None
+    assert report_of(make_params(q_soc=3.0, q_inf=1.0, w_C=1.5), INTERIOR) is None
 
 
 def test_honest_interior_absent_when_ratio_exceeds_one():
     # gap = 0.5 but (b + lam) / gap = 2.2 >= 1
-    assert cm.honest_interior(make_params(q_soc=0.5, q_inf=1.0, w_C=1.5)) is None
+    assert report_of(make_params(q_soc=0.5, q_inf=1.0, w_C=1.5), INTERIOR) is None
 
 
 def test_honest_interior_absent_when_threshold_exceeds_it():
@@ -110,7 +115,7 @@ def test_honest_interior_absent_when_threshold_exceeds_it():
     # pushes x_bar = 0.25 above the candidate point 0.2.
     p = make_params(lam=0.1, r=1.0, b=0.2, q_soc=0.5, q_inf=2.0, w_C=1.325)
     assert cm.classifier_xbar(p).value == pytest.approx(0.25, abs=1e-12)
-    assert cm.honest_interior(p) is None
+    assert report_of(p, INTERIOR) is None
 
 
 def test_honest_interior_matches_companion_relation():
@@ -120,22 +125,22 @@ def test_honest_interior_matches_companion_relation():
     found = 0
     while found < 100:
         p = random_params(rng)
-        pair = cm.honest_interior(p)
-        if pair is None:
+        rep = report_of(p, INTERIOR)
+        if rep is None:
             continue
         found += 1
-        x_h, x_c = pair
+        x_h, x_c = rep.state.x_H, rep.state.x_C
         expected = (1.0 - x_h) * p.r / (p.r + p.b + p.q_soc * x_h)
         assert abs(x_c - expected) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
-# honest boundary
+# honest boundary, read from the enumeration
 
 
 def test_honest_boundary_present_for_low_threshold():
     p = make_params(q_soc=1.0, f=1.0, w_H=5.0)  # x_bar = -1/6
-    rep = cm.honest_boundary(p)
+    rep = report_of(p, BOUNDARY)
     assert rep is not None
     assert rep.state.as_tuple() == (0.0, 1.0, 0.0)
     assert rep.behavior is cm.Behavior.HONEST
@@ -143,13 +148,13 @@ def test_honest_boundary_present_for_low_threshold():
 
 
 def test_honest_boundary_absent_for_high_threshold():
-    assert cm.honest_boundary(make_params(q_soc=1.0)) is None  # x_bar = 8
-    assert cm.honest_boundary(BASELINE) is None  # x_bar = +inf
+    assert report_of(make_params(q_soc=1.0), BOUNDARY) is None  # x_bar = 8
+    assert report_of(BASELINE, BOUNDARY) is None  # x_bar = +inf
 
 
 def test_honest_boundary_tie():
     p = make_params(q_soc=1.0, w_C=3.0)  # x_bar = 1 exactly
-    rep = cm.honest_boundary(p)
+    rep = report_of(p, BOUNDARY)
     assert rep is not None
     assert rep.behavior is cm.Behavior.INDIFFERENT
     assert rep.warnings
@@ -215,6 +220,54 @@ def test_enumerate_properties_random():
         for rep in reports:
             assert max_rhs(p, rep.state, rep.strategy) <= 1e-9
             assert cm.mfg_consistent(p, rep)
+
+
+def test_enumerate_admits_interior_point_on_the_threshold():
+    # THREE_EQ with w_C = 1.3: x_bar = x_H** = 0.2 exactly, but in floats
+    # x_bar = 0.20000000000000007 lies above x_H** = 0.20000000000000004 by
+    # round-off, well inside the tie band, which admits the interior point
+    # as it admits the corrupt root and the boundary.
+    p = make_params(lam=0.1, r=1.0, b=0.2, q_soc=0.5, q_inf=2.0, w_C=1.3)
+    x_bar = cm.classifier_xbar(p).value
+    assert x_bar > 0.2
+    reports = cm.enumerate_equilibria(p)
+    assert [rep.provenance for rep in reports] == [cm.Provenance.CORRUPT_ROOT, INTERIOR, BOUNDARY]
+    rep = reports[1]
+    assert rep.state.x_H == pytest.approx(0.2, abs=1e-15) and rep.state.x_H < x_bar
+    assert rep.behavior is cm.Behavior.INDIFFERENT
+    assert rep.diagnostics.flag("classifier_tie") and rep.warnings
+    assert cm.best_response(p, rep.state).behavior is cm.Behavior.INDIFFERENT
+    assert max_rhs(p, rep.state, rep.strategy) <= 1e-15
+    assert cm.mfg_consistent(p, rep)
+
+
+def test_enumerate_computes_threshold_once_and_root_at_most_once(monkeypatch):
+    calls = {"classifier_xbar": 0, "corrupt_root": 0}
+
+    def counted(name):
+        inner = getattr(equilibria, name)
+
+        def wrapper(p):
+            calls[name] += 1
+            return inner(p)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(equilibria, name, counted(name))
+    rng = np.random.default_rng(26)
+    corners = [
+        BASELINE, THREE_EQ,
+        make_params(q_soc=1.0, w_C=3.0),  # x_bar = 1
+        make_params(w_C=2.0),  # indifferent everywhere
+        make_params(f=1.0, q_soc=1.0, q_inf=0.0, w_H=5.0, w_C=5.5),  # x_bar < 0
+        make_params(lam=0.1, r=1.0, b=0.2, q_soc=0.5, q_inf=2.0, w_C=1.3),  # x_bar = x_H**
+    ]
+    for p in corners + [random_params(rng) for _ in range(200)]:
+        for name in calls:
+            calls[name] = 0
+        cm.enumerate_equilibria(p)
+        assert calls["classifier_xbar"] == 1
+        assert calls["corrupt_root"] <= 1
 
 
 def test_enumerate_rejects_invalid_params():

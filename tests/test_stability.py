@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 import corruption_mfg as cm
 from corruption_mfg import stability
-from support import BASELINE, THREE_EQ, fd_jacobian, make_params, random_params, random_simplex
+from support import (
+    BASELINE, THREE_EQ, fd_jacobian, make_params, random_params, random_simplex, report_of,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +156,7 @@ def test_honest_boundary_rule_matches_eigenvalues():
     found = 0
     while found < 200:
         p = random_params(rng)
-        rep = cm.honest_boundary(p)
+        rep = report_of(p, cm.Provenance.HONEST_BOUNDARY)
         if rep is None or rep.behavior is cm.Behavior.INDIFFERENT:
             continue
         found += 1
