@@ -31,7 +31,6 @@ from .hjb import (
     BestResponse,
     ClassifierThreshold,
     RegimeSolution,
-    SingularSystemError,
     ValueFunction,
     best_response,
     classifier_xbar,
@@ -95,7 +94,6 @@ __all__ = [
     "Provenance",
     "RegimeSolution",
     "SimplexError",
-    "SingularSystemError",
     "StabilityContradictionError",
     "StabilityVerdict",
     "StepSizeError",

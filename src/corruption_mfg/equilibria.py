@@ -66,9 +66,6 @@ class EquilibriumDiagnostics:
     residual: float
     flags: tuple[tuple[str, bool], ...] = ()
 
-    def flag(self, name: str) -> bool:
-        return dict(self.flags).get(name, False)
-
 
 @dataclass(frozen=True)
 class EquilibriumReport:
@@ -170,7 +167,8 @@ def _corrupt(p: ModelParams, threshold: ClassifierThreshold) -> EquilibriumRepor
         return _report(p, corrupt_root(p), Provenance.CORRUPT_ROOT, x_bar)
     if not x_bar > 0.0:
         return None
-    q_at_bar = q_polynomial(p, min(x_bar, 1.0))
+    # Q(1) = lam (q_soc + r + b) exactly; alpha + beta + gamma can cancel below 0.
+    q_at_bar = p.lam * (p.q_soc + p.r + p.b) if x_bar >= 1.0 else q_polynomial(p, x_bar)
     root = corrupt_root(p)
     x_h_star = root[0]
     below = x_h_star <= x_bar + TIE_TOL

@@ -7,16 +7,14 @@ per behavioral regime; :func:`solve_regime` solves it in closed form for
 either regime, with coefficients from the rate kernel
 :func:`~corruption_mfg.model.transition_rates`.  The regime boundary is a
 single threshold ``x_bar`` on the honest fraction: corruption pays iff
-``x_H <= x_bar``.  A discounted-criterion variant (3x3 solve, no
-normalization) is provided alongside.
+``x_H <= x_bar``.  A discounted-criterion variant (no normalization,
+solved by elimination) is provided alongside, all in plain floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .model import (
     Behavior,
@@ -31,25 +29,20 @@ from .model import (
 TIE_TOL = 1e-9
 
 
-class SingularSystemError(RuntimeError):
-    """The discounted Bellman system is singular (parameter invariant breach)."""
-
-
 @dataclass(frozen=True)
 class ValueFunction:
     """Stationary payoffs per state.
 
-    With ``normalized=True`` the values use the ``g_R = 0`` convention on
-    ``w_R``-shifted wages and ``mu`` is the absolute optimal average payoff
-    per unit time, ``mu = r * g_H + w_R``.  Discounted values are absolute
-    (``normalized=False``) and carry no ``mu``.
+    Average-payoff values carry ``mu``, the absolute optimal average payoff
+    per unit time ``mu = r * g_H + w_R``, and use the ``g_R = 0`` convention
+    on ``w_R``-shifted wages.  Discounted values are absolute and carry
+    ``mu = None``.
     """
 
     g_R: float
     g_H: float
     g_C: float
     mu: float | None = None
-    normalized: bool = True
 
 
 @dataclass(frozen=True)
@@ -61,7 +54,6 @@ class RegimeSolution:
     """
 
     value: ValueFunction
-    assumed_regime: Behavior
     consistent: bool
 
 
@@ -132,30 +124,25 @@ def solve_regime(p: ModelParams, x: PopulationState, regime: Behavior) -> Regime
         consistent = g_C >= g_H - TIE_TOL
     else:
         consistent = g_C <= g_H + TIE_TOL
-    return RegimeSolution(value, regime, consistent)
+    return RegimeSolution(value, consistent)
 
 
 @dataclass(frozen=True)
 class BestResponse:
-    """Optimal behavior at a background ``x``, with both branch solutions attached."""
+    """Optimal behavior at a background ``x`` and the value that solves it."""
 
     behavior: Behavior
     value: ValueFunction
-    corrupt: RegimeSolution
-    honest: RegimeSolution
-    threshold: ClassifierThreshold
 
 
 def best_response(p: ModelParams, x: PopulationState) -> BestResponse:
     """Classify the optimal regime at ``x`` and return the solving value.
 
     Corrupt when ``x_H < x_bar - TIE_TOL``, honest when ``x_H > x_bar +
-    TIE_TOL``, indifferent inside the tie band (both branch values then agree
-    within tolerance; the corrupt branch is reported as ``value``).
+    TIE_TOL``, indifferent inside the tie band (both regime values then agree
+    within tolerance; only the corrupt regime is solved and reported).
     """
     threshold = classifier_xbar(p)
-    corrupt = solve_regime(p, x, Behavior.CORRUPT)
-    honest = solve_regime(p, x, Behavior.HONEST)
     if threshold.indifferent_everywhere:
         behavior = Behavior.INDIFFERENT
     elif x.x_H < threshold.value - TIE_TOL:
@@ -164,8 +151,8 @@ def best_response(p: ModelParams, x: PopulationState) -> BestResponse:
         behavior = Behavior.HONEST
     else:
         behavior = Behavior.INDIFFERENT
-    value = honest.value if behavior is Behavior.HONEST else corrupt.value
-    return BestResponse(behavior, value, corrupt, honest, threshold)
+    regime = Behavior.HONEST if behavior is Behavior.HONEST else Behavior.CORRUPT
+    return BestResponse(behavior, solve_regime(p, x, regime).value)
 
 
 def solve_discounted(
@@ -173,29 +160,27 @@ def solve_discounted(
 ) -> ValueFunction:
     """Absolute discounted values with the max resolved by ``regime``.
 
-    Solves the 3x3 linear system (delta > 0 makes it strictly diagonally
-    dominant, hence nonsingular)::
+    Solves, by elimination, the three Bellman lines::
 
         (delta + r) g_R - r g_H                              = w_R
         (delta + a) g_H - a g_C                              = w_H
-        (delta + lam u_C + k) g_C - lam u_C g_H - k g_R      = w_C - k f
+        (delta + s + k) g_C - s g_H - k g_R                  = w_C - k f
 
     with the C->R rate ``k = b + q_soc x_H``, the H->C rate ``a = lam u_H +
-    q_inf x_C`` and the C->H rate ``lam u_C`` of the regime's profile.
+    q_inf x_C`` and the C->H rate ``s = lam u_C`` of the regime's profile.
+    Lines 1-2 make ``g_R``, ``g_H`` affine in ``g_C``; line 3 then divides by
+    ``delta + s (1 - h1) + k (1 - r1) >= delta > 0`` (``h1, r1`` the slopes
+    of ``g_H``, ``g_R``), formed as a sum of positive terms.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be > 0 for the discounted criterion")
-    k, _, a, swap_back = transition_rates(p, x.x_H, x.x_C, regime.profile())
-    mat = np.array(
-        [
-            [delta + p.r, -p.r, 0.0],
-            [0.0, delta + a, -a],
-            [-k, -swap_back, delta + swap_back + k],
-        ]
-    )
-    rhs = np.array([p.w_R, p.w_H, p.w_C - k * p.f])
-    try:
-        g = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"discounted system singular at delta={delta}") from exc
-    return ValueFunction(float(g[0]), float(g[1]), float(g[2]), mu=None, normalized=False)
+    k, _, a, s = transition_rates(p, x.x_H, x.x_C, regime.profile())
+    d_h = delta + a
+    d_r = delta + p.r
+    h0 = p.w_H / d_h
+    r0 = (p.w_R + p.r * h0) / d_r
+    den = delta * (1.0 + (s + k * (d_r + a) / d_r) / d_h)
+    g_C = (p.w_C - k * p.f + s * h0 + k * r0) / den
+    g_H = (p.w_H + a * g_C) / d_h
+    g_R = (p.w_R + p.r * g_H) / d_r
+    return ValueFunction(g_R, g_H, g_C)

@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .equilibria import EquilibriumReport, Provenance
 from .model import ModelParams, PopulationState, StrategyProfile, rate_scale
 
@@ -63,14 +61,11 @@ class StabilityVerdict:
     det: float
     flags: tuple[tuple[str, bool], ...] = ()
 
-    def flag(self, name: str) -> bool:
-        return dict(self.flags).get(name, False)
 
+def jacobian(p: ModelParams, x: PopulationState, s: StrategyProfile) -> tuple:
+    """Analytic Jacobian ``((j11, j12), (j21, j22))``, of floats, at ``x``.
 
-def jacobian(p: ModelParams, x: PopulationState, s: StrategyProfile) -> np.ndarray:
-    """Analytic Jacobian of the reduced ``(x_H, x_C)`` kinetics at ``x``.
-
-    Rows differentiate::
+    Rows differentiate the reduced ``(x_H, x_C)`` kinetics::
 
         dx_H/dt = r (1 - x_H - x_C) - lam (x_H u_H - x_C u_C) - q_inf x_H x_C
         dx_C/dt = -(b + q_soc x_H) x_C + lam (x_H u_H - x_C u_C) + q_inf x_H x_C
@@ -78,14 +73,12 @@ def jacobian(p: ModelParams, x: PopulationState, s: StrategyProfile) -> np.ndarr
     lam, r, b = p.lam, p.r, p.b
     u_h, u_c = s.u_H, s.u_C
     x_h, x_c = x.x_H, x.x_C
-    return np.array(
-        [
-            [-r - lam * u_h - p.q_inf * x_c, -r + lam * u_c - p.q_inf * x_h],
-            [
-                lam * u_h + (p.q_inf - p.q_soc) * x_c,
-                -(b + p.q_soc * x_h) - lam * u_c + p.q_inf * x_h,
-            ],
-        ]
+    return (
+        (-r - lam * u_h - p.q_inf * x_c, -r + lam * u_c - p.q_inf * x_h),
+        (
+            lam * u_h + (p.q_inf - p.q_soc) * x_c,
+            -(b + p.q_soc * x_h) - lam * u_c + p.q_inf * x_h,
+        ),
     )
 
 
@@ -107,11 +100,11 @@ def _classify(real_parts: tuple[float, float]) -> Classification:
     return Classification.MARGINAL
 
 
-def trace_det_verdict(m: np.ndarray) -> StabilityVerdict:
-    """Planar verdict from the trace/determinant test of a 2x2 matrix."""
-    m = np.asarray(m, dtype=float)
-    trace = float(m[0, 0] + m[1, 1])
-    det = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+def trace_det_verdict(m) -> StabilityVerdict:
+    """Planar verdict from the trace/determinant test of a 2x2 matrix ``((a, b), (c, d))``."""
+    (a, b), (c, d) = m
+    trace = float(a + d)
+    det = float(a * d - b * c)
     parts = eigen_real_parts(trace, det)
     return StabilityVerdict(
         _classify(parts),

@@ -472,6 +472,23 @@ def test_equilibria_on_twelve_decades_ends_with_a_message(tmp_path, capsys):
         assert "Traceback" not in capsys.readouterr().err
 
 
+def test_equilibria_with_threshold_just_above_one(tmp_path):
+    # x_bar = 1.0000000000000877, where Q(1) as alpha + beta + gamma cancels
+    # below zero; the corrupt root and the indifferent boundary are reported.
+    cfg = (
+        "lambda = 1.1321089947803766e-11\nr = 2.356079783654354\nb = 8.425797874025928\n"
+        "f = 0\nq_soc = 0.05400138051743457\nq_inf = 58302076.19514815\n"
+        "w_R = 1.1946331665040993e-09\nw_H = 1.7478904473180236e-09\n"
+        "w_C = 3.739126359601064e-09\n"
+    )
+    rc, out = run_cli(tmp_path, cfg, "equilibria")
+    assert rc == 0
+    rows = [l.split(",") for l in out.decode().splitlines() if not l.startswith("#")][1:]
+    assert [(row[1], row[5]) for row in rows] == [
+        ("corrupt_root", "corrupt"), ("honest_boundary", "indifferent"),
+    ]
+
+
 @pytest.mark.parametrize("case", [
     "out-is-a-directory", "out-under-a-missing-directory", "config-is-a-directory",
     "config-not-utf8",

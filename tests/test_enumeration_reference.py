@@ -32,8 +32,9 @@ from support import make_params  # noqa: E402
 
 
 # The enumeration as it stood before the merge into one pass, kept as the
-# reference.  The one edit is the interior's tie-band admission in
-# honest_interior (it was ``max(x_bar, 0.0) > x_h``).
+# reference.  The two edits are the interior's tie-band admission in
+# honest_interior (it was ``max(x_bar, 0.0) > x_h``) and the exact Q(1) for
+# ``x_bar >= 1`` (it was ``q_polynomial(p, min(x_bar, 1.0))``).
 def _companion_x_c(p: ModelParams, x_H: float) -> float:
     return (1.0 - x_H) * p.r / (p.r + p.b + p.q_soc * x_H)
 
@@ -133,7 +134,7 @@ def reference_enumeration(p: ModelParams) -> list[EquilibriumReport]:
     elif x_bar > 1.0 + TIE_TOL:
         reports.append(_corrupt_report(p, x_bar, "classifier_tie"))
     elif x_bar > 0.0:
-        q_at_bar = q_polynomial(p, min(x_bar, 1.0))
+        q_at_bar = p.lam * (p.q_soc + p.r + p.b) if x_bar >= 1.0 else q_polynomial(p, x_bar)
         x_h_star, _ = corrupt_root(p)
         below = x_h_star <= x_bar + TIE_TOL
         if (q_at_bar >= 0.0) != below and abs(x_h_star - x_bar) > TIE_TOL:

@@ -235,10 +235,30 @@ def test_enumerate_admits_interior_point_on_the_threshold():
     rep = reports[1]
     assert rep.state.x_H == pytest.approx(0.2, abs=1e-15) and rep.state.x_H < x_bar
     assert rep.behavior is cm.Behavior.INDIFFERENT
-    assert rep.diagnostics.flag("classifier_tie") and rep.warnings
+    assert dict(rep.diagnostics.flags)["classifier_tie"] and rep.warnings
     assert cm.best_response(p, rep.state).behavior is cm.Behavior.INDIFFERENT
     assert max_rhs(p, rep.state, rep.strategy) <= 1e-15
     assert cm.mfg_consistent(p, rep)
+
+
+def test_enumerate_takes_q_at_one_exactly_above_the_threshold():
+    # x_bar = 1.0000000000000877 is inside the tie band above 1.  There Q
+    # evaluated as alpha + beta + gamma cancels to -2.6e-9, although Q(1) =
+    # lam (q_soc + r + b) = 1.2e-10 > 0 exactly; the admissibility cross-check
+    # must take the exact value, or it reports a disagreement that is not there.
+    p = make_params(
+        lam=1.1321089947803766e-11, r=2.356079783654354, b=8.425797874025928,
+        q_soc=0.05400138051743457, q_inf=58302076.19514815, w_R=1.1946331665040993e-09,
+        w_H=1.7478904473180236e-09, w_C=3.739126359601064e-09,
+    )
+    x_bar = cm.classifier_xbar(p).value
+    assert 1.0 < x_bar <= 1.0 + cm.TIE_TOL
+    assert cm.q_polynomial(p, 1.0) < 0.0 < p.lam * (p.q_soc + p.r + p.b)
+    reports = cm.enumerate_equilibria(p)
+    assert [rep.provenance for rep in reports] == [cm.Provenance.CORRUPT_ROOT, BOUNDARY]
+    assert [rep.behavior for rep in reports] == [cm.Behavior.CORRUPT, cm.Behavior.INDIFFERENT]
+    for rep in reports:
+        assert cm.mfg_consistent(p, rep)
 
 
 def test_enumerate_computes_threshold_once_and_root_at_most_once(monkeypatch):
@@ -309,7 +329,7 @@ def test_no_interaction_tie():
     for rep in reports:
         assert rep.behavior is cm.Behavior.INDIFFERENT
         assert rep.warnings
-    assert reports[0].diagnostics.flag("indifferent_everywhere")
+    assert dict(reports[0].diagnostics.flags)["indifferent_everywhere"]
     for got, want in zip(reports[0].state.as_tuple(), (1 / 3, 1 / 3, 1 / 3)):
         assert got == pytest.approx(want, abs=1e-12)
 

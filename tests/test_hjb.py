@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corruption_mfg as cm
 from support import BASELINE, make_params, moderate_params, random_params, random_simplex
@@ -62,7 +64,7 @@ def test_corrupt_regime_hand_solution():
     assert sol.value.g_C == pytest.approx(19.0 / 3.0, abs=1e-14)
     assert sol.value.g_H == pytest.approx(11.0 / 3.0, abs=1e-14)
     assert sol.value.mu == pytest.approx(11.0 / 3.0, abs=1e-14)
-    assert sol.value.g_R == 0.0 and sol.value.normalized
+    assert sol.value.g_R == 0.0
     assert sol.consistent
 
 
@@ -101,12 +103,12 @@ def test_honest_regime_large_fine_dominates():
     assert sol.consistent
 
 
-def _branch_residuals(p, x, sol):
+def _branch_residuals(p, x, regime, sol):
     """Restate both Bellman lines of the assumed regime and evaluate them."""
     g_h, g_c = sol.value.g_H, sol.value.g_C
     w_h, w_c = p.w_H - p.w_R, p.w_C - p.w_R
     k = p.b + p.q_soc * x.x_H
-    if sol.assumed_regime is cm.Behavior.CORRUPT:
+    if regime is cm.Behavior.CORRUPT:
         a = p.lam + p.q_inf * x.x_C
         eq1 = w_h + a * (g_c - g_h) - p.r * g_h
         eq2 = w_c - k * p.f - k * g_c - p.r * g_h
@@ -124,7 +126,7 @@ def test_branch_solutions_satisfy_their_systems():
         tol = 1e-10 * max(1.0, abs(p.w_C), abs(p.w_H))
         for regime in (cm.Behavior.CORRUPT, cm.Behavior.HONEST):
             sol = cm.solve_regime(p, x, regime)
-            r1, r2 = _branch_residuals(p, x, sol)
+            r1, r2 = _branch_residuals(p, x, regime, sol)
             assert r1 <= tol and r2 <= tol
 
 
@@ -150,9 +152,10 @@ def test_best_response_corrupt_region():
     p = make_params(q_soc=1.0)  # x_bar = 8
     x = cm.PopulationState(0.25, 0.5, 0.25)
     resp = cm.best_response(p, x)
+    corrupt = cm.solve_regime(p, x, cm.Behavior.CORRUPT)
     assert resp.behavior is cm.Behavior.CORRUPT
-    assert resp.value == resp.corrupt.value
-    assert resp.corrupt.consistent
+    assert resp.value == corrupt.value
+    assert corrupt.consistent
 
 
 def test_best_response_honest_region():
@@ -167,8 +170,10 @@ def test_best_response_tie_is_indifferent():
     x = cm.PopulationState(0.25, 0.5, 0.25)
     resp = cm.best_response(p, x)
     assert resp.behavior is cm.Behavior.INDIFFERENT
-    assert resp.corrupt.value.g_C - resp.corrupt.value.g_H == pytest.approx(0.0, abs=1e-12)
-    assert resp.honest.value.g_C - resp.honest.value.g_H == pytest.approx(0.0, abs=1e-12)
+    corrupt = cm.solve_regime(p, x, cm.Behavior.CORRUPT).value
+    honest = cm.solve_regime(p, x, cm.Behavior.HONEST).value
+    assert corrupt.g_C - corrupt.g_H == pytest.approx(0.0, abs=1e-12)
+    assert honest.g_C - honest.g_H == pytest.approx(0.0, abs=1e-12)
 
 
 def test_best_response_threshold_bounds():
@@ -192,7 +197,7 @@ def test_best_response_indifferent_everywhere_flag():
     p = make_params(b=9.0)  # q_soc = 0 with zero bracket
     resp = cm.best_response(p, cm.PopulationState(0.4, 0.3, 0.3))
     assert resp.behavior is cm.Behavior.INDIFFERENT
-    assert resp.threshold.indifferent_everywhere
+    assert cm.classifier_xbar(p).indifferent_everywhere
 
 
 def test_best_response_value_solves_full_bellman_system():
@@ -249,7 +254,7 @@ def test_discounted_solution_residuals():
             v = cm.solve_discounted(p, x, delta, regime)
             scale = max(1.0, abs(v.g_R), abs(v.g_H), abs(v.g_C))
             assert max(_discounted_residuals(p, x, delta, regime, v)) <= 1e-10 * scale
-            assert not v.normalized and v.mu is None
+            assert v.mu is None
 
 
 def test_discounted_myopic_limit():
@@ -285,3 +290,47 @@ def test_discounted_regime_matches_discounted_threshold():
 def test_discounted_requires_positive_delta():
     with pytest.raises(ValueError):
         cm.solve_discounted(BASELINE, cm.PopulationState(0.4, 0.3, 0.3), 0.0, cm.Behavior.CORRUPT)
+
+
+def test_discounted_rejects_nan_delta():
+    with pytest.raises(ValueError):
+        cm.solve_discounted(
+            BASELINE, cm.PopulationState(0.4, 0.3, 0.3), math.nan, cm.Behavior.CORRUPT
+        )
+
+
+def _row_scaled_residuals(p, x, delta, regime, v):
+    # Each Bellman line as its separate terms; the residual is their exact
+    # sum over the sum of their magnitudes.
+    u = regime.profile()
+    a = p.lam * u.u_H + p.q_inf * x.x_C
+    s = p.lam * u.u_C
+    k = p.b + p.q_soc * x.x_H
+    rows = (
+        (p.w_R, p.r * v.g_H, -p.r * v.g_R, -delta * v.g_R),
+        (p.w_H, a * v.g_C, -a * v.g_H, -delta * v.g_H),
+        (p.w_C, -k * p.f, s * v.g_H, -s * v.g_C, k * v.g_R, -k * v.g_C, -delta * v.g_C),
+    )
+    return [abs(math.fsum(row)) / math.fsum(abs(t) for t in row) for row in rows]
+
+
+_DECADES = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)  # 12 decades
+_OR_ZERO = st.one_of(st.just(0.0), _DECADES)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rates=st.tuples(_DECADES, _DECADES, _DECADES, _OR_ZERO, _OR_ZERO, _OR_ZERO),
+       wages=st.tuples(_OR_ZERO, _DECADES, _DECADES),
+       x=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       delta=st.floats(-8.0, 6.0).map(lambda e: 10.0**e),
+       regime=st.sampled_from([cm.Behavior.CORRUPT, cm.Behavior.HONEST]))
+def test_discounted_row_scaled_residuals_over_twelve_decades(rates, wages, x, delta, regime):
+    lam, r, b, f, q_soc, q_inf = rates
+    w_R, gap_h, gap_c = wages
+    p = cm.validate_params(make_params(lam=lam, r=r, b=b, f=f, q_soc=q_soc, q_inf=q_inf,
+                                       w_R=w_R, w_H=w_R + gap_h, w_C=w_R + gap_h + gap_c))
+    x_h = x[0]
+    x_c = (1.0 - x_h) * x[1]
+    state = cm.PopulationState(1.0 - x_h - x_c, x_h, x_c)
+    v = cm.solve_discounted(p, state, delta, regime)
+    assert max(_row_scaled_residuals(p, state, delta, regime, v)) <= 1e-13

@@ -43,6 +43,14 @@ def test_jacobian_matches_finite_differences():
         assert diff <= 1e-6
 
 
+def test_jacobian_entries_are_python_floats():
+    rng = np.random.default_rng(36)
+    for i in range(20):
+        j = cm.jacobian(random_params(rng), random_simplex(rng), cm.ALL_PROFILES[i % 4])
+        assert len(j) == 2 and all(len(row) == 2 for row in j)
+        assert all(type(v) is float for row in j for v in row)
+
+
 # ---------------------------------------------------------------------------
 # trace/determinant verdict
 
@@ -53,7 +61,7 @@ def test_trace_det_hand_case():
     assert v.trace == -3.0 and v.det == 3.0
     # roots of xi^2 + 3 xi + 3: complex pair with real part -1.5
     assert v.eigen_real_parts == (-1.5, -1.5)
-    assert v.flag("trace_negative") and v.flag("det_positive")
+    assert dict(v.flags)["trace_negative"] and dict(v.flags)["det_positive"]
 
 
 def test_trace_det_saddle_and_source():
@@ -120,7 +128,7 @@ def test_classify_interaction_free_corrupt():
     v = cm.classify_equilibrium(BASELINE, rep)
     assert v.classification is cm.Classification.STABLE
     assert v.method is cm.Method.CLOSED_FORM
-    assert v.flag("sufficient_band")
+    assert dict(v.flags)["sufficient_band"]
 
 
 def test_classify_three_equilibria_verdicts():
@@ -130,12 +138,12 @@ def test_classify_three_equilibria_verdicts():
     corrupt, interior, boundary = verdicts
     # sufficient band is inconclusive at the corrupt root: eigenvalue fallback
     assert corrupt.method is cm.Method.FALLBACK
-    assert not corrupt.flag("sufficient_band")
+    assert not dict(corrupt.flags)["sufficient_band"]
     assert corrupt.classification is cm.Classification.STABLE
 
     assert interior.classification is cm.Classification.STABLE
     assert interior.method is cm.Method.CLOSED_FORM
-    assert interior.flag("char_coefficients_positive")
+    assert dict(interior.flags)["char_coefficients_positive"]
 
     assert boundary.classification is cm.Classification.UNSTABLE
     assert boundary.method is cm.Method.CLOSED_FORM
@@ -206,7 +214,7 @@ def test_roundoff_contradiction_falls_back_to_eigenvalues():
     assert eig.classification is cm.Classification.UNSTABLE
     assert 0.0 < max(eig.eigen_real_parts) <= stability.ROUNDOFF * cm.rate_scale(p)
     v = cm.classify_equilibrium(p, rep)
-    assert v.flag("char_coefficients_positive")
+    assert dict(v.flags)["char_coefficients_positive"]
     assert v.method is cm.Method.FALLBACK
     assert v.classification is eig.classification
 
@@ -231,13 +239,13 @@ def test_interior_coefficients_match_jacobian(lam, r, b, q_soc, excess):
     j = cm.jacobian(p, rep.state, rep.strategy)
     scale = cm.rate_scale(p)
     # The entry the closed form drops is zero up to rounding of the rates.
-    assert abs(j[1, 1]) <= 1e-15 * scale
-    assert abs(-(j[0, 0] + j[1, 1]) - neg_trace) <= 2e-15 * scale
-    numeric_det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
-    assert abs(numeric_det - det) <= 1e-15 * (abs(j[0, 0]) * scale + abs(det))
+    assert abs(j[1][1]) <= 1e-15 * scale
+    assert abs(-(j[0][0] + j[1][1]) - neg_trace) <= 2e-15 * scale
+    numeric_det = j[0][0] * j[1][1] - j[0][1] * j[1][0]
+    assert abs(numeric_det - det) <= 1e-15 * (abs(j[0][0]) * scale + abs(det))
     assert neg_trace > 0.0 and det > 0.0
     v = cm.classify_equilibrium(p, rep)
-    positive = v.flag("char_coefficients_positive")
+    positive = dict(v.flags)["char_coefficients_positive"]
     assert positive == (neg_trace > stability.MARGIN and det > stability.MARGIN)
     if v.method is cm.Method.CLOSED_FORM:
         assert positive and v.classification is cm.Classification.STABLE
