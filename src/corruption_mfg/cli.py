@@ -344,8 +344,19 @@ def _table_chunks(header: str, template: str, columns: list[np.ndarray]) -> list
 
 def cmd_simulate(cfg: RunConfig) -> str:
     traj = integrate_ode(cfg.params, cfg.x0, cfg.strategy, cfg.t_end, cfg.dt)
+    times, states = traj.times, traj.states
+    # The trailing run of rows whose state is bit-identical to the last row
+    # starts at ``settled``.  Bits, not float ==, so a -0.0 stays distinct.
+    bits = states.view(np.uint64)
+    changed = np.flatnonzero((bits != bits[-1]).any(axis=1))
+    settled = int(changed[-1]) + 1 if len(changed) else 0
     chunks = _table_chunks("t,x_R,x_H,x_C", "%.17g,%.17g,%.17g,%.17g",
-                           [traj.times, *traj.states.T])
+                           [times[:settled], *states[:settled].T])
+    # The settled state is formatted once into the template, so each of its
+    # rows formats only its time.
+    template = "%.17g" + ",%.17g,%.17g,%.17g" % tuple(states[-1].tolist())
+    for lo in range(settled, len(times), _CHUNK_ROWS):
+        chunks.append("\n".join([template % t for t in times[lo:lo + _CHUNK_ROWS].tolist()]))
     return "\n".join(chunks) + "\n"
 
 

@@ -2,7 +2,9 @@
 
 Three simulators share the kinetics of :mod:`corruption_mfg.model`:
 
-* :func:`integrate_ode`: fixed-step RK4 on the mean-field drift;
+* :func:`integrate_ode`: fixed-step RK4 on the mean-field drift; once the
+  flow lands exactly on a floating-point fixed point it stops stepping and
+  repeats that row to ``t_end``, which is what further steps would give;
 * :func:`simulate_population`: exact-event (competing exponential clocks)
   simulation of the finite-N jump chain;
 * :func:`simulate_tagged_agent`: one agent's jump path against a
@@ -89,6 +91,12 @@ def integrate_ode(
     :class:`StepSizeError`.  Every emitted state is clamped at zero and
     rescaled onto the simplex, which only ever moves it at round-off
     magnitude.  ``states`` is a writable view over one float buffer.
+
+    Once a step (from the second on) returns the row before it bit for bit,
+    the flow sits on an exact floating-point fixed point: the rates and
+    ``dt`` are constants of the loop, so each later step would return that
+    row again.  The remaining rows are filled with it and no further step
+    is taken; the table is bit-identical to stepping through to ``t_end``.
     """
     if not dt > 0:
         raise ValueError("dt must be > 0")
@@ -136,16 +144,24 @@ def integrate_ode(
         rec = r * y_r
         sw = lam * (y_h * u_h - y_c * u_c)
         inf = qi * y_h * y_c
-        x_r += sixth * (k1_r + 2.0 * (k2_r + k3_r) + (det - rec))
-        x_h += sixth * (k1_h + 2.0 * (k2_h + k3_h) + (rec - sw - inf))
-        x_c += sixth * (k1_c + 2.0 * (k2_c + k3_c) + (-det + sw + inf))
-        x_r = x_r if x_r > 0.0 else 0.0
-        x_h = x_h if x_h > 0.0 else 0.0
-        x_c = x_c if x_c > 0.0 else 0.0
-        total = x_r + x_h + x_c
-        x_r /= total
-        x_h /= total
-        x_c /= total
+        n_r = x_r + sixth * (k1_r + 2.0 * (k2_r + k3_r) + (det - rec))
+        n_h = x_h + sixth * (k1_h + 2.0 * (k2_h + k3_h) + (rec - sw - inf))
+        n_c = x_c + sixth * (k1_c + 2.0 * (k2_c + k3_c) + (-det + sw + inf))
+        n_r = n_r if n_r > 0.0 else 0.0
+        n_h = n_h if n_h > 0.0 else 0.0
+        n_c = n_c if n_c > 0.0 else 0.0
+        total = n_r + n_h + n_c
+        n_r /= total
+        n_h /= total
+        n_c /= total
+        # Exact fixed point (see the docstring): fill the rest and stop.  Not
+        # tested on the first step, whose row before is x0 and may hold -0.0;
+        # later rows come out of the clamp and a division by a positive
+        # total, hold no -0.0 and no NaN, and there == is bit equality.
+        if n_r == x_r and n_h == x_h and n_c == x_c and j > 3:
+            buf[j:] = array("d", (x_r, x_h, x_c)) * ((len(buf) - j) // 3)
+            break
+        x_r, x_h, x_c = n_r, n_h, n_c
         buf[j], buf[j + 1], buf[j + 2] = x_r, x_h, x_c
     times = np.arange(n_steps + 1) * dt
     states = np.frombuffer(buf).reshape(n_steps + 1, 3)
@@ -438,12 +454,14 @@ def deviation_gain(
     and the deviation is the best of the three other intent profiles.
     ``N`` does not enter, because the background is the mean-field limit;
     it stays in the signature because callers pass the arguments by
-    position.
+    position.  ``horizon`` must be finite and ``>= 0``; otherwise
+    :class:`ValueError` is raised before any stream is opened.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
+    # Also rejects inf, on which the tagged agent would never stop, and nan.
+    if not 0 <= horizon < math.inf:
+        raise ValueError(f"horizon must be finite and >= 0, got {horizon!r}")
     alternatives = [u for u in ALL_PROFILES if u != e.strategy]
     if horizon == 0:
         return DeviationGainEstimate(0.0, 0.0, 0.0, 0.0, replications, 0.0, alternatives[0])

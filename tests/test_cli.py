@@ -1,6 +1,7 @@
 """Configuration parsing, subcommand output contracts, determinism."""
 
 import hashlib
+import itertools
 import json
 import math
 
@@ -570,6 +571,29 @@ GOLDEN_IDS = ["simulate-corrupt", "simulate-honest", "ctmc-corrupt", "ctmc-hones
               "simulate-slow-corrupt", "simulate-slow-honest", "simulate-fast-corrupt",
               "simulate-fast-honest", "simulate-corner-corrupt", "simulate-corner-honest"]
 
+# simulate tables that end in a long run of one bit-identical state, recorded
+# before integrate_ode stopped at an exact fixed point and before cmd_simulate
+# formatted that state once: THREE_EQ to t_end = 200 (settled from about row
+# 3,600 of 20,001), the interaction-free baseline from thirds (constant from
+# row 0) and the honest boundary from x0_R = -0.0 (row 0 prints -0, rows 1 on
+# are one settled state).
+SETTLED_CFGS = {
+    "settled-corrupt": THREE_CFG + X0_CFG + "strategy = corrupt\nt_end = 200\n",
+    "settled-honest": THREE_CFG + X0_CFG + "strategy = honest\nt_end = 200\n",
+    "settled-baseline": BASE_CFG + "t_end = 50\n",
+    "settled-negative-zero": THREE_CFG + "x0_R = -0.0\nx0_H = 1\nx0_C = 0\nstrategy = honest\n"
+                             "t_end = 1\n",
+}
+SETTLED_DIGESTS = {
+    "settled-corrupt": "de93b912751f0802788bf855f07649f961bcfbcd0ad2b65c3b25696d8059b556",
+    "settled-honest": "7d5132a383601d81de663120bbeb669a478dcbfad030132382379089edc28277",
+    "settled-baseline": "cd0ac380d5f0bfc50e1025ae15e052ed2d5e1a4e3d19b8e74b459934ab8ba2ca",
+    "settled-negative-zero": "417240002adc64abb6b36ce57855a0b47c15b8a7d1830f084ae00afa5ae6f91c",
+}
+for name, digest in SETTLED_DIGESTS.items():
+    GOLDEN.append(("simulate", SETTLED_CFGS[name], digest))
+    GOLDEN_IDS.append(f"simulate-{name}")
+
 # classify and equilibria on four configs, recorded before either command's
 # rendering was shared between its two formats: three equilibria, an infinite
 # threshold with a discounted one, the indifferent-everywhere corner
@@ -625,3 +649,49 @@ def test_output_matches_golden_digest(tmp_path, command, cfg, digest):
     assert rc == 0
     assert hashlib.sha256(out).hexdigest() == digest
 
+
+def _full_table(traj):
+    """The simulate table with every row formatted in full, as it was rendered
+    before settled tails were formatted from one template."""
+    chunks = cli._table_chunks("t,x_R,x_H,x_C", "%.17g,%.17g,%.17g,%.17g",
+                               [traj.times, *traj.states.T])
+    return "\n".join(chunks) + "\n"
+
+
+def _first_difference(got, want):
+    """``(line number, got line, wanted line)`` of the first mismatch, or None.
+
+    Tables are compared through this so that a failure reports one line
+    instead of a diff of tens of thousands of lines.
+    """
+    if got == want:
+        return None
+    pairs = itertools.zip_longest(got.split("\n"), want.split("\n"))
+    return next((i, a, b) for i, (a, b) in enumerate(pairs) if a != b)
+
+
+@pytest.mark.parametrize("name", sorted(SETTLED_CFGS))
+def test_simulate_settled_tail_renders_like_full_table(name):
+    cfg = cli.parse_config(SETTLED_CFGS[name])
+    traj = simulate.integrate_ode(cfg.params, cfg.x0, cfg.strategy, cfg.t_end, cfg.dt)
+    assert _first_difference(cli.cmd_simulate(cfg), _full_table(traj)) is None
+
+
+# States ending in a run of one row, with -0.0 rows just before it that float
+# == would take for the run, across chunk boundaries.
+_SYNTHETIC_TAILS = [
+    np.array([[0.25, 0.5, 0.25]]),
+    np.array([[0.2, 0.5, 0.3], [0.25, 0.5, 0.25]]),
+    np.array([[-0.0, 1.0, 0.0]] * 3 + [[0.0, 1.0, 0.0]] * 2),
+    np.array([[0.0, 1.0, -0.0]] * 1030 + [[0.0, 1.0, 0.0]]),
+    np.vstack([np.linspace(0.0, 1.0, 3000)[:, None] * [1.0, -1.0, 0.0] + [0.0, 1.0, 0.0],
+               [[1.0, 0.0, 0.0]] * 2049]),
+]
+
+
+@pytest.mark.parametrize("states", _SYNTHETIC_TAILS, ids=lambda a: f"{len(a)}-rows")
+def test_simulate_settled_tail_keeps_signed_zeros(monkeypatch, states):
+    traj = simulate.Trajectory(times=np.arange(len(states)) * 0.01, states=states)
+    monkeypatch.setattr(cli, "integrate_ode", lambda *args: traj)
+    got = cli.cmd_simulate(cli.parse_config(BASE_CFG))
+    assert _first_difference(got, _full_table(traj)) is None

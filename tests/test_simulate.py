@@ -13,7 +13,7 @@ from scipy import stats
 
 import corruption_mfg as cm
 from corruption_mfg import cli, simulate
-from support import BASELINE, THREE_EQ, THREE_EQ_CONFIG, make_params
+from support import BASELINE, THREE_EQ, THREE_EQ_CONFIG, make_params, report_of
 
 THIRDS = cm.PopulationState(1 / 3, 1 / 3, 1 / 3)
 
@@ -150,6 +150,49 @@ def test_integrate_ode_matches_reference_rk4_bit_for_bit(rates, x0, s, step_frac
     assert states.shape == expected.shape
     # tobytes, not array_equal: a -0.0 where the reference has 0.0 fails.
     assert states.tobytes() == expected.tobytes()
+
+
+def _trailing_run(states):
+    """Number of final rows whose bytes equal the last row's."""
+    rows = [row.tobytes() for row in states]
+    k = 1
+    while k < len(rows) and rows[-1 - k] == rows[-1]:
+        k += 1
+    return k
+
+
+# (params, x0, strategy, t_end, dt) of flows that land on an exact fixed point
+# and repeat it: THREE_EQ at about rows 3,566 and 3,640 of 20,001, the
+# interaction-free baseline from row 0, and the honest boundary from row 1
+# (row 0 holds -0.0, row 1 holds 0.0).
+_SETTLING = {
+    "three-corrupt": (THREE_EQ, cm.PopulationState(0.2, 0.5, 0.3), cm.CORRUPT_PROFILE,
+                      200.0, 0.01),
+    "three-honest": (THREE_EQ, cm.PopulationState(0.2, 0.5, 0.3), cm.HONEST_PROFILE,
+                     200.0, 0.01),
+    "baseline-thirds": (BASELINE, THIRDS, cm.CORRUPT_PROFILE, 50.0, 0.01),
+    "honest-boundary": (THREE_EQ, cm.PopulationState(-0.0, 1.0, 0.0), cm.HONEST_PROFILE,
+                        1.0, 0.01),
+}
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 2, None])
+@pytest.mark.parametrize("case", sorted(_SETTLING))
+def test_settled_flow_matches_reference_rk4_bit_for_bit(case, n_steps):
+    # _reference_rk4 takes every step; integrate_ode stops at the fixed point.
+    # n_steps None runs to the case's t_end, past the fixed point.
+    p, x0, s, t_end, dt = _SETTLING[case]
+    if n_steps is not None:
+        t_end = n_steps * dt
+    states = cm.integrate_ode(p, x0, s, t_end, dt).states
+    expected = _reference_rk4(p, x0, s, t_end, dt)
+    assert states.shape == expected.shape
+    assert states.tobytes() == expected.tobytes()
+    if n_steps is None:
+        assert _trailing_run(expected) > 1
+    if case == "honest-boundary" and n_steps != 0:
+        assert _trailing_run(expected) == len(expected) - 1
+        assert np.signbit(states[0, 0]) and not np.signbit(states[1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +572,19 @@ def test_deviation_gain_zero_horizon():
     est = cm.deviation_gain(BASELINE, rep, horizon=0.0, N=100, replications=5, seed=1)
     assert est.gain == 0.0
     assert est.baseline_mean == 0.0 and est.std_error == 0.0
+
+
+@pytest.mark.parametrize("horizon", [math.inf, math.nan])
+def test_deviation_gain_rejects_nonfinite_horizon(monkeypatch, horizon):
+    # On inf the tagged agent never stops, and nan gives all-nan fields; both
+    # must fail before any stream is opened.
+    def no_stream(*args):
+        raise AssertionError("uniform stream opened")
+
+    monkeypatch.setattr(simulate, "UniformStream", no_stream)
+    rep = report_of(THREE_EQ, cm.Provenance.CORRUPT_ROOT)
+    with pytest.raises(ValueError, match="horizon must be finite"):
+        cm.deviation_gain(THREE_EQ, rep, horizon, 100, 4, 1)
 
 
 def test_deviation_gain_deterministic_and_consistent():
