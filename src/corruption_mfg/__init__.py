@@ -30,11 +30,11 @@ from .hjb import (
     TIE_TOL,
     BestResponse,
     ClassifierThreshold,
-    RegimeSolution,
     ValueFunction,
     best_response,
     classifier_xbar,
     classifier_xbar_discounted,
+    regime_at,
     solve_discounted,
     solve_regime,
 )
@@ -92,7 +92,6 @@ __all__ = [
     "PopulationCounts",
     "PopulationState",
     "Provenance",
-    "RegimeSolution",
     "SimplexError",
     "StabilityContradictionError",
     "StabilityVerdict",
@@ -119,6 +118,7 @@ __all__ = [
     "q_coefficients",
     "q_polynomial",
     "rate_scale",
+    "regime_at",
     "round_counts",
     "simulate_population",
     "simulate_tagged_agent",

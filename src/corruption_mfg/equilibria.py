@@ -3,20 +3,24 @@
 A stationary equilibrium is a distribution fixed under the common-strategy
 kinetics whose strategy is individually optimal against that distribution.
 :func:`enumerate_equilibria` makes one pass: it computes the classifier
-threshold ``x_bar`` once, and ``x_bar`` decides each of at most three
-candidates:
+threshold ``x_bar`` once and builds at most three candidate points:
 
 * the *corrupt root*: the unique zero in (0, 1) of a quadratic ``Q`` in
-  ``x_H``, admissible while corruption stays optimal there (``x_H* <=
-  x_bar``);
+  ``x_H``, not built where ``x_bar <= 0``;
 * the *honest interior* point ``x_H** = (b + lam) / (q_inf - q_soc)`` when
-  the infection pressure dominates the social norm strongly enough and
-  honesty is optimal there (``x_H** >= x_bar``);
-* the *honest boundary* ``x = (0, 1, 0)``, present whenever honesty is
-  optimal in a fully honest society (``x_bar < 1``).
+  the infection pressure dominates the social norm strongly enough that
+  ``x_H** < 1``;
+* the *honest boundary* ``x = (0, 1, 0)``.
 
-A candidate within :data:`~corruption_mfg.hjb.TIE_TOL` of ``x_bar`` is
-admitted and reported indifferent, with a warning and its tie flag set.
+One rule, :func:`~corruption_mfg.hjb.regime_at` at the candidate's ``x_H``,
+admits each of them.  A candidate is dropped where it reads the other
+profile's regime: honest at the corrupt root, corrupt at an honest point.
+Where it reads indifferent, within :data:`~corruption_mfg.hjb.TIE_TOL` of
+``x_bar``, the candidate is a tie: it is reported indifferent, with a
+warning and its tie flag set.  In the corner ``q_soc = 0`` with a zero
+classifier bracket the regimes tie at every ``x``, so every candidate on
+the simplex is a tie, and the corrupt root's flag is
+``indifferent_everywhere``.
 
 The interaction-free case ``q_soc = q_inf = 0`` needs no case of its own:
 ``Q`` is then linear with root ``x_H* = r b / (lam r + lam b + r b)``,
@@ -31,7 +35,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .hjb import TIE_TOL, ClassifierThreshold, best_response, classifier_xbar
+from .hjb import ClassifierThreshold, classifier_xbar, regime_at
 from .model import (
     Behavior,
     CORRUPT_PROFILE,
@@ -125,113 +129,83 @@ def corrupt_root(p: ModelParams) -> tuple[float, float]:
 
 def _report(
     p: ModelParams,
-    point: tuple[float, float],
+    threshold: ClassifierThreshold,
     provenance: Provenance,
-    x_bar: float,
-    warning: str | None = None,
-    flag: str | None = "classifier_tie",
-) -> EquilibriumReport:
-    # The one place a report is built from ``(x_H, x_C)``.  A warning marks
-    # a tie: the report is indifferent and ``flag`` is set; ``flag=None``
-    # records no flag at all.
+    point: tuple[float, float] | None,
+    warning: str,
+) -> EquilibriumReport | None:
+    # The one place a candidate is admitted and its tie encoded.  regime_at
+    # at the candidate's x_H rejects it where it reads the other profile's
+    # regime; where it reads indifferent the candidate is a tie, reported
+    # with ``warning``.  Otherwise it reads the candidate's own regime, which
+    # is then the report's behavior.
+    if point is None:
+        return None
     x_h, x_c = point
-    state = PopulationState(1.0 - x_h - x_c, x_h, x_c)
+    regime = regime_at(threshold, x_h)
     corrupt = provenance is Provenance.CORRUPT_ROOT
+    tie = regime is Behavior.INDIFFERENT
+    if not tie:
+        reads_corrupt = regime is Behavior.CORRUPT
+        if corrupt:
+            # Fault detector: Q(x_bar) >= 0 iff x_H* <= x_bar, so outside the
+            # tie band the sign of Q at the threshold must agree with regime_at.
+            # Q(1) = lam (q_soc + r + b) exactly; alpha + beta + gamma can cancel below 0.
+            x_bar = threshold.value
+            q_at_bar = p.lam * (p.q_soc + p.r + p.b) if x_bar >= 1.0 else q_polynomial(p, x_bar)
+            if (q_at_bar >= 0.0) != reads_corrupt:
+                raise ArithmeticError(
+                    "admissibility checks disagree: "
+                    f"Q(x_bar)={q_at_bar!r} vs x_H*={x_h!r}, x_bar={x_bar!r}"
+                )
+        if reads_corrupt != corrupt:
+            return None
+    flag = "classifier_tie"
+    if corrupt and threshold.indifferent_everywhere:
+        flag = "indifferent_everywhere"
+        warning = "regimes tie at every x (q_soc = 0 with zero bracket)"
+    state = PopulationState(1.0 - x_h - x_c, x_h, x_c)
     strategy = CORRUPT_PROFILE if corrupt else HONEST_PROFILE
-    tie = warning is not None
-    if tie:
-        behavior = Behavior.INDIFFERENT
-    else:
-        behavior = Behavior.CORRUPT if corrupt else Behavior.HONEST
     diag = EquilibriumDiagnostics(
         q_value=q_polynomial(p, state.x_H),
-        x_bar=x_bar,
+        x_bar=threshold.value,
         residual=max(abs(v) for v in kinetic_rhs(p, state, strategy)),
-        flags=((flag, tie),) if flag else (),
+        # A boundary that is not a tie records no flag at all.
+        flags=((flag, tie),) if tie or provenance is not Provenance.HONEST_BOUNDARY else (),
     )
-    return EquilibriumReport(
-        state, behavior, strategy, provenance, diag, (warning,) if tie else ()
-    )
+    return EquilibriumReport(state, regime, strategy, provenance, diag, (warning,) if tie else ())
 
 
-def _corrupt(p: ModelParams, threshold: ClassifierThreshold) -> EquilibriumReport | None:
-    # Admitted when x_bar > 1, or when x_bar lies in (0, 1] with Q(x_bar) >=
-    # 0 (equivalently x_H* <= x_bar; both forms are evaluated and must agree).
-    x_bar = threshold.value
-    if threshold.indifferent_everywhere:
-        return _report(
-            p, corrupt_root(p), Provenance.CORRUPT_ROOT, x_bar,
-            "regimes tie at every x (q_soc = 0 with zero bracket)", "indifferent_everywhere",
-        )
-    if x_bar > 1.0 + TIE_TOL:
-        return _report(p, corrupt_root(p), Provenance.CORRUPT_ROOT, x_bar)
-    if not x_bar > 0.0:
-        return None
-    # Q(1) = lam (q_soc + r + b) exactly; alpha + beta + gamma can cancel below 0.
-    q_at_bar = p.lam * (p.q_soc + p.r + p.b) if x_bar >= 1.0 else q_polynomial(p, x_bar)
-    root = corrupt_root(p)
-    x_h_star = root[0]
-    below = x_h_star <= x_bar + TIE_TOL
-    off = abs(x_h_star - x_bar)
-    if (q_at_bar >= 0.0) != below and off > TIE_TOL:
-        raise ArithmeticError(
-            "admissibility checks disagree: "
-            f"Q(x_bar)={q_at_bar!r} vs x_H*={x_h_star!r}, x_bar={x_bar!r}"
-        )
-    if not below:
-        return None
-    return _report(
-        p, root, Provenance.CORRUPT_ROOT, x_bar,
-        "corrupt root sits on the classifier boundary; both regimes are optimal here"
-        if off <= TIE_TOL else None,
-    )
-
-
-def _boundary(p: ModelParams, threshold: ClassifierThreshold) -> EquilibriumReport | None:
-    # x = (0, 1, 0): honest while x_bar < 1, absent when x_bar > 1 (corruption
-    # pays even in a fully honest society), indifferent at x_bar = 1.
-    x_bar = threshold.value
-    if threshold.indifferent_everywhere or abs(x_bar - 1.0) <= TIE_TOL:
-        return _report(
-            p, (1.0, 0.0), Provenance.HONEST_BOUNDARY, x_bar,
-            "classifier threshold ties with x_H = 1; both regimes are optimal here",
-        )
-    if x_bar > 1.0:
-        return None
-    return _report(p, (1.0, 0.0), Provenance.HONEST_BOUNDARY, x_bar, flag=None)
-
-
-def _interior(p: ModelParams, x_bar: float) -> EquilibriumReport | None:
-    # x_H** = (b + lam) / (q_inf - q_soc), present iff q_inf > q_soc and
-    # x_bar - TIE_TOL <= x_H** < 1 (the tie band admits it, as it admits the
-    # other two); then x_C** = r (q_inf - q_soc - b - lam) / ((r + b) q_inf +
+def _interior_point(p: ModelParams) -> tuple[float, float] | None:
+    # x_H** = (b + lam) / (q_inf - q_soc), on the simplex iff q_inf > q_soc and
+    # x_H** < 1; then x_C** = r (q_inf - q_soc - b - lam) / ((r + b) q_inf +
     # (lam - r) q_soc).
     gap = p.q_inf - p.q_soc
     if gap <= 0.0:
         return None
     x_h = (p.b + p.lam) / gap
-    if x_h >= 1.0 or x_h < x_bar - TIE_TOL:
+    if x_h >= 1.0:
         return None
-    x_c = p.r * (gap - p.b - p.lam) / ((p.r + p.b) * p.q_inf + (p.lam - p.r) * p.q_soc)
-    return _report(
-        p, (x_h, x_c), Provenance.HONEST_INTERIOR, x_bar,
-        "interior honest point sits on the classifier boundary"
-        if abs(x_h - x_bar) <= TIE_TOL else None,
-    )
+    return x_h, p.r * (gap - p.b - p.lam) / ((p.r + p.b) * p.q_inf + (p.lam - p.r) * p.q_soc)
 
 
 def enumerate_equilibria(p: ModelParams) -> list[EquilibriumReport]:
     """All stationary equilibria for ``p``, sorted by ``x_H`` (1 to 3 of them).
 
-    One threshold ``x_bar`` decides each of the three candidates: the
-    corrupt root, the honest boundary and the honest interior point.
+    :func:`~corruption_mfg.hjb.regime_at` at each candidate's ``x_H`` admits
+    it: the corrupt root, the honest boundary and the honest interior point.
     """
     validate_params(p)
     threshold = classifier_xbar(p)
+    # No corrupt root where x_bar <= 0, and corrupt_root is not run there.
+    root = corrupt_root(p) if threshold.value > 0.0 else None
     candidates = (
-        _corrupt(p, threshold),
-        _boundary(p, threshold),
-        _interior(p, threshold.value),
+        _report(p, threshold, Provenance.CORRUPT_ROOT, root,
+                "corrupt root sits on the classifier boundary; both regimes are optimal here"),
+        _report(p, threshold, Provenance.HONEST_BOUNDARY, (1.0, 0.0),
+                "classifier threshold ties with x_H = 1; both regimes are optimal here"),
+        _report(p, threshold, Provenance.HONEST_INTERIOR, _interior_point(p),
+                "interior honest point sits on the classifier boundary"),
     )
     reports = [rep for rep in candidates if rep is not None]
     reports.sort(key=lambda rep: rep.state.x_H)
@@ -239,11 +213,11 @@ def enumerate_equilibria(p: ModelParams) -> list[EquilibriumReport]:
 
 
 def mfg_consistent(p: ModelParams, report: EquilibriumReport) -> bool:
-    """Check that the report's behavior is a best response at its state.
+    """Check that the report's behavior is the regime :func:`regime_at` reads at its state.
 
     Ties at the classifier boundary accept any behavior.
     """
-    response = best_response(p, report.state)
-    if response.behavior is Behavior.INDIFFERENT or report.behavior is Behavior.INDIFFERENT:
+    regime = regime_at(classifier_xbar(p), report.state.x_H)
+    if regime is Behavior.INDIFFERENT or report.behavior is Behavior.INDIFFERENT:
         return True
-    return response.behavior is report.behavior
+    return regime is report.behavior

@@ -5,10 +5,13 @@ average payoff solves a three-line stationary Bellman system.  Normalizing
 ``g_R = 0`` and shifting wages by ``w_R`` reduces it to a 2x2 linear system
 per behavioral regime; :func:`solve_regime` solves it in closed form for
 either regime, with coefficients from the rate kernel
-:func:`~corruption_mfg.model.transition_rates`.  The regime boundary is a
-single threshold ``x_bar`` on the honest fraction: corruption pays iff
-``x_H <= x_bar``.  A discounted-criterion variant (no normalization,
-solved by elimination) is provided alongside, all in plain floats.
+:func:`~corruption_mfg.model.transition_rates`, and returns the values.
+The regime boundary is a single threshold ``x_bar`` on the honest fraction,
+and :func:`regime_at` alone applies it: corrupt below ``x_bar - TIE_TOL``,
+honest above ``x_bar + TIE_TOL``, indifferent in the tie band between and,
+in the corner ``q_soc = 0`` with a zero bracket, indifferent everywhere.  A
+discounted-criterion variant (no normalization, solved by elimination) is
+provided alongside, all in plain floats.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .model import (
     transition_rates,
 )
 
-# Absolute tolerance for payoff ties and for x_H vs x_bar comparisons.
+# Absolute tolerance of the x_H vs x_bar comparisons in ``regime_at``.
 # Inside the band the agent is reported indifferent rather than letting
 # round-off pick a regime.
 TIE_TOL = 1e-9
@@ -43,18 +46,6 @@ class ValueFunction:
     g_H: float
     g_C: float
     mu: float | None = None
-
-
-@dataclass(frozen=True)
-class RegimeSolution:
-    """Closed-form value under an assumed regime, plus its self-consistency.
-
-    ``consistent`` records whether the value ordering of ``g_C`` vs ``g_H``
-    supports the assumed regime within :data:`TIE_TOL`.
-    """
-
-    value: ValueFunction
-    consistent: bool
 
 
 @dataclass(frozen=True)
@@ -99,7 +90,7 @@ def classifier_xbar_discounted(p: ModelParams, delta: float) -> ClassifierThresh
     return _threshold(p, p.r + delta)
 
 
-def solve_regime(p: ModelParams, x: PopulationState, regime: Behavior) -> RegimeSolution:
+def solve_regime(p: ModelParams, x: PopulationState, regime: Behavior) -> ValueFunction:
     """Average-payoff values assuming ``regime`` is optimal.
 
     On shifted wages with ``g_R = 0`` the two remaining Bellman lines, with
@@ -119,12 +110,7 @@ def solve_regime(p: ModelParams, x: PopulationState, regime: Behavior) -> Regime
     den = p.r * (s + a + k) + a * k
     g_C = ((p.r + a) * net_c + (s - p.r) * w_h) / den
     g_H = (a * net_c + (s + k) * w_h) / den
-    value = ValueFunction(0.0, g_H, g_C, mu=p.r * g_H + p.w_R)
-    if regime is Behavior.CORRUPT:
-        consistent = g_C >= g_H - TIE_TOL
-    else:
-        consistent = g_C <= g_H + TIE_TOL
-    return RegimeSolution(value, consistent)
+    return ValueFunction(0.0, g_H, g_C, mu=p.r * g_H + p.w_R)
 
 
 @dataclass(frozen=True)
@@ -135,24 +121,31 @@ class BestResponse:
     value: ValueFunction
 
 
-def best_response(p: ModelParams, x: PopulationState) -> BestResponse:
-    """Classify the optimal regime at ``x`` and return the solving value.
+def regime_at(threshold: ClassifierThreshold, x_H: float) -> Behavior:
+    """The optimal regime at honest fraction ``x_H``: the one threshold rule.
 
     Corrupt when ``x_H < x_bar - TIE_TOL``, honest when ``x_H > x_bar +
-    TIE_TOL``, indifferent inside the tie band (both regime values then agree
-    within tolerance; only the corrupt regime is solved and reported).
+    TIE_TOL``, indifferent inside the tie band and wherever
+    ``threshold.indifferent_everywhere``.
     """
-    threshold = classifier_xbar(p)
     if threshold.indifferent_everywhere:
-        behavior = Behavior.INDIFFERENT
-    elif x.x_H < threshold.value - TIE_TOL:
-        behavior = Behavior.CORRUPT
-    elif x.x_H > threshold.value + TIE_TOL:
-        behavior = Behavior.HONEST
-    else:
-        behavior = Behavior.INDIFFERENT
+        return Behavior.INDIFFERENT
+    if x_H < threshold.value - TIE_TOL:
+        return Behavior.CORRUPT
+    if x_H > threshold.value + TIE_TOL:
+        return Behavior.HONEST
+    return Behavior.INDIFFERENT
+
+
+def best_response(p: ModelParams, x: PopulationState) -> BestResponse:
+    """Classify the optimal regime at ``x`` by :func:`regime_at` and solve it.
+
+    Inside the tie band both regime values agree within tolerance; only the
+    corrupt regime is solved and reported.
+    """
+    behavior = regime_at(classifier_xbar(p), x.x_H)
     regime = Behavior.HONEST if behavior is Behavior.HONEST else Behavior.CORRUPT
-    return BestResponse(behavior, solve_regime(p, x, regime).value)
+    return BestResponse(behavior, solve_regime(p, x, regime))
 
 
 def solve_discounted(

@@ -455,13 +455,23 @@ def deviation_gain(
     ``N`` does not enter, because the background is the mean-field limit;
     it stays in the signature because callers pass the arguments by
     position.  ``horizon`` must be finite and ``>= 0``; otherwise
-    :class:`ValueError` is raised before any stream is opened.
+    :class:`ValueError` is raised before any stream is opened.  No exit
+    rate exceeds ``rate_scale(p)``, so ``4 * replications * rate_scale(p) *
+    horizon`` bounds the expected jumps of the four profiles' runs; above
+    :data:`MAX_EVENTS` :class:`StepSizeError` is raised, also before any
+    stream is opened.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
     # Also rejects inf, on which the tagged agent would never stop, and nan.
     if not 0 <= horizon < math.inf:
         raise ValueError(f"horizon must be finite and >= 0, got {horizon!r}")
+    predicted = 4 * replications * rate_scale(p) * horizon
+    if predicted > MAX_EVENTS:
+        raise StepSizeError(
+            f"4*replications*rate_scale*horizon={predicted:.6g} predicts more than "
+            f"{MAX_EVENTS} jumps"
+        )
     alternatives = [u for u in ALL_PROFILES if u != e.strategy]
     if horizon == 0:
         return DeviationGainEstimate(0.0, 0.0, 0.0, 0.0, replications, 0.0, alternatives[0])

@@ -490,6 +490,36 @@ def test_equilibria_with_threshold_just_above_one(tmp_path):
     ]
 
 
+def test_equilibria_with_corrupt_root_at_the_tie_band_edge(tmp_path):
+    # x_H* - x_bar = 1.0000000003e-9, just above the tie band: by best_response's
+    # comparisons the root is indifferent, while Q(x_bar) < 0 says honest.  The
+    # cross-check must not fire inside the band, so this exits 0.
+    cfg = (
+        "lambda = 0.24328302554051565\nr = 0.5475697326642243\nb = 0.3147943156030476\n"
+        "f = 0\nq_soc = 43.39007952972478\nq_inf = 24.015209055488356\n"
+        "w_R = 0.01506310918079311\nw_H = 81.54305879793007\nw_C = 3355.3743151454273\n"
+    )
+    rc, out = run_cli(tmp_path, cfg, "equilibria")
+    assert rc == 0
+    rows = [l.split(",") for l in out.decode().splitlines() if not l.startswith("#")][1:]
+    assert [(row[1], row[5]) for row in rows] == [
+        ("corrupt_root", "indifferent"), ("honest_boundary", "honest"),
+    ]
+
+
+def test_equilibria_indifferent_everywhere_lists_the_interior_point(tmp_path):
+    # q_soc = 0 and a zero classifier bracket, r (w_C - w_H) / (w_H - w_R + r f)
+    # - b = 1 - 1: every x is a tie, and the interior point (0.3, 0.4, 0.3) is
+    # stationary because q_inf = 5 > b + lam.
+    cfg = "lambda = 1\nr = 1\nb = 1\nf = 0\nq_soc = 0\nq_inf = 5\nw_R = 0\nw_H = 1\nw_C = 2\n"
+    rc, out = run_cli(tmp_path, cfg, "equilibria")
+    assert rc == 0
+    text = out.decode()
+    assert text.startswith("# 3 equilibria\n")
+    assert "honest_interior,0.29999999999999999,0.40000000000000002,0.29999999999999999," \
+           "indifferent" in text
+
+
 @pytest.mark.parametrize("case", [
     "out-is-a-directory", "out-under-a-missing-directory", "config-is-a-directory",
     "config-not-utf8",

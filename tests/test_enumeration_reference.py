@@ -5,7 +5,7 @@ import math
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, example, given, reject, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import corruption_mfg as cm  # noqa: E402
@@ -32,9 +32,24 @@ from support import make_params  # noqa: E402
 
 
 # The enumeration as it stood before the merge into one pass, kept as the
-# reference.  The two edits are the interior's tie-band admission in
-# honest_interior (it was ``max(x_bar, 0.0) > x_h``) and the exact Q(1) for
-# ``x_bar >= 1`` (it was ``q_polynomial(p, min(x_bar, 1.0))``).
+# reference.  The edits are the interior's tie-band admission in
+# honest_interior (it was ``max(x_bar, 0.0) > x_h``); the exact Q(1) for
+# ``x_bar >= 1`` (it was ``q_polynomial(p, min(x_bar, 1.0))``); and the one
+# threshold rule: every candidate's admission and tie come from
+# ``best_response``'s comparisons, copied as _regime (they were ``abs(x_h -
+# x_bar) <= TIE_TOL``, ``x_h* <= x_bar + TIE_TOL`` and a shortcut for
+# ``x_bar > 1 + TIE_TOL``), so in the indifferent-everywhere corner the
+# interior point is admitted too (it was dropped).
+def _regime(threshold, x_h: float) -> Behavior:
+    if threshold.indifferent_everywhere:
+        return Behavior.INDIFFERENT
+    if x_h < threshold.value - TIE_TOL:
+        return Behavior.CORRUPT
+    if x_h > threshold.value + TIE_TOL:
+        return Behavior.HONEST
+    return Behavior.INDIFFERENT
+
+
 def _companion_x_c(p: ModelParams, x_H: float) -> float:
     return (1.0 - x_H) * p.r / (p.r + p.b + p.q_soc * x_H)
 
@@ -66,8 +81,7 @@ def honest_interior(p: ModelParams) -> tuple[float, float] | None:
     x_h = (p.b + p.lam) / gap
     if x_h >= 1.0:
         return None
-    x_bar = classifier_xbar(p).value
-    if x_h < x_bar - TIE_TOL:
+    if _regime(classifier_xbar(p), x_h) is Behavior.CORRUPT:
         return None
     x_c = p.r * (gap - p.b - p.lam) / ((p.r + p.b) * p.q_inf + (p.lam - p.r) * p.q_soc)
     return x_h, x_c
@@ -94,13 +108,14 @@ def honest_boundary(p: ModelParams) -> EquilibriumReport | None:
     threshold = classifier_xbar(p)
     x_bar = threshold.value
     state = PopulationState(0.0, 1.0, 0.0)
-    if threshold.indifferent_everywhere or abs(x_bar - 1.0) <= TIE_TOL:
+    regime = _regime(threshold, 1.0)
+    if regime is Behavior.INDIFFERENT:
         return _report(
             p, state, Behavior.INDIFFERENT, HONEST_PROFILE, Provenance.HONEST_BOUNDARY,
             x_bar, flags=(("classifier_tie", True),),
             warnings=("classifier threshold ties with x_H = 1; both regimes are optimal here",),
         )
-    if x_bar > 1.0:
+    if regime is Behavior.CORRUPT:
         return None
     return _report(p, state, Behavior.HONEST, HONEST_PROFILE, Provenance.HONEST_BOUNDARY, x_bar)
 
@@ -131,23 +146,22 @@ def reference_enumeration(p: ModelParams) -> list[EquilibriumReport]:
                 "regimes tie at every x (q_soc = 0 with zero bracket)",
             )
         )
-    elif x_bar > 1.0 + TIE_TOL:
-        reports.append(_corrupt_report(p, x_bar, "classifier_tie"))
     elif x_bar > 0.0:
         q_at_bar = p.lam * (p.q_soc + p.r + p.b) if x_bar >= 1.0 else q_polynomial(p, x_bar)
         x_h_star, _ = corrupt_root(p)
-        below = x_h_star <= x_bar + TIE_TOL
-        if (q_at_bar >= 0.0) != below and abs(x_h_star - x_bar) > TIE_TOL:
+        regime = _regime(threshold, x_h_star)
+        if regime is not Behavior.INDIFFERENT and (q_at_bar >= 0.0) != (
+                regime is Behavior.CORRUPT):
             raise ArithmeticError(
                 "admissibility checks disagree: "
                 f"Q(x_bar)={q_at_bar!r} vs x_H*={x_h_star!r}, x_bar={x_bar!r}"
             )
-        if below:
+        if regime is not Behavior.HONEST:
             reports.append(
                 _corrupt_report(
                     p, x_bar, "classifier_tie",
                     "corrupt root sits on the classifier boundary; both regimes are optimal here"
-                    if abs(x_h_star - x_bar) <= TIE_TOL else None,
+                    if regime is Behavior.INDIFFERENT else None,
                 )
             )
 
@@ -158,7 +172,7 @@ def reference_enumeration(p: ModelParams) -> list[EquilibriumReport]:
     interior = honest_interior(p)
     if interior is not None:
         x_h, x_c = interior
-        tie = abs(x_h - x_bar) <= TIE_TOL
+        tie = _regime(threshold, x_h) is Behavior.INDIFFERENT
         reports.append(
             _report(
                 p,
@@ -198,16 +212,20 @@ _RATES = st.floats(2.0, 32.0).flatmap(
                           min_size=9, max_size=9)
 )
 _CORNERS = ("none", "x_bar=0", "x_bar=1", "x_bar=x_H**", "x_bar=x_H*")
+_OFFSETS = [0.0, TIE_TOL, -TIE_TOL, 0.5 * TIE_TOL, -2.0 * TIE_TOL]
+# Just outside the tie band, where a second form of the band could disagree.
+_EDGE_OFFSETS = _OFFSETS + [1.0000000003 * TIE_TOL, -1.0000000003 * TIE_TOL]
 
 
-@settings(max_examples=400, deadline=None)
-@given(rates=_RATES, zeros=st.lists(st.booleans(), min_size=4, max_size=4),
-       corner=st.sampled_from(_CORNERS),
-       offset=st.sampled_from([0.0, TIE_TOL, -TIE_TOL, 0.5 * TIE_TOL, -2.0 * TIE_TOL]),
-       ulps=st.integers(-2, 2))
-def test_enumeration_matches_the_three_constructors(rates, zeros, corner, offset, ulps):
-    lam, r, b, f, q_soc, q_inf, w_R, gap_h, gap_c = rates
-    zero_f, zero_q_soc, zero_q_inf, zero_w_R = zeros
+@st.composite
+def _corner_params(draw, offsets=_OFFSETS):
+    # A random set, optionally with x_bar moved to a corner plus an offset.
+    lam, r, b, f, q_soc, q_inf, w_R, gap_h, gap_c = draw(_RATES)
+    zero_f, zero_q_soc, zero_q_inf, zero_w_R = draw(st.lists(st.booleans(), min_size=4,
+                                                             max_size=4))
+    corner = draw(st.sampled_from(_CORNERS))
+    offset = draw(st.sampled_from(offsets))
+    ulps = draw(st.integers(-2, 2))
     kw = dict(lam=lam, r=r, b=b, f=0.0 if zero_f else f, q_soc=0.0 if zero_q_soc else q_soc,
               q_inf=0.0 if zero_q_inf else q_inf, w_R=0.0 if zero_w_R else w_R)
     kw["w_H"] = kw["w_R"] + gap_h
@@ -225,8 +243,47 @@ def test_enumeration_matches_the_three_constructors(rates, zeros, corner, offset
         for _ in range(abs(ulps)):
             w_C = math.nextafter(w_C, math.copysign(math.inf, ulps))
         kw["w_C"] = w_C
-    p = make_params(**kw)
+    return make_params(**kw)
+
+
+@settings(max_examples=400, deadline=None)
+@given(p=_corner_params())
+def test_enumeration_matches_the_three_constructors(p):
     assert _outcome(cm.enumerate_equilibria, p) == _outcome(reference_enumeration, p)
+
+
+# Sets found at the edge of the tie band, where one form of the band once
+# admitted a point and another flagged its tie: an honest interior point
+# x_bar - x_H** = 1.0000000003e-9 below the threshold, reported honest and
+# untied, and a corrupt root as far above it, which raised "admissibility
+# checks disagree".
+_EDGE_SETS = [
+    make_params(lam=23073.797454516913, r=0.017092647612227188, b=4.845537925102861e-09,
+                q_soc=13.767552380139369, q_inf=5000071.449518929, w_R=1.602301768450197e-07,
+                w_H=1.913340227172459e-05, w_C=8.965652477850952e-05),
+    make_params(lam=0.24328302554051565, r=0.5475697326642243, b=0.3147943156030476,
+                q_soc=43.39007952972478, q_inf=24.015209055488356, w_R=0.01506310918079311,
+                w_H=81.54305879793007, w_C=3355.3743151454273),
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(p=_corner_params(_EDGE_OFFSETS))
+@example(p=_EDGE_SETS[0])
+@example(p=_EDGE_SETS[1])
+def test_every_report_is_the_best_response_at_its_state(p):
+    try:
+        reports = cm.enumerate_equilibria(p)
+    except cm.ParameterError:
+        reject()
+    except ArithmeticError as exc:
+        # The root of Q is not found at some extreme rate scales, a defect of
+        # its own; nothing about ties can be checked there.
+        assume("expected one root of Q" not in str(exc))
+        raise
+    for rep in reports:
+        assert rep.behavior is cm.best_response(p, rep.state).behavior
+        assert bool(rep.warnings) == (rep.behavior is cm.Behavior.INDIFFERENT)
 
 
 # Rates over about 20 decades, where the corrupt root rounds onto x_H = 1:

@@ -61,11 +61,11 @@ def test_corrupt_regime_hand_solution():
     # => denominator r(a+k)+a k = 3, g_C = (2*10 - 1)/3, g_H = (10 + 1)/3.
     x = cm.PopulationState(0.2, 0.3, 0.5)
     sol = cm.solve_regime(BASELINE, x, cm.Behavior.CORRUPT)
-    assert sol.value.g_C == pytest.approx(19.0 / 3.0, abs=1e-14)
-    assert sol.value.g_H == pytest.approx(11.0 / 3.0, abs=1e-14)
-    assert sol.value.mu == pytest.approx(11.0 / 3.0, abs=1e-14)
-    assert sol.value.g_R == 0.0
-    assert sol.consistent
+    assert sol.g_C == pytest.approx(19.0 / 3.0, abs=1e-14)
+    assert sol.g_H == pytest.approx(11.0 / 3.0, abs=1e-14)
+    assert sol.mu == pytest.approx(11.0 / 3.0, abs=1e-14)
+    assert sol.g_R == 0.0
+    assert sol.g_C >= sol.g_H - cm.TIE_TOL
 
 
 def test_corrupt_regime_restores_reserved_wage():
@@ -73,39 +73,39 @@ def test_corrupt_regime_restores_reserved_wage():
     x = cm.PopulationState(0.2, 0.3, 0.5)
     shifted = make_params(w_R=2.0, w_H=3.0, w_C=12.0)
     sol = cm.solve_regime(shifted, x, cm.Behavior.CORRUPT)
-    assert sol.value.g_C == pytest.approx(19.0 / 3.0, abs=1e-12)
-    assert sol.value.g_H == pytest.approx(11.0 / 3.0, abs=1e-12)
-    assert sol.value.mu == pytest.approx(11.0 / 3.0 + 2.0, abs=1e-12)
+    assert sol.g_C == pytest.approx(19.0 / 3.0, abs=1e-12)
+    assert sol.g_H == pytest.approx(11.0 / 3.0, abs=1e-12)
+    assert sol.mu == pytest.approx(11.0 / 3.0 + 2.0, abs=1e-12)
 
 
 def test_honest_regime_hand_solution_corruption_pays():
     x = cm.PopulationState(0.2, 0.3, 0.5)
     sol = cm.solve_regime(BASELINE, x, cm.Behavior.HONEST)
-    assert sol.value.g_C == pytest.approx(5.0, abs=1e-14)
-    assert sol.value.g_H == pytest.approx(1.0, abs=1e-14)
-    assert not sol.consistent  # corruption pays here
+    assert sol.g_C == pytest.approx(5.0, abs=1e-14)
+    assert sol.g_H == pytest.approx(1.0, abs=1e-14)
+    assert sol.g_C > sol.g_H + cm.TIE_TOL  # corruption pays here
 
 
 def test_honest_regime_hand_solution_consistent():
     p = make_params(f=1.0, q_soc=1.0, w_H=5.0, w_C=5.5)
     x = cm.PopulationState(0.0, 1.0, 0.0)
     sol = cm.solve_regime(p, x, cm.Behavior.HONEST)
-    assert sol.value.g_C == pytest.approx(3.5 / 3.0, abs=1e-14)
-    assert sol.value.g_H == pytest.approx(5.0, abs=1e-14)
-    assert sol.consistent
+    assert sol.g_C == pytest.approx(3.5 / 3.0, abs=1e-14)
+    assert sol.g_H == pytest.approx(5.0, abs=1e-14)
+    assert sol.g_C <= sol.g_H + cm.TIE_TOL
 
 
 def test_honest_regime_large_fine_dominates():
     p = make_params(f=100.0, q_soc=0.5, w_H=1.0, w_C=1.0 + 1e-6)
     x = cm.PopulationState(0.3, 0.4, 0.3)
     sol = cm.solve_regime(p, x, cm.Behavior.HONEST)
-    assert sol.value.g_C < sol.value.g_H
-    assert sol.consistent
+    assert sol.g_C < sol.g_H
+    assert sol.g_C <= sol.g_H + cm.TIE_TOL
 
 
 def _branch_residuals(p, x, regime, sol):
     """Restate both Bellman lines of the assumed regime and evaluate them."""
-    g_h, g_c = sol.value.g_H, sol.value.g_C
+    g_h, g_c = sol.g_H, sol.g_C
     w_h, w_c = p.w_H - p.w_R, p.w_C - p.w_R
     k = p.b + p.q_soc * x.x_H
     if regime is cm.Behavior.CORRUPT:
@@ -140,8 +140,10 @@ def test_consistency_flags_match_threshold():
         if abs(x.x_H - x_bar) <= 1e-9:
             continue
         corrupt_ok = x.x_H < x_bar
-        assert cm.solve_regime(p, x, cm.Behavior.CORRUPT).consistent == corrupt_ok
-        assert cm.solve_regime(p, x, cm.Behavior.HONEST).consistent == (not corrupt_ok)
+        corrupt = cm.solve_regime(p, x, cm.Behavior.CORRUPT)
+        honest = cm.solve_regime(p, x, cm.Behavior.HONEST)
+        assert (corrupt.g_C >= corrupt.g_H - cm.TIE_TOL) == corrupt_ok
+        assert (honest.g_C <= honest.g_H + cm.TIE_TOL) == (not corrupt_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +156,8 @@ def test_best_response_corrupt_region():
     resp = cm.best_response(p, x)
     corrupt = cm.solve_regime(p, x, cm.Behavior.CORRUPT)
     assert resp.behavior is cm.Behavior.CORRUPT
-    assert resp.value == corrupt.value
-    assert corrupt.consistent
+    assert resp.value == corrupt
+    assert corrupt.g_C >= corrupt.g_H - cm.TIE_TOL
 
 
 def test_best_response_honest_region():
@@ -170,8 +172,8 @@ def test_best_response_tie_is_indifferent():
     x = cm.PopulationState(0.25, 0.5, 0.25)
     resp = cm.best_response(p, x)
     assert resp.behavior is cm.Behavior.INDIFFERENT
-    corrupt = cm.solve_regime(p, x, cm.Behavior.CORRUPT).value
-    honest = cm.solve_regime(p, x, cm.Behavior.HONEST).value
+    corrupt = cm.solve_regime(p, x, cm.Behavior.CORRUPT)
+    honest = cm.solve_regime(p, x, cm.Behavior.HONEST)
     assert corrupt.g_C - corrupt.g_H == pytest.approx(0.0, abs=1e-12)
     assert honest.g_C - honest.g_H == pytest.approx(0.0, abs=1e-12)
 

@@ -11,7 +11,7 @@ from support import make_params  # noqa: E402
 
 
 # The two per-regime formulas as they stood before the merge, kept as the
-# reference: (g_H, g_C, mu, consistent).
+# reference: (g_H, g_C, mu).
 def corrupt_reference(p, x):
     k = p.b + p.q_soc * x.x_H
     a = p.lam + p.q_inf * x.x_C
@@ -20,7 +20,7 @@ def corrupt_reference(p, x):
     den = p.r * (a + k) + a * k
     g_C = ((p.r + a) * net_c - p.r * w_h) / den
     g_H = (a * net_c + k * w_h) / den
-    return g_H, g_C, p.r * g_H + p.w_R, g_C >= g_H - cm.TIE_TOL
+    return g_H, g_C, p.r * g_H + p.w_R
 
 
 def honest_reference(p, x):
@@ -31,7 +31,7 @@ def honest_reference(p, x):
     den = p.r * (p.lam + c + k) + c * k
     g_C = ((p.r + c) * net_c + (p.lam - p.r) * w_h) / den
     g_H = (c * net_c + (p.lam + k) * w_h) / den
-    return g_H, g_C, p.r * g_H + p.w_R, g_C <= g_H + cm.TIE_TOL
+    return g_H, g_C, p.r * g_H + p.w_R
 
 
 REFERENCES = {cm.Behavior.CORRUPT: corrupt_reference, cm.Behavior.HONEST: honest_reference}
@@ -61,13 +61,12 @@ def test_solve_regime_matches_per_regime_formulas_bit_for_bit(rates, wages, x, r
                                        w_R=w_R, w_H=w_H, w_C=w_C))
     x = cm.PopulationState(*x)
     sol = cm.solve_regime(p, x, regime)
-    g_H, g_C, mu, consistent = REFERENCES[regime](p, x)
+    g_H, g_C, mu = REFERENCES[regime](p, x)
     # float.hex, not ==: a -0.0 where the reference has 0.0 fails.
-    assert sol.value.g_H.hex() == g_H.hex()
-    assert sol.value.g_C.hex() == g_C.hex()
-    assert sol.value.mu.hex() == mu.hex()
-    assert sol.consistent == consistent
-    assert sol.value.g_R == 0.0
+    assert sol.g_H.hex() == g_H.hex()
+    assert sol.g_C.hex() == g_C.hex()
+    assert sol.mu.hex() == mu.hex()
+    assert sol.g_R == 0.0
 
 
 def test_solve_regime_rejects_indifferent():

@@ -587,6 +587,22 @@ def test_deviation_gain_rejects_nonfinite_horizon(monkeypatch, horizon):
         cm.deviation_gain(THREE_EQ, rep, horizon, 100, 4, 1)
 
 
+def test_deviation_gain_refuses_work_over_the_event_cap(monkeypatch):
+    # THREE_EQ's rate_scale is 3.8: 4 * 4 * 3.8 * 1e9 predicts 6.1e10 jumps,
+    # about 2.5 h of work; the guard must fire before any stream is opened.
+    def no_stream(*args):
+        raise AssertionError("uniform stream opened")
+
+    monkeypatch.setattr(simulate, "UniformStream", no_stream)
+    rep = report_of(THREE_EQ, cm.Provenance.CORRUPT_ROOT)
+    with pytest.raises(cm.StepSizeError, match="predicts more than"):
+        cm.deviation_gain(THREE_EQ, rep, 1e9, 100, 4, 1)
+    # Just over the cap by the bound itself, and still refused.
+    horizon = math.nextafter(simulate.MAX_EVENTS / (4 * 4 * cm.rate_scale(THREE_EQ)), math.inf)
+    with pytest.raises(cm.StepSizeError):
+        cm.deviation_gain(THREE_EQ, rep, horizon, 100, 4, 1)
+
+
 def test_deviation_gain_deterministic_and_consistent():
     rep = cm.enumerate_equilibria(BASELINE)[0]
     a = cm.deviation_gain(BASELINE, rep, horizon=20.0, N=100, replications=20, seed=3)
