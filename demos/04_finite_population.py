@@ -30,7 +30,7 @@ print()
 print("law of large numbers: sup distance between averaged empirical path")
 print("and the ODE path (20 replications, t_end = 10):")
 for n_agents in (100, 1000, 10000):
-    d, _ = cm.lln_convergence(p, n_agents, x0, eq.strategy, 10.0, 20, seed=7)
+    d, _ = cm.lln_convergence(p, n_agents, x0, eq.strategy, 10.0, 20, seed=7, dt=0.01)
     print("  N = %-6d distance = %.4f" % (n_agents, d))
 print()
 

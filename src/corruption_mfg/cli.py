@@ -26,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibria import EquilibriumReport, enumerate_equilibria
-from .hjb import classifier_xbar, classifier_xbar_discounted
+from .hjb import classifier_xbar, classifier_xbar_discounted, regime_at
 from .model import (
+    Behavior,
     CORRUPT_PROFILE,
     HONEST_PROFILE,
     ModelParams,
@@ -44,7 +45,7 @@ from .simulate import (
     lln_convergence,
     simulate_population,  # unused: perfbench/tracer.py rebinds it, tests/test_api.py checks it
 )
-from .stability import StabilityContradictionError, classify_equilibrium
+from .stability import classify_equilibrium
 
 dataclass_replace = dataclasses.replace
 
@@ -54,12 +55,14 @@ class ConfigError(ValueError):
 
 
 _PARAM_KEYS = ("lambda", "r", "b", "f", "q_soc", "q_inf", "w_R", "w_H", "w_C")
-_FLOAT_KEYS = set(_PARAM_KEYS) | {
-    "delta", "dt", "t_end", "x0_R", "x0_H", "x0_C", "sweep_min", "sweep_max",
+# Every config key and the type its value is converted to.
+_KEY_TYPES = {
+    **dict.fromkeys((*_PARAM_KEYS, "delta", "dt", "t_end", "x0_R", "x0_H", "x0_C"), float),
+    "sweep_min": float,
+    "sweep_max": float,
+    **dict.fromkeys(("N", "seed", "replications", "sweep_points"), int),
+    **dict.fromkeys(("strategy", "sweep_param", "format", "out"), str),
 }
-_INT_KEYS = {"N", "seed", "replications", "sweep_points"}
-_STR_KEYS = {"strategy", "sweep_param", "format", "out"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
 
 _SWEEP_AXES = ("b", "f", "q_soc", "q_inf", "lambda")
 
@@ -86,18 +89,6 @@ class RunConfig:
     out: str | None
 
 
-def _convert(key: str, raw: str, lineno: int):
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-    except ValueError:
-        kind = "an integer" if key in _INT_KEYS else "a number"
-        raise ConfigError(f"line {lineno}: value for '{key}' must be {kind}, got {raw!r}")
-    return raw
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a flat ``key = value`` configuration document."""
     values: dict[str, object] = {}
@@ -110,13 +101,18 @@ def parse_config(text: str) -> RunConfig:
         raw = raw.strip()
         if not sep or not key:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw_line.strip()!r}")
-        if key not in _ALL_KEYS:
+        convert = _KEY_TYPES.get(key)
+        if convert is None:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
         if not raw:
             raise ConfigError(f"line {lineno}: empty value for '{key}'")
-        values[key] = _convert(key, raw, lineno)
+        try:
+            values[key] = convert(raw)
+        except ValueError:
+            kind = "an integer" if convert is int else "a number"
+            raise ConfigError(f"line {lineno}: value for '{key}' must be {kind}, got {raw!r}")
 
     for key in _PARAM_KEYS:
         if key not in values:
@@ -193,7 +189,7 @@ def parse_config(text: str) -> RunConfig:
 def load_config(path: str, fmt: str | None = None, out: str | None = None,
                 seed: int | None = None) -> RunConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
@@ -219,12 +215,12 @@ def _fmt_threshold(v: float) -> str:
 
 
 def _regime(threshold) -> str:
-    x_bar = threshold.value
     if threshold.indifferent_everywhere:
         return "indifferent everywhere (q_soc = 0 with zero bracket)"
-    if x_bar > 1.0:
+    # The enumeration lists the honest boundary x_H = 1 unless it reads corrupt.
+    if regime_at(threshold, 1.0) is Behavior.CORRUPT:
         return "unique corrupt equilibrium"
-    if x_bar < 0.0:
+    if threshold.value < 0.0:
         return "corrupt equilibrium impossible; honest boundary equilibrium present"
     return "honest boundary equilibrium present; corrupt root admissible iff Q(x_bar) >= 0"
 
@@ -372,7 +368,7 @@ def cmd_ctmc(cfg: RunConfig) -> str:
 
 # The model's own failures at one sweep point become an error cell; any
 # other exception is a bug and propagates.
-_POINT_ERRORS = (ParameterError, SimplexError, ArithmeticError, StabilityContradictionError)
+_POINT_ERRORS = (ParameterError, SimplexError, ArithmeticError)
 
 
 def cmd_sweep(cfg: RunConfig) -> str:
@@ -444,7 +440,7 @@ def main(argv: list[str] | None = None) -> int:
     except StepSizeError as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, StabilityContradictionError) as exc:
+    except ArithmeticError as exc:
         message = str(exc).replace("\n", " ")
         print(f"numerical failure: {type(exc).__name__}: {message}", file=sys.stderr)
         return 2

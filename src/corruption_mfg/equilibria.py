@@ -47,6 +47,11 @@ from .model import (
     validate_params,
 )
 
+__all__ = [
+    "EquilibriumDiagnostics", "EquilibriumReport", "Provenance", "corrupt_root",
+    "enumerate_equilibria", "mfg_consistent", "q_coefficients", "q_polynomial",
+]
+
 # Relative threshold under which the quadratic's leading coefficient is
 # treated as zero: (r+lam) q_soc - r q_inf crosses zero on a natural
 # parameter surface, so the linear fallback must be seamless.

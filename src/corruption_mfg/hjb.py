@@ -26,6 +26,12 @@ from .model import (
     transition_rates,
 )
 
+__all__ = [
+    "TIE_TOL", "BestResponse", "ClassifierThreshold", "ValueFunction", "best_response",
+    "classifier_xbar", "classifier_xbar_discounted", "regime_at", "solve_discounted",
+    "solve_regime",
+]
+
 # Absolute tolerance of the x_H vs x_bar comparisons in ``regime_at``.
 # Inside the band the agent is reported indifferent rather than letting
 # round-off pick a regime.

@@ -21,6 +21,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+__all__ = [
+    "ALL_PROFILES", "Behavior", "CORRUPT_PROFILE", "HONEST_PROFILE", "ModelParams",
+    "ParameterError", "PopulationCounts", "PopulationState", "SimplexError", "StrategyProfile",
+    "TRANSITION_LABELS", "kinetic_rhs", "rate_scale", "transition_rates", "validate_params",
+]
+
 # Simplex acceptance: integrators drift at round-off scale, so states are
 # accepted with |sum - 1| <= SUM_TOL and components >= COMPONENT_FLOOR,
 # then clamped into [0, 1].

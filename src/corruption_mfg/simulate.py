@@ -49,6 +49,12 @@ from .model import (
     transition_rates,
 )
 
+__all__ = [
+    "DeviationGainEstimate", "EventPath", "StepSizeError", "Trajectory", "constant_trajectory",
+    "deviation_gain", "integrate_ode", "lln_convergence", "round_counts", "simulate_population",
+    "simulate_tagged_agent",
+]
+
 _STEP_GUARD = 0.1
 # Largest trajectory ``integrate_ode`` will build: 10**7 rows of 3 floats
 # is 240 MB.
@@ -363,15 +369,16 @@ def lln_convergence(
     t_end: float,
     replications: int,
     seed: int,
-    dt: float | None = None,
+    dt: float,
 ) -> tuple[float, EventPath]:
     """Sup-norm distance between the replication-averaged empirical path and the ODE.
 
     Replication ``i`` runs on stream ``(seed, i)`` from the rounded initial
     counts; its piecewise-constant fraction path is sampled on the ODE grid,
     averaged across replications, and compared with the ODE states in the
-    max norm over the whole grid.  Returns the distance and the event path
-    of replication 0.
+    max norm over the whole grid, the ODE taking RK4 steps of ``dt``
+    (required, as in :func:`integrate_ode`).  Returns the distance and the
+    event path of replication 0.
 
     The guards run before anything is drawn: first the event bound of
     :func:`simulate_population`, then the step and row guards of
@@ -382,8 +389,6 @@ def lln_convergence(
         raise ValueError("replications must be >= 1")
     n0 = round_counts(N, x0)
     _check_event_bound(p, N, t_end)
-    if dt is None:
-        dt = min(0.01, _STEP_GUARD / rate_scale(p) / 2.0)
     ode = integrate_ode(p, x0, s, t_end, dt)
     grid = ode.times
     start = np.array([n0.n_R, n0.n_H, n0.n_C], dtype=np.int64)

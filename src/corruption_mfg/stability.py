@@ -14,8 +14,10 @@ the Jacobian entry ``-(b + lam) + (q_inf - q_soc) x_H`` vanishes, so the
 coefficients are explicit: ``-trace = r + q_inf x_C`` and ``det = (q_inf -
 q_soc) x_C (r - lam + q_inf x_H)``.  Every closed-form verdict is
 cross-checked against the eigenvalues and a disagreement outside the margin
-band raises (it would signal a bug, not a property of the model), unless the
-eigenvalues are within round-off of zero, where they decide the verdict.
+band raises :class:`StabilityContradictionError` (it would signal a bug, not
+a property of the model), unless the eigenvalues are within round-off of
+zero, where they decide the verdict.  That error is an ``ArithmeticError``,
+so the CLI exits 2 on it like on every other numerical failure.
 """
 
 from __future__ import annotations
@@ -25,6 +27,11 @@ from enum import Enum
 
 from .equilibria import EquilibriumReport, Provenance
 from .model import ModelParams, PopulationState, StrategyProfile, rate_scale
+
+__all__ = [
+    "Classification", "Method", "StabilityContradictionError", "StabilityVerdict",
+    "classify_equilibrium", "corrupt_stability_band", "jacobian", "trace_det_verdict",
+]
 
 # Half-width of the sign-test band around zero; inside it a verdict is
 # Marginal rather than a round-off coin flip.
@@ -48,8 +55,12 @@ class Method(Enum):
     FALLBACK = "trace_det_fallback"    # closed-form rule inconclusive
 
 
-class StabilityContradictionError(RuntimeError):
-    """A closed-form verdict contradicted the eigenvalue verdict (bug signal)."""
+class StabilityContradictionError(ArithmeticError):
+    """A closed-form verdict contradicted the eigenvalue verdict (bug signal).
+
+    A numerical fault detector, so an :class:`ArithmeticError` like the other
+    numerical failures: the CLI exits 2 on it and a sweep records it per point.
+    """
 
 
 @dataclass(frozen=True)
@@ -150,13 +161,7 @@ def _closed_form(p: ModelParams, e: EquilibriumReport):
     if e.provenance is Provenance.HONEST_BOUNDARY:
         # Boundary eigenvalues are exactly {-r, q_inf - q_soc - lam - b}.
         edge = p.q_inf - p.q_soc - p.lam - p.b
-        if edge < -MARGIN:
-            verdict = Classification.STABLE
-        elif edge > MARGIN:
-            verdict = Classification.UNSTABLE
-        else:
-            verdict = Classification.MARGINAL
-        return verdict, (("boundary_rate_negative", edge < 0.0),)
+        return _classify((edge,)), (("boundary_rate_negative", edge < 0.0),)
     # Honest interior: stable when both characteristic coefficients are
     # positive, which the existence condition implies.
     neg_trace, det = _interior_coefficients(p, e.state)

@@ -192,8 +192,9 @@ def test_criterion_07_flow_corroborates_verdicts():
 def test_criterion_08_law_of_large_numbers():
     t0 = time.perf_counter()
     d_large, _ = cm.lln_convergence(THREE_EQ, 10_000, THIRDS, cm.CORRUPT_PROFILE, 10.0, 20,
-                                    seed=42)
-    d_small, _ = cm.lln_convergence(THREE_EQ, 100, THIRDS, cm.CORRUPT_PROFILE, 10.0, 20, seed=42)
+                                    seed=42, dt=0.01)
+    d_small, _ = cm.lln_convergence(THREE_EQ, 100, THIRDS, cm.CORRUPT_PROFILE, 10.0, 20, seed=42,
+                                    dt=0.01)
     elapsed = time.perf_counter() - t0
 
     assert d_large <= 0.02

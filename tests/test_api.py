@@ -1,10 +1,11 @@
 """The package namespace, and what the benchmark harness needs of it."""
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import corruption_mfg as cm
-from corruption_mfg import cli, equilibria, simulate
+from corruption_mfg import cli, equilibria, hjb, model, simulate, stability
 from support import THREE_EQ, THREE_EQ_CONFIG
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -13,6 +14,20 @@ TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 def test_all_names_resolve_without_duplicates():
     assert len(cm.__all__) == len(set(cm.__all__))
     assert [name for name in cm.__all__ if not hasattr(cm, name)] == []
+
+
+def test_each_module_declares_its_public_names():
+    # Every public function and class is declared in the module that defines
+    # it, and the package exports those declarations and nothing else.
+    modules = (model, hjb, equilibria, stability, simulate)
+    for module in modules:
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                assert obj.__module__ == module.__name__, name
+    names = [name for module in modules for name in module.__all__]
+    assert cm.__all__ == names
+    assert len(names) == len(set(names)) == 52
 
 
 def _load_tracer():

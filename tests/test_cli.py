@@ -87,6 +87,25 @@ def test_parse_bad_number_and_bad_line():
         cli.parse_config(BASE_CFG + "just words\n")
 
 
+def test_parse_non_integer_count():
+    with pytest.raises(cli.ConfigError, match="value for 'N' must be an integer, got '1.5'"):
+        cli.parse_config(BASE_CFG + "N = 1.5\n")
+
+
+def test_config_with_a_byte_order_mark_parses_like_the_plain_file(tmp_path):
+    plain = tmp_path / "plain.cfg"
+    marked = tmp_path / "marked.cfg"
+    plain.write_bytes(THREE_CFG.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + THREE_CFG.encode())
+    outputs = []
+    for cfg in (plain, marked):
+        out = tmp_path / (cfg.stem + ".out")
+        assert cli.main(["equilibria", "--config", str(cfg), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith(b"# 3 equilibria\n")
+
+
 def test_parse_strategy_and_sweep_validation():
     with pytest.raises(cli.ConfigError, match="strategy"):
         cli.parse_config(BASE_CFG + "strategy = wobbly\n")
@@ -488,6 +507,27 @@ def test_equilibria_with_threshold_just_above_one(tmp_path):
     assert [(row[1], row[5]) for row in rows] == [
         ("corrupt_root", "corrupt"), ("honest_boundary", "indifferent"),
     ]
+
+
+def test_classify_agrees_with_equilibria_just_above_one(tmp_path):
+    # x_bar = 1.0000000000000877 is inside the tie band of x_H = 1, so the
+    # honest boundary is listed (indifferent) and classify must not read the
+    # corrupt root as unique.
+    cfg = (
+        "lambda = 1.1321089947803766e-11\nr = 2.356079783654354\nb = 8.425797874025928\n"
+        "f = 0\nq_soc = 0.05400138051743457\nq_inf = 58302076.19514815\n"
+        "w_R = 1.1946331665040993e-09\nw_H = 1.7478904473180236e-09\n"
+        "w_C = 3.739126359601064e-09\n"
+    )
+    rc, out = run_cli(tmp_path, cfg, "classify")
+    assert rc == 0
+    assert out.decode().splitlines() == [
+        "x_bar = 1.0000000000000877",
+        "regime: honest boundary equilibrium present; corrupt root admissible iff Q(x_bar) >= 0",
+    ]
+    rc, out = run_cli(tmp_path, cfg, "equilibria")
+    assert rc == 0
+    assert ",honest_boundary," in out.decode()
 
 
 def test_equilibria_with_corrupt_root_at_the_tie_band_edge(tmp_path):

@@ -1,5 +1,6 @@
 """The one-pass enumeration gives the reports of the three constructors it replaced."""
 
+import dataclasses
 import math
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import assume, example, given, reject, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import corruption_mfg as cm  # noqa: E402
+from corruption_mfg import cli  # noqa: E402
 from corruption_mfg.equilibria import (  # noqa: E402
     DEGENERATE_LEADING,
     EquilibriumDiagnostics,
@@ -28,7 +30,7 @@ from corruption_mfg.model import (  # noqa: E402
     kinetic_rhs,
     validate_params,
 )
-from support import make_params  # noqa: E402
+from support import THREE_EQ_CONFIG, make_params  # noqa: E402
 
 
 # The enumeration as it stood before the merge into one pass, kept as the
@@ -284,6 +286,36 @@ def test_every_report_is_the_best_response_at_its_state(p):
     for rep in reports:
         assert rep.behavior is cm.best_response(p, rep.state).behavior
         assert bool(rep.warnings) == (rep.behavior is cm.Behavior.INDIFFERENT)
+
+
+# x_bar = 1.0000000000000877, inside the tie band of x_H = 1: the honest
+# boundary is listed, indifferent, while classify once read the corrupt root
+# as unique.
+_ABOVE_ONE = make_params(lam=1.1321089947803766e-11, r=2.356079783654354, b=8.425797874025928,
+                         q_soc=0.05400138051743457, q_inf=58302076.19514815,
+                         w_R=1.1946331665040993e-09, w_H=1.7478904473180236e-09,
+                         w_C=3.739126359601064e-09)
+_RUN = cli.parse_config(THREE_EQ_CONFIG)
+
+
+@settings(max_examples=400, deadline=None)
+@given(p=_corner_params(_EDGE_OFFSETS))
+@example(p=_ABOVE_ONE)
+def test_classify_regime_line_agrees_with_the_enumeration(p):
+    try:
+        reports = cm.enumerate_equilibria(p)
+    except cm.ParameterError:
+        reject()
+    except ArithmeticError as exc:
+        assume("expected one root of Q" not in str(exc))
+        raise
+    listed = {rep.provenance for rep in reports}
+    text = cli.cmd_classify(dataclasses.replace(_RUN, params=p))
+    (regime,) = [line for line in text.splitlines() if line.startswith("regime: ")]
+    unique = regime == "regime: unique corrupt equilibrium"
+    assert unique == (Provenance.HONEST_BOUNDARY not in listed)
+    if regime.startswith("regime: corrupt equilibrium impossible"):
+        assert Provenance.CORRUPT_ROOT not in listed
 
 
 # Rates over about 20 decades, where the corrupt root rounds onto x_H = 1:

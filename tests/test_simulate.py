@@ -495,18 +495,22 @@ def test_round_counts_largest_remainder():
 
 def test_lln_requires_replications():
     with pytest.raises(ValueError, match="replications must be >= 1"):
-        cm.lln_convergence(BASELINE, 10, THIRDS, cm.CORRUPT_PROFILE, 1.0, 0, seed=1)
+        cm.lln_convergence(BASELINE, 10, THIRDS, cm.CORRUPT_PROFILE, 1.0, 0, seed=1, dt=0.01)
 
 
 def test_lln_improves_with_population_size():
-    d_small, _ = cm.lln_convergence(THREE_EQ, 50, THIRDS, cm.CORRUPT_PROFILE, 5.0, 10, seed=42)
-    d_large, _ = cm.lln_convergence(THREE_EQ, 5000, THIRDS, cm.CORRUPT_PROFILE, 5.0, 10, seed=42)
+    d_small, _ = cm.lln_convergence(THREE_EQ, 50, THIRDS, cm.CORRUPT_PROFILE, 5.0, 10, seed=42,
+                                    dt=0.01)
+    d_large, _ = cm.lln_convergence(THREE_EQ, 5000, THIRDS, cm.CORRUPT_PROFILE, 5.0, 10, seed=42,
+                                    dt=0.01)
     assert d_large < d_small
 
 
 def test_lln_deterministic():
-    a, path_a = cm.lln_convergence(BASELINE, 100, THIRDS, cm.CORRUPT_PROFILE, 3.0, 5, seed=7)
-    b, path_b = cm.lln_convergence(BASELINE, 100, THIRDS, cm.CORRUPT_PROFILE, 3.0, 5, seed=7)
+    a, path_a = cm.lln_convergence(BASELINE, 100, THIRDS, cm.CORRUPT_PROFILE, 3.0, 5, seed=7,
+                                   dt=0.01)
+    b, path_b = cm.lln_convergence(BASELINE, 100, THIRDS, cm.CORRUPT_PROFILE, 3.0, 5, seed=7,
+                                   dt=0.01)
     assert a == b
     assert path_a.times.tobytes() == path_b.times.tobytes()
 

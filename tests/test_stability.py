@@ -176,6 +176,24 @@ def test_honest_boundary_rule_matches_eigenvalues():
             assert v.method is cm.Method.CLOSED_FORM
 
 
+@pytest.mark.parametrize("offset, want", [
+    (0.0, cm.Classification.MARGINAL),
+    (0.5, cm.Classification.MARGINAL),
+    (-0.5, cm.Classification.MARGINAL),
+    (2.0, cm.Classification.UNSTABLE),
+    (-2.0, cm.Classification.STABLE),
+])
+def test_honest_boundary_verdict_in_the_margin_band(offset, want):
+    # edge = q_inf - q_soc - lam - b = offset * MARGIN, inside and just
+    # outside the band the random check above skips.  q_soc = 0 with a
+    # negative bracket puts x_bar at -inf, so the boundary is honest.
+    p = make_params(q_inf=2.0 + offset * stability.MARGIN, w_H=5.0, w_C=5.5)
+    v = cm.classify_equilibrium(p, report_of(p, cm.Provenance.HONEST_BOUNDARY))
+    assert v.classification is want
+    assert v.method is cm.Method.CLOSED_FORM
+    assert dict(v.flags)["boundary_rate_negative"] is (offset < 0.0)
+
+
 def test_honest_interior_always_stable():
     # Whenever the interior honest point exists, both characteristic
     # coefficients are positive and the verdict is stable.
