@@ -6,12 +6,15 @@ table plus law-of-large-numbers distance), ``sweep`` (equilibrium atlas
 along one parameter axis).  Configuration is a flat ``key = value`` file
 with ``#`` comments; unknown keys are rejected.  All outputs are
 deterministic given (config, seed): CSV with 17-significant-digit reals, or
-a JSON document for ``--format structured`` where supported.
+a JSON document for ``--format structured`` where supported.  Both formats
+write an infinite threshold as ``+inf``/``-inf`` (a JSON string), since
+JSON has no infinity.
 
 Exit codes: 0 success (also ``--help``), 1 usage, configuration or
 validation error, 2 numerical guard or numerical failure (a one-line
 message on stderr, no traceback).  ``dt`` is the ODE step of ``simulate``
-and of the ``ctmc`` reference ODE.
+and of the ``ctmc`` reference ODE; ``delta`` is the discount rate of
+``classify``'s discounted threshold line, checked here, not by the model.
 """
 
 from __future__ import annotations
@@ -76,6 +79,7 @@ MAX_SWEEP_POINTS = 10**6
 @dataclass(frozen=True)
 class RunConfig:
     params: ModelParams
+    delta: float | None
     dt: float
     t_end: float
     N: int
@@ -122,9 +126,11 @@ def parse_config(text: str) -> RunConfig:
         lam=values["lambda"], r=values["r"], b=values["b"], f=values["f"],
         q_soc=values["q_soc"], q_inf=values["q_inf"],
         w_R=values["w_R"], w_H=values["w_H"], w_C=values["w_C"],
-        delta=values.get("delta"),
     )
     validate_params(params)
+    delta = values.get("delta")
+    if delta is not None and not 0 < delta < math.inf:
+        raise ConfigError("delta > 0 violated")
 
     dt = values.get("dt", DEFAULTS["dt"])
     t_end = values.get("t_end", DEFAULTS["t_end"])
@@ -179,7 +185,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"format must be 'csv' or 'structured', got {out_format!r}")
 
     return RunConfig(
-        params=params, dt=dt, t_end=t_end, N=n_agents, seed=seed,
+        params=params, delta=delta, dt=dt, t_end=t_end, N=n_agents, seed=seed,
         replications=replications, x0=x0, strategy=strategy,
         sweep_param=sweep_param, sweep_grid=sweep_grid,
         format=out_format, out=values.get("out"),
@@ -214,6 +220,11 @@ def _fmt_threshold(v: float) -> str:
     return _g17(v)
 
 
+def _json_threshold(v: float) -> float | str:
+    """A threshold as a JSON value: RFC 8259 has no infinity, so the CSV token."""
+    return _fmt_threshold(v) if math.isinf(v) else v
+
+
 def _regime(threshold) -> str:
     if threshold.indifferent_everywhere:
         return "indifferent everywhere (q_soc = 0 with zero bracket)"
@@ -229,22 +240,22 @@ def cmd_classify(cfg: RunConfig) -> str:
     p = cfg.params
     threshold = classifier_xbar(p)
     regime = _regime(threshold)
-    disc = None if p.delta is None else classifier_xbar_discounted(p, p.delta)
+    disc = None if cfg.delta is None else classifier_xbar_discounted(p, cfg.delta)
     if cfg.format == "structured":
         record = {
-            "x_bar": threshold.value,
+            "x_bar": _json_threshold(threshold.value),
             "indifferent_everywhere": threshold.indifferent_everywhere,
             "regime": regime,
         }
         if disc is not None:
-            record["x_bar_discounted"] = disc.value
+            record["x_bar_discounted"] = _json_threshold(disc.value)
         return json.dumps(record, sort_keys=True, indent=2) + "\n"
     lines = [f"x_bar = {_fmt_threshold(threshold.value)}"]
     if threshold.indifferent_everywhere:
         lines[0] += "  (indifferent everywhere)"
     lines.append(f"regime: {regime}")
     if disc is not None:
-        lines.append(f"x_bar(delta={_g17(p.delta)}) = {_fmt_threshold(disc.value)}")
+        lines.append(f"x_bar(delta={_g17(cfg.delta)}) = {_fmt_threshold(disc.value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -291,7 +302,7 @@ def cmd_equilibria(cfg: RunConfig) -> str:
                     },
                     "diagnostics": {
                         "q_value": rep.diagnostics.q_value,
-                        "x_bar": rep.diagnostics.x_bar,
+                        "x_bar": _json_threshold(rep.diagnostics.x_bar),
                         "residual": rep.diagnostics.residual,
                         "flags": dict(rep.diagnostics.flags),
                     },

@@ -49,7 +49,7 @@ from .model import (
 
 __all__ = [
     "EquilibriumDiagnostics", "EquilibriumReport", "Provenance", "corrupt_root",
-    "enumerate_equilibria", "mfg_consistent", "q_coefficients", "q_polynomial",
+    "enumerate_equilibria", "q_coefficients", "q_polynomial",
 ]
 
 # Relative threshold under which the quadratic's leading coefficient is
@@ -215,14 +215,3 @@ def enumerate_equilibria(p: ModelParams) -> list[EquilibriumReport]:
     reports = [rep for rep in candidates if rep is not None]
     reports.sort(key=lambda rep: rep.state.x_H)
     return reports
-
-
-def mfg_consistent(p: ModelParams, report: EquilibriumReport) -> bool:
-    """Check that the report's behavior is the regime :func:`regime_at` reads at its state.
-
-    Ties at the classifier boundary accept any behavior.
-    """
-    regime = regime_at(classifier_xbar(p), report.state.x_H)
-    if regime is Behavior.INDIFFERENT or report.behavior is Behavior.INDIFFERENT:
-        return True
-    return regime is report.behavior

@@ -51,8 +51,8 @@ class ModelParams:
     detection per unit honest fraction, ``q_inf`` corruption-infection rate
     per unit corrupt fraction.  Payoffs: wages ``w_R < w_H < w_C`` per unit
     time and fine ``f`` charged (as a flow, times the detection rate) while
-    corrupt.  ``delta`` is the optional discount rate used only by the
-    discounted-criterion operations.
+    corrupt.  A discount rate is not a coefficient of the game: the
+    discounted-criterion operations take it as an argument.
     """
 
     lam: float
@@ -64,7 +64,6 @@ class ModelParams:
     w_R: float
     w_H: float
     w_C: float
-    delta: float | None = None
 
 
 def validate_params(p: ModelParams) -> ModelParams:
@@ -72,7 +71,7 @@ def validate_params(p: ModelParams) -> ModelParams:
 
     Raises :class:`ParameterError` naming the first violated inequality, in
     the order: lam > 0, r > 0, b > 0, f >= 0, q_soc >= 0, q_inf >= 0,
-    w_C > w_H, w_H > w_R, w_R >= 0, delta > 0 (when set).
+    w_C > w_H, w_H > w_R, w_R >= 0.
     """
     for name in ("lam", "r", "b", "f", "q_soc", "q_inf", "w_R", "w_H", "w_C"):
         v = getattr(p, name)
@@ -92,9 +91,6 @@ def validate_params(p: ModelParams) -> ModelParams:
     for ok, message in checks:
         if not ok:
             raise ParameterError(message)
-    if p.delta is not None:
-        if not math.isfinite(p.delta) or p.delta <= 0:
-            raise ParameterError("delta > 0 violated")
     return p
 
 

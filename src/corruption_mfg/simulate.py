@@ -478,8 +478,6 @@ def deviation_gain(
             f"{MAX_EVENTS} jumps"
         )
     alternatives = [u for u in ALL_PROFILES if u != e.strategy]
-    if horizon == 0:
-        return DeviationGainEstimate(0.0, 0.0, 0.0, 0.0, replications, 0.0, alternatives[0])
     base_mean, base_se = _payoff_sample(p, e.state, e.strategy, horizon, replications, seed, 0)
     best = None
     for k, profile in enumerate(alternatives):

@@ -6,9 +6,9 @@ import corruption_mfg as cm
 
 
 def make_params(lam=1.0, r=1.0, b=1.0, f=0.0, q_soc=0.0, q_inf=0.0,
-                w_R=0.0, w_H=1.0, w_C=10.0, delta=None):
+                w_R=0.0, w_H=1.0, w_C=10.0):
     return cm.ModelParams(lam=lam, r=r, b=b, f=f, q_soc=q_soc, q_inf=q_inf,
-                          w_R=w_R, w_H=w_H, w_C=w_C, delta=delta)
+                          w_R=w_R, w_H=w_H, w_C=w_C)
 
 
 # Frequently used scenarios: the interaction-free corrupt baseline and the

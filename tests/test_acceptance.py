@@ -80,7 +80,7 @@ def test_criterion_03_fixed_point_property():
         counts.add(len(reports))
         for rep in reports:
             assert max_rhs(p, rep.state, rep.strategy) <= 1e-9
-            assert cm.mfg_consistent(p, rep)
+            assert cm.best_response(p, rep.state).behavior is rep.behavior
     elapsed = time.perf_counter() - t0
 
     assert counts <= {1, 2, 3}

@@ -152,8 +152,18 @@ def test_classify_structured(tmp_path):
 
 
 def test_parse_rejects_nonpositive_delta():
-    with pytest.raises(cm.ParameterError, match="delta > 0"):
+    with pytest.raises(cli.ConfigError, match="delta > 0"):
         cli.parse_config(BASE_CFG + "delta = 0\n")
+
+
+@pytest.mark.parametrize("delta", ["0", "-1", "nan", "inf"])
+def test_classify_rejects_inadmissible_delta(tmp_path, capsys, delta):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_CFG + f"delta = {delta}\n")
+    assert cli.main(["classify", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: delta > 0 violated\n"
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +677,9 @@ for name, digest in SETTLED_DIGESTS.items():
 # classify and equilibria on four configs, recorded before either command's
 # rendering was shared between its two formats: three equilibria, an infinite
 # threshold with a discounted one, the indifferent-everywhere corner
-# (q_soc = 0, zero bracket) and the x_bar = 1 tie.
+# (q_soc = 0, zero bracket) and the x_bar = 1 tie.  The structured digests
+# of the two infinite-threshold configs were re-recorded when an infinite
+# threshold became the string "+inf" instead of the non-standard Infinity.
 ANSWER_CFGS = {
     "three": THREE_CFG,
     "base-delta": BASE_CFG + "delta = 1\n",
@@ -682,11 +694,11 @@ ANSWER_DIGESTS = {
     ("classify", "base-delta", "csv"):
         "09bf479804ae7c2571e75cbf4677e157af5d960c5a7d4c3c4dbca495e9735767",
     ("classify", "base-delta", "structured"):
-        "e1a534f7ad9b2b250510ff0ff17cfa91d582a89cd109c009455e66b13240972d",
+        "378e43490f8ab5a251c20a79af0ad243873d4b611cee6a8d210c302475622632",
     ("classify", "indifferent", "csv"):
         "b3a9dbe52fb885463b884d49e9b06a174f4a0203c242e39acd231d977a18b76e",
     ("classify", "indifferent", "structured"):
-        "0cc878562af73129f71115e1c6f0ee5d67e3a29871d8ac03573b765ca9ca6292",
+        "def38cd47a7ff138339e61ecd1b4901ff0f6701ab66a9b82e4f046de5752bd8b",
     ("classify", "tie", "csv"):
         "2aace5961f886c39bf70ea790fbc54221183847a982954a73b12071aa70c5411",
     ("classify", "tie", "structured"):
@@ -698,11 +710,11 @@ ANSWER_DIGESTS = {
     ("equilibria", "base-delta", "csv"):
         "d31039fe4cf4891c8b32b8c401e3bd40083a9c75696c794d0d88bf0f2c29bbeb",
     ("equilibria", "base-delta", "structured"):
-        "e136370197630cac4df751a54afe2f13b7705bb6431bf69c5fa99edc2ecfd7b6",
+        "d5bf4dc84db326c4d90a077927865acc87318209f7d15a02eb4fdf4aaf57d309",
     ("equilibria", "indifferent", "csv"):
         "a635748ffb216c2927a3752895995942d9007ca82a085cccda68b8ab25f3e11a",
     ("equilibria", "indifferent", "structured"):
-        "50330c6d9834e61ca06c894e32db1fb77683753b51cc97d9bb38a16e134778eb",
+        "d0b42b77908c9df2863cc055b9a17f4ab559aa27686688a703358320a52bbd99",
     ("equilibria", "tie", "csv"):
         "55acc9144cdfecfb749074a5a4266bc0ece5dea4ab6625e06b776621c7f79efd",
     ("equilibria", "tie", "structured"):
@@ -718,6 +730,24 @@ def test_output_matches_golden_digest(tmp_path, command, cfg, digest):
     rc, out = run_cli(tmp_path, cfg, command)
     assert rc == 0
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("command", ["classify", "equilibria"])
+@pytest.mark.parametrize("name", ["base-delta", "indifferent"])
+def test_structured_infinite_threshold_is_strict_json(tmp_path, command, name):
+    # q_soc = 0 puts x_bar at +inf; RFC 8259 has no Infinity, so structured
+    # output writes the CSV's threshold token instead.
+    rc, out = run_cli(tmp_path, ANSWER_CFGS[name] + "format = structured\n", command)
+    assert rc == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    records = [doc] if command == "classify" else [rep["diagnostics"] for rep in doc]
+    assert [record["x_bar"] for record in records] == ["+inf"] * len(records)
+    if command == "classify" and name == "base-delta":
+        assert doc["x_bar_discounted"] == "+inf"
 
 
 def _full_table(traj):

@@ -219,7 +219,7 @@ def test_enumerate_properties_random():
         assert [r.state.x_H for r in reports] == sorted(r.state.x_H for r in reports)
         for rep in reports:
             assert max_rhs(p, rep.state, rep.strategy) <= 1e-9
-            assert cm.mfg_consistent(p, rep)
+            assert cm.best_response(p, rep.state).behavior is rep.behavior
 
 
 def test_enumerate_admits_interior_point_on_the_threshold():
@@ -238,7 +238,6 @@ def test_enumerate_admits_interior_point_on_the_threshold():
     assert dict(rep.diagnostics.flags)["classifier_tie"] and rep.warnings
     assert cm.best_response(p, rep.state).behavior is cm.Behavior.INDIFFERENT
     assert max_rhs(p, rep.state, rep.strategy) <= 1e-15
-    assert cm.mfg_consistent(p, rep)
 
 
 def test_enumerate_takes_q_at_one_exactly_above_the_threshold():
@@ -258,7 +257,7 @@ def test_enumerate_takes_q_at_one_exactly_above_the_threshold():
     assert [rep.provenance for rep in reports] == [cm.Provenance.CORRUPT_ROOT, BOUNDARY]
     assert [rep.behavior for rep in reports] == [cm.Behavior.CORRUPT, cm.Behavior.INDIFFERENT]
     for rep in reports:
-        assert cm.mfg_consistent(p, rep)
+        assert cm.best_response(p, rep.state).behavior is rep.behavior
 
 
 def test_enumerate_computes_threshold_once_and_root_at_most_once(monkeypatch):

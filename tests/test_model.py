@@ -29,7 +29,6 @@ def test_validate_accepts_baseline():
         ({"w_C": 1.0, "w_H": 1.0}, "w_C > w_H"),
         ({"w_H": 0.0, "w_R": 0.0}, "w_H > w_R"),
         ({"w_R": -0.5, "w_H": 0.5, "w_C": 1.0}, "w_R >= 0"),
-        ({"delta": 0.0}, "delta > 0"),
     ],
 )
 def test_validate_names_first_failure(override, message):

@@ -572,10 +572,17 @@ def test_lln_returns_replication_0_path(tmp_path_factory, N, seed, replications,
 
 
 def test_deviation_gain_zero_horizon():
+    # No time passes, so every payoff is 0 and no alternative beats the
+    # first one tried: the first profile other than the equilibrium's.
     rep = cm.enumerate_equilibria(BASELINE)[0]
-    est = cm.deviation_gain(BASELINE, rep, horizon=0.0, N=100, replications=5, seed=1)
-    assert est.gain == 0.0
-    assert est.baseline_mean == 0.0 and est.std_error == 0.0
+    assert rep.strategy == cm.CORRUPT_PROFILE
+    for replications in (1, 5):
+        est = cm.deviation_gain(BASELINE, rep, horizon=0.0, N=100, replications=replications,
+                                seed=1)
+        assert est == cm.DeviationGainEstimate(
+            baseline_mean=0.0, deviation_mean=0.0, gain=0.0, std_error=0.0,
+            replications=replications, horizon=0.0, best_profile=cm.StrategyProfile(0, 0),
+        )
 
 
 @pytest.mark.parametrize("horizon", [math.inf, math.nan])
