@@ -6,15 +6,16 @@ table plus law-of-large-numbers distance), ``sweep`` (equilibrium atlas
 along one parameter axis).  Configuration is a flat ``key = value`` file
 with ``#`` comments; unknown keys are rejected.  All outputs are
 deterministic given (config, seed): CSV with 17-significant-digit reals, or
-a JSON document for ``--format structured`` where supported.  Both formats
-write an infinite threshold as ``+inf``/``-inf`` (a JSON string), since
-JSON has no infinity.
+a JSON document for ``--format structured`` where supported.  The JSON
+document writes every non-finite number as the CSV's token, ``+inf``,
+``-inf`` or ``nan`` (a JSON string), since JSON has neither.
 
 Exit codes: 0 success (also ``--help``), 1 usage, configuration or
-validation error, 2 numerical guard or numerical failure (a one-line
-message on stderr, no traceback).  ``dt`` is the ODE step of ``simulate``
-and of the ``ctmc`` reference ODE; ``delta`` is the discount rate of
-``classify``'s discounted threshold line, checked here, not by the model.
+validation error, 2 numerical guard or numerical failure, such as a state
+pushed off the simplex (a one-line message on stderr, no traceback).
+``dt`` is the ODE step of ``simulate`` and of the ``ctmc`` reference ODE;
+``delta`` is the discount rate of ``classify``'s discounted threshold line,
+checked here, not by the model.
 """
 
 from __future__ import annotations
@@ -220,9 +221,19 @@ def _fmt_threshold(v: float) -> str:
     return _g17(v)
 
 
-def _json_threshold(v: float) -> float | str:
-    """A threshold as a JSON value: RFC 8259 has no infinity, so the CSV token."""
-    return _fmt_threshold(v) if math.isinf(v) else v
+def _json_text(doc) -> str:
+    """``doc`` as JSON.  RFC 8259 has no NaN or infinity, so every non-finite
+    float is written as its CSV token: ``"+inf"``, ``"-inf"`` or ``"nan"``."""
+    def strict(value):
+        if isinstance(value, dict):
+            return {key: strict(v) for key, v in value.items()}
+        if isinstance(value, list):
+            return [strict(v) for v in value]
+        if isinstance(value, float) and not math.isfinite(value):
+            return _fmt_threshold(value)
+        return value
+
+    return json.dumps(strict(doc), sort_keys=True, indent=2) + "\n"
 
 
 def _regime(threshold) -> str:
@@ -243,13 +254,13 @@ def cmd_classify(cfg: RunConfig) -> str:
     disc = None if cfg.delta is None else classifier_xbar_discounted(p, cfg.delta)
     if cfg.format == "structured":
         record = {
-            "x_bar": _json_threshold(threshold.value),
+            "x_bar": threshold.value,
             "indifferent_everywhere": threshold.indifferent_everywhere,
             "regime": regime,
         }
         if disc is not None:
-            record["x_bar_discounted"] = _json_threshold(disc.value)
-        return json.dumps(record, sort_keys=True, indent=2) + "\n"
+            record["x_bar_discounted"] = disc.value
+        return _json_text(record)
     lines = [f"x_bar = {_fmt_threshold(threshold.value)}"]
     if threshold.indifferent_everywhere:
         lines[0] += "  (indifferent everywhere)"
@@ -302,14 +313,14 @@ def cmd_equilibria(cfg: RunConfig) -> str:
                     },
                     "diagnostics": {
                         "q_value": rep.diagnostics.q_value,
-                        "x_bar": _json_threshold(rep.diagnostics.x_bar),
+                        "x_bar": rep.diagnostics.x_bar,
                         "residual": rep.diagnostics.residual,
                         "flags": dict(rep.diagnostics.flags),
                     },
                     "warnings": list(rep.warnings),
                 }
             )
-        return json.dumps(records, sort_keys=True, indent=2) + "\n"
+        return _json_text(records)
     lines = [f"# {len(rows)} equilibria"]
     for i, (rep, verdict) in enumerate(rows, start=1):
         lines.append(
@@ -377,9 +388,10 @@ def cmd_ctmc(cfg: RunConfig) -> str:
     return "\n".join(chunks) + "\n"
 
 
-# The model's own failures at one sweep point become an error cell; any
-# other exception is a bug and propagates.
-_POINT_ERRORS = (ParameterError, SimplexError, ArithmeticError)
+# The model's numerical failures exit 2 from ``main``; at one sweep point they
+# and invalid parameters become an error cell.  Any other exception is a bug.
+_NUMERICAL_FAILURES = (SimplexError, ArithmeticError)
+_POINT_ERRORS = (ParameterError, *_NUMERICAL_FAILURES)
 
 
 def cmd_sweep(cfg: RunConfig) -> str:
@@ -451,7 +463,7 @@ def main(argv: list[str] | None = None) -> int:
     except StepSizeError as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
+    except _NUMERICAL_FAILURES as exc:
         message = str(exc).replace("\n", " ")
         print(f"numerical failure: {type(exc).__name__}: {message}", file=sys.stderr)
         return 2

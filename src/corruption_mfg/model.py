@@ -136,10 +136,6 @@ class PopulationCounts:
     def N(self) -> int:
         return self.n_R + self.n_H + self.n_C
 
-    def fractions(self) -> PopulationState:
-        n = self.N
-        return PopulationState(self.n_R / n, self.n_H / n, self.n_C / n)
-
 
 @dataclass(frozen=True)
 class StrategyProfile:

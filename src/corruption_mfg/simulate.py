@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -299,11 +298,14 @@ def simulate_tagged_agent(
 ) -> list[tuple[float, str]]:
     """Jump path of one agent with intent ``u`` against ``background``.
 
-    Rates are held constant between background samples.  Within each
-    background segment the waiting time is re-drawn (memorylessness makes
-    this exact); a jump consumes a second uniform selecting the target in
-    the order H, R out of state C.  Returns ``[(time, state), ...]``
-    starting with ``(0, initial_state)``.
+    Rates are held constant between background samples: sample ``i`` holds
+    until sample ``i + 1``, and the first sample also holds from 0, so the
+    last sample's state is never read (a single sample holds from 0 to its
+    time).  A repeated sample time gives a zero-length segment, which draws
+    nothing.  Within each segment the waiting time is re-drawn
+    (memorylessness makes this exact); a jump consumes a second uniform
+    selecting the target in the order H, R out of state C.  Returns
+    ``[(time, state), ...]`` starting with ``(0, initial_state)``.
     """
     if initial_state not in ("R", "H", "C"):
         raise ValueError(f"unknown agent state {initial_state!r}")
@@ -314,14 +316,8 @@ def simulate_tagged_agent(
     t = 0.0
     # Python lists, so the per-jump arithmetic runs on floats, not numpy scalars.
     times = background.times.tolist()
-    states = background.states.tolist()
-    last = len(times) - 1
-    horizon = times[-1]
-    while t < horizon:
-        # Index of the sample whose value holds at t (piecewise constant).
-        i = min(max(bisect_right(times, t) - 1, 0), last)
-        seg_end = times[i + 1] if i < last else horizon
-        _, x_h, x_c = states[i]
+    ends = times[1:] or times
+    for (_, x_h, x_c), seg_end in zip(background.states.tolist(), ends):
         c_r, r_h, h_c, c_h = transition_rates(p, x_h, x_c, u)
         # Per state: (exit rate, rate of the first target, first, other
         # target); the rates hold for every jump until seg_end.
@@ -330,18 +326,15 @@ def simulate_tagged_agent(
             "H": (h_c, h_c, "C", "C"),
             "C": (c_h + c_r, c_h, "H", "R"),
         }
-        while True:
+        while t < seg_end:
             total, first_rate, first, other = exits[state]
             if total <= 0.0:
-                t = seg_end if seg_end > t else horizon
                 break
-            wait = -log1p(-uniform()) / total
-            if t + wait >= seg_end:
-                t = seg_end
-                break
-            t += wait
-            state = first if uniform() * total < first_rate else other
-            path.append((t, state))
+            t += -log1p(-uniform()) / total
+            if t < seg_end:
+                state = first if uniform() * total < first_rate else other
+                path.append((t, state))
+        t = seg_end
     return path
 
 
@@ -416,28 +409,18 @@ class DeviationGainEstimate:
     best_profile: StrategyProfile
 
 
-def _accumulated_payoff(flow: dict[str, float], path, horizon: float) -> float:
-    total = 0.0
-    for (t0, state), (t1, _) in zip(path, path[1:]):
-        total += flow[state] * (t1 - t0)
-    last_t, last_state = path[-1]
-    total += flow[last_state] * (horizon - last_t)
-    return total
-
-
 # Stream-id blocks: replication i of the baseline uses stream i, the k-th
 # alternative strategy uses streams (k+1)*replications + i.
-def _payoff_sample(p, x, profile, horizon, replications, seed, block):
-    background = constant_trajectory(x, horizon)
-    # The fine is charged at the C->R (detection) rate.
-    detection = transition_rates(p, x.x_H, x.x_C, profile)[0]
-    flow = {"R": p.w_R, "H": p.w_H, "C": p.w_C - detection * p.f}
+def _payoff_sample(p, background, flow, profile, horizon, replications, seed, block):
     payoffs = np.empty(replications)
     for i in range(replications):
         path = simulate_tagged_agent(
             p, background, profile, seed, stream=block * replications + i, initial_state="H"
         )
-        payoffs[i] = _accumulated_payoff(flow, path, horizon)
+        total = 0.0
+        for (t0, state), (t1, _) in zip(path, path[1:] + [(horizon, None)]):
+            total += flow[state] * (t1 - t0)
+        payoffs[i] = total
     mean = float(np.mean(payoffs))
     se = float(np.std(payoffs, ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
     return mean, se
@@ -477,14 +460,17 @@ def deviation_gain(
             f"4*replications*rate_scale*horizon={predicted:.6g} predicts more than "
             f"{MAX_EVENTS} jumps"
         )
-    alternatives = [u for u in ALL_PROFILES if u != e.strategy]
-    base_mean, base_se = _payoff_sample(p, e.state, e.strategy, horizon, replications, seed, 0)
-    best = None
-    for k, profile in enumerate(alternatives):
-        mean, se = _payoff_sample(p, e.state, profile, horizon, replications, seed, k + 1)
-        if best is None or mean > best[0]:
-            best = (mean, se, profile)
-    dev_mean, dev_se, dev_profile = best
+    background = constant_trajectory(e.state, horizon)
+    # The fine is charged at the C->R (detection) rate, which no intent changes.
+    detection = transition_rates(p, e.state.x_H, e.state.x_C, e.strategy)[0]
+    flow = {"R": p.w_R, "H": p.w_H, "C": p.w_C - detection * p.f}
+    # Block 0 is the baseline; max keeps the first of equal means.
+    profiles = [e.strategy] + [u for u in ALL_PROFILES if u != e.strategy]
+    (base_mean, base_se, _), *deviations = [
+        (*_payoff_sample(p, background, flow, u, horizon, replications, seed, block), u)
+        for block, u in enumerate(profiles)
+    ]
+    dev_mean, dev_se, dev_profile = max(deviations, key=lambda sample: sample[0])
     return DeviationGainEstimate(
         baseline_mean=base_mean,
         deviation_mean=dev_mean,

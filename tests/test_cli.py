@@ -474,7 +474,8 @@ def test_help_exits_0(capsys):
     assert "usage:" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("error", [ArithmeticError, cm.StabilityContradictionError])
+@pytest.mark.parametrize("error", [ArithmeticError, cm.StabilityContradictionError,
+                                   cm.SimplexError])
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch, error):
     def failing(p):
         raise error("expected one root\nof Q")
@@ -486,6 +487,19 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch, error):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.count("\n") == 1 and "expected one root of Q" in err
+
+
+# Valid rates so large that the corrupt root's x_R = 1 - x_H - x_C is NaN.
+OVERFLOW_CFG = BASE_CFG.replace("lambda = 1\nr = 1\nb = 1\n",
+                                "lambda = 1e155\nr = 1e155\nb = 1e155\n")
+
+
+def test_state_off_the_simplex_is_a_numerical_failure(tmp_path, capsys):
+    rc, out = run_cli(tmp_path, OVERFLOW_CFG, "equilibria")
+    assert rc == 2
+    assert out == b""
+    err = capsys.readouterr().err
+    assert err == "numerical failure: SimplexError: x_R = nan outside [0, 1]\n"
 
 
 def test_equilibria_on_twelve_decades_ends_with_a_message(tmp_path, capsys):
@@ -748,6 +762,33 @@ def test_structured_infinite_threshold_is_strict_json(tmp_path, command, name):
     assert [record["x_bar"] for record in records] == ["+inf"] * len(records)
     if command == "classify" and name == "base-delta":
         assert doc["x_bar_discounted"] == "+inf"
+
+
+# Finite configs whose structured output holds NaN or infinite numbers that
+# are not thresholds: q_value nan and det +inf, and x_bar_discounted nan.
+NONFINITE_CFGS = {
+    ("equilibria", "overflow"): (
+        OVERFLOW_CFG.replace("lambda = 1e155\nr = 1e155\nb = 1e155\n",
+                             "lambda = 1e160\nr = 1e160\nb = 1e160\n")
+        .replace("w_H = 1\nw_C = 10\n", "w_H = 5\nw_C = 5.5\n")
+    ),
+    ("classify", "huge-delta"): (
+        BASE_CFG.replace("f = 0\nq_soc = 0\n", "f = 10\nq_soc = 1\n") + "delta = 1e308\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command,name", sorted(NONFINITE_CFGS))
+def test_structured_nonfinite_numbers_are_strict_json(tmp_path, command, name):
+    cfg = NONFINITE_CFGS[command, name] + "format = structured\n"
+    rc, out = run_cli(tmp_path, cfg, command)
+    assert rc == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    if command == "classify":
+        assert doc["x_bar_discounted"] == "nan"
+    else:
+        assert doc[0]["diagnostics"]["q_value"] == "nan"
+        assert doc[0]["stability"]["det"] == "+inf"
 
 
 def _full_table(traj):

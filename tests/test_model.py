@@ -62,7 +62,7 @@ def test_population_state_rejects_bad_sum():
 def test_population_counts():
     n = cm.PopulationCounts(1, 2, 3)
     assert n.N == 6
-    frac = n.fractions()
+    frac = cm.PopulationState(n.n_R / n.N, n.n_H / n.N, n.n_C / n.N)
     assert frac.as_tuple() == (1 / 6, 2 / 6, 3 / 6)
     with pytest.raises(ValueError):
         cm.PopulationCounts(-1, 1, 1)
@@ -117,7 +117,7 @@ SOURCES = {"C->R": 2, "R->H": 0, "H->C": 1, "C->H": 2}  # index into (n_R, n_H, 
 
 def aggregate_rates(p, n, s):
     """Kernel times occupancy, keyed by transition label."""
-    x = n.fractions()
+    x = cm.PopulationState(n.n_R / n.N, n.n_H / n.N, n.n_C / n.N)
     occupancy = (n.n_R, n.n_H, n.n_C)
     rates = cm.transition_rates(p, x.x_H, x.x_C, s)
     return {label: occupancy[SOURCES[label]] * rate
@@ -161,7 +161,8 @@ def test_population_drift_matches_ode_field():
             src, tgt = label.split("->")
             drift += rate * (basis[tgt] - basis[src])
         drift /= n.N
-        rhs = np.array(cm.kinetic_rhs(p, n.fractions(), s))
+        x = cm.PopulationState(n.n_R / n.N, n.n_H / n.N, n.n_C / n.N)
+        rhs = np.array(cm.kinetic_rhs(p, x, s))
         assert np.max(np.abs(drift - rhs)) <= 1e-12
 
 

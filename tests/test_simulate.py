@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 import corruption_mfg as cm
 from corruption_mfg import cli, simulate
@@ -256,6 +255,17 @@ def test_event_cap_boundary(monkeypatch):
         cm.simulate_population(BASELINE, n0, cm.CORRUPT_PROFILE, math.nextafter(2.0, 3.0), seed=3)
 
 
+def _chisquare_statistic(counts):
+    """Pearson's statistic of ``counts`` against equal expected counts."""
+    expected = counts.sum() / len(counts)
+    return float(((counts - expected) ** 2 / expected).sum())
+
+
+# chi2.isf(0.01, df), the 1% critical values, from scipy 1.17.1: a statistic
+# at or below one is a p-value of at least 0.01.
+CHI2_CRITICAL_1PCT = {19: 36.19086912927005, 9: 21.665994333461928}
+
+
 def test_population_waiting_times_are_exponential():
     # Frozen-state harness: first waiting times from a fixed count vector
     # follow Exp(total rate); chi-squared GOF at the 1% level.
@@ -269,8 +279,7 @@ def test_population_waiting_times_are_exponential():
     k = 20
     edges = [-math.log1p(-j / k) / total for j in range(k)] + [math.inf]
     counts, _ = np.histogram(waits, bins=edges)
-    _, p_value = stats.chisquare(counts)
-    assert p_value >= 0.01
+    assert _chisquare_statistic(counts) <= CHI2_CRITICAL_1PCT[k - 1]
 
 
 def test_event_path_accessors():
@@ -406,8 +415,7 @@ def test_tagged_agent_holds_rates_constant_per_segment():
     rate = p.q_inf * 0.5
     edges = [-math.log1p(-j / k) / rate for j in range(k)] + [math.inf]
     counts, _ = np.histogram(waits, bins=edges)
-    _, p_value = stats.chisquare(counts)
-    assert p_value >= 0.01, counts.tolist()
+    assert _chisquare_statistic(counts) <= CHI2_CRITICAL_1PCT[k - 1], counts.tolist()
 
 
 def _reference_tagged_agent(p, background, u, seed, stream, initial_state):
@@ -447,13 +455,27 @@ def _reference_tagged_agent(p, background, u, seed, stream, initial_state):
     return path
 
 
+def _irregular_background(times):
+    """A background sampled at ``times``, its states cycling through three rows."""
+    rows = [[0.2, 0.3, 0.5], [0.5, 0.5, 0.0], [0.1, 0.1, 0.8]]
+    return cm.Trajectory(times=np.array(times, dtype=float),
+                         states=np.array([rows[i % 3] for i in range(len(times))]))
+
+
 def test_tagged_agent_matches_per_jump_reference():
     # Same draws, same jumps: rates read once per background segment give the
-    # path the per-jump form gives, on a moving and on a frozen background.
+    # path the per-jump form gives, on a moving and on a frozen background,
+    # and on irregular ones: a first sample after 0 (it holds from 0),
+    # repeated sample times (zero-length segments), a single sample at t = 5
+    # (it holds from 0 to 5) and a zero horizon (no draw at all).
     moving = cm.integrate_ode(THREE_EQ, cm.PopulationState(0.0, 1.0, 0.0),
                               cm.CORRUPT_PROFILE, 30.0, 0.01)
     frozen = cm.constant_trajectory(cm.PopulationState(0.2, 0.3, 0.5), 200.0)
-    for bg in (moving, frozen):
+    late_start = _irregular_background([2.0, 7.0, 15.0, 40.0])
+    repeated = _irregular_background([0.0, 3.0, 3.0, 10.0, 10.0, 10.0, 25.0, 25.0])
+    single = _irregular_background([5.0])
+    zero = cm.constant_trajectory(cm.PopulationState(0.2, 0.3, 0.5), 0.0)
+    for bg in (moving, frozen, late_start, repeated, single, zero):
         for seed in range(3):
             for u in cm.ALL_PROFILES:
                 for start in ("R", "H", "C"):
@@ -622,6 +644,25 @@ def test_deviation_gain_deterministic_and_consistent():
     assert a.gain == pytest.approx(a.deviation_mean - a.baseline_mean, abs=0)
     assert a.std_error >= 0.0
     assert a.replications == 20
+
+
+# repr of each corrupt root's estimate as first recorded; they pin the
+# event-rng v1 draws, the stream blocks and the payoff sums of the check.
+@pytest.mark.parametrize("p,horizon,replications,seed,want", [
+    (THREE_EQ, 20.0, 20, 3,
+     "DeviationGainEstimate(baseline_mean=20.277985674124235, "
+     "deviation_mean=19.996238699492245, gain=-0.2817469746319894, "
+     "std_error=0.8237747650804056, replications=20, horizon=20.0, "
+     "best_profile=StrategyProfile(u_H=1, u_C=1))"),
+    (BASELINE, 100.0, 50, 77,
+     "DeviationGainEstimate(baseline_mean=373.77023527498784, "
+     "deviation_mean=303.3165367270818, gain=-70.45369854790601, "
+     "std_error=6.800296430092363, replications=50, horizon=100.0, "
+     "best_profile=StrategyProfile(u_H=1, u_C=1))"),
+], ids=["three-eq", "baseline"])
+def test_deviation_gain_matches_recorded_estimate(p, horizon, replications, seed, want):
+    rep = report_of(p, cm.Provenance.CORRUPT_ROOT)
+    assert repr(cm.deviation_gain(p, rep, horizon, 1000, replications, seed)) == want
 
 
 def test_deviation_gain_detects_profitable_switch():
