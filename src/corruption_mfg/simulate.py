@@ -43,6 +43,7 @@ from .model import (
     ModelParams,
     PopulationCounts,
     PopulationState,
+    SimplexError,
     StrategyProfile,
     rate_scale,
     transition_rates,
@@ -61,6 +62,11 @@ MAX_ODE_ROWS = 10**7
 # Largest predicted event count ``simulate_population`` will start on:
 # 10**7 events take about 330 MB of buffers.
 MAX_EVENTS = 10**7
+# Largest population it will start on: its event loop holds the counts as
+# floats, which are exact integers, and exact under +-1.0, only up to 2**53.
+MAX_AGENTS = 2**53
+# Count change of each transition, in TRANSITION_LABELS order, as (n_R, n_H, n_C).
+_MOVES = np.array([[1, 0, -1], [-1, 1, 0], [0, -1, 1], [0, 1, -1]], dtype=np.int64)
 
 
 class StepSizeError(ValueError):
@@ -203,9 +209,12 @@ class EventPath:
 
 
 def _check_event_bound(p: ModelParams, N: int, t_end: float) -> None:
-    """Refuse a run whose event bound ``rate_scale(p) * N * t_end`` exceeds :data:`MAX_EVENTS`."""
+    """Refuse a run of more than :data:`MAX_AGENTS` agents, or whose event
+    bound ``rate_scale(p) * N * t_end`` exceeds :data:`MAX_EVENTS`."""
     if not t_end >= 0:
         raise ValueError("t_end must be >= 0")
+    if N > MAX_AGENTS:
+        raise StepSizeError(f"N={N} exceeds 2**53, above which event counts are not exact")
     predicted = rate_scale(p) * N * t_end
     if not predicted <= MAX_EVENTS:
         raise StepSizeError(
@@ -230,21 +239,28 @@ def simulate_population(
     hits zero (absorbing count vector).
 
     No total rate exceeds ``rate_scale(p) * N``, so ``rate_scale(p) * N *
-    t_end`` bounds the expected number of events; above :data:`MAX_EVENTS`
+    t_end`` bounds the expected number of events; above :data:`MAX_EVENTS`,
+    or for more than :data:`MAX_AGENTS` (2**53) agents,
     :class:`StepSizeError` is raised before anything is drawn.
+
+    The loop holds the counts, ``N`` and the intents as floats: up to 2**53
+    each count and each ``+-1.0`` step is exact, and every rate reads the
+    same double an int operand would be converted to, so the draws and the
+    path are those of integer counts.  It records only times and codes;
+    ``counts`` is rebuilt afterwards by an exact int64 cumulative sum of
+    each code's move.
     """
     _check_event_bound(p, n0.N, t_end)
     uniform = UniformStream(seed, stream).uniform
     log1p = math.log1p
     lam, r, b, qs, qi = p.lam, p.r, p.b, p.q_soc, p.q_inf
-    u_h, u_c = s.u_H, s.u_C
-    n_r, n_h, n_c = n0.n_R, n0.n_H, n0.n_C
-    N = n0.N
+    u_h, u_c = float(s.u_H), float(s.u_C)
+    n_r, n_h, n_c = float(n0.n_R), float(n0.n_H), float(n0.n_C)
+    N = float(n0.N)
     t = 0.0
     times = array("d")
     codes = array("B")
-    counts = array("q")
-    add_time, add_code, add_count = times.append, codes.append, counts.append
+    add_time, add_code = times.append, codes.append
     lam_u_h = lam * u_h
     while True:
         # Cumulative rates in the order of TRANSITION_LABELS; the sums
@@ -261,30 +277,32 @@ def simulate_population(
         pick = uniform() * total
         if pick < rate_cr:
             add_code(0)
-            n_c -= 1
-            n_r += 1
+            n_c -= 1.0
+            n_r += 1.0
         elif pick < upto_rh:
             add_code(1)
-            n_r -= 1
-            n_h += 1
+            n_r -= 1.0
+            n_h += 1.0
         elif pick < upto_hc:
             add_code(2)
-            n_h -= 1
-            n_c += 1
+            n_h -= 1.0
+            n_c += 1.0
         else:
             add_code(3)
-            n_c -= 1
-            n_h += 1
+            n_c -= 1.0
+            n_h += 1.0
         add_time(t)
-        add_count(n_r)
-        add_count(n_h)
-        add_count(n_c)
-    # The arrays are views of the buffers filled above, which nothing else holds.
+    transition_codes = np.frombuffer(codes, dtype=np.uint8)
+    counts = _MOVES[transition_codes]
+    np.cumsum(counts, axis=0, out=counts)
+    counts += (n0.n_R, n0.n_H, n0.n_C)
+    # times and transition_codes are views of the buffers filled above,
+    # which nothing else holds.
     return EventPath(
         initial=n0,
         times=np.frombuffer(times, dtype=np.float64),
-        transition_codes=np.frombuffer(codes, dtype=np.uint8),
-        counts=np.frombuffer(counts, dtype=np.int64).reshape(len(times), 3),
+        transition_codes=transition_codes,
+        counts=counts,
     )
 
 
@@ -341,13 +359,20 @@ def simulate_tagged_agent(
 def round_counts(N: int, x: PopulationState) -> PopulationCounts:
     """Largest-remainder rounding of ``N * x`` to integer counts summing to N.
 
-    Remainder ties broken by state order (R, H, C).
+    Remainder ties broken by state order (R, H, C).  A state is accepted
+    with its sum within ``SUM_TOL`` of 1, so at a huge ``N`` the floors can
+    leave more than 3 agents, or fewer than none, to place; that raises
+    :class:`SimplexError`.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     raw = [N * x.x_R, N * x.x_H, N * x.x_C]
     base = [math.floor(v) for v in raw]
     left = N - sum(base)
+    if not 0 <= left <= 3:
+        raise SimplexError(
+            f"rounding N={N} times the state leaves {left} agents to place, not 0 to 3"
+        )
     order = sorted(range(3), key=lambda i: (-(raw[i] - base[i]), i))
     for i in range(left):
         base[order[i]] += 1
@@ -373,15 +398,16 @@ def lln_convergence(
     (required, as in :func:`integrate_ode`).  Returns the distance and the
     event path of replication 0.
 
-    The guards run before anything is drawn: first the event bound of
-    :func:`simulate_population`, then the step and row guards of
-    :func:`integrate_ode`, whose reference path is computed before any
-    stream is opened.
+    The guards run before anything is drawn: first the population and
+    event bounds of :func:`simulate_population` (so an ``N`` above
+    :data:`MAX_AGENTS` is refused before :func:`round_counts` sees it), then
+    the step and row guards of :func:`integrate_ode`, whose reference path
+    is computed before any stream is opened.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    n0 = round_counts(N, x0)
     _check_event_bound(p, N, t_end)
+    n0 = round_counts(N, x0)
     ode = integrate_ode(p, x0, s, t_end, dt)
     grid = ode.times
     start = np.array([n0.n_R, n0.n_H, n0.n_C], dtype=np.int64)

@@ -296,6 +296,22 @@ def test_ctmc_event_cap_exit_code(tmp_path, capsys):
         assert "events" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, message", [
+    ("N = 100000000000000000\n", "numerical guard: N="),  # above 2**53
+    ("N = 10000000000\nx0_C = 0.33333333238333333\n", "numerical failure: SimplexError"),
+    ("N = 10000000000\nx0_C = 0.33333333413333333\n", "numerical failure: SimplexError"),
+], ids=["N-1e17", "N-1e10-sum-below-1", "N-1e10-sum-above-1"])
+def test_ctmc_population_it_cannot_hold_exits_2(tmp_path, capsys, extra, message):
+    # x0_R = x0_H = 1/3, so x0 sums to 1 - 9.5e-10 or 1 + 8e-10, both accepted.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(THREE_CFG + "x0_R = 0.3333333333333333\nx0_H = 0.3333333333333333\n"
+                   "t_end = 1e-12\ndt = 1e-13\n" + extra)
+    assert cli.main(["ctmc", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(message)
+
+
 def test_ctmc_event_cap_boundary(tmp_path, monkeypatch):
     monkeypatch.setattr(simulate, "MAX_EVENTS", 60)
     cfg = BASE_CFG + "N = 10\nreplications = 2\n"

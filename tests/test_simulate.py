@@ -255,6 +255,123 @@ def test_event_cap_boundary(monkeypatch):
         cm.simulate_population(BASELINE, n0, cm.CORRUPT_PROFILE, math.nextafter(2.0, 3.0), seed=3)
 
 
+def test_population_size_guard_raises_before_drawing(monkeypatch):
+    # Counts above 2**53 are not exact in the event loop; N = 2**53 is accepted.
+    def no_stream(*args):
+        raise AssertionError("uniform stream opened")
+
+    monkeypatch.setattr(simulate, "UniformStream", no_stream)
+    t_end = 1e-20  # predicts about 0.03 events: only the size guard can fire
+    big = cm.PopulationCounts(0, 2**53 + 1, 0)
+    with pytest.raises(cm.StepSizeError, match=r"2\*\*53"):
+        cm.simulate_population(THREE_EQ, big, cm.CORRUPT_PROFILE, t_end, seed=1)
+    with pytest.raises(cm.StepSizeError, match=r"2\*\*53"):
+        cm.lln_convergence(THREE_EQ, 2**53 + 1, THIRDS, cm.CORRUPT_PROFILE, t_end, 1, seed=1,
+                           dt=t_end)
+    monkeypatch.undo()
+    edge = cm.PopulationCounts(0, 2**53, 0)
+    assert len(cm.simulate_population(THREE_EQ, edge, cm.CORRUPT_PROFILE, t_end, seed=1)) == 0
+    distance, path = cm.lln_convergence(THREE_EQ, 2**53, THIRDS, cm.CORRUPT_PROFILE, t_end, 1,
+                                        seed=1, dt=t_end)
+    assert path.N == 2**53 and math.isfinite(distance)
+
+
+def _reference_population(p, n0, s, t_end, seed, stream):
+    """The event loop on int counts, appending the count vector after each event."""
+    uniform = simulate.UniformStream(seed, stream).uniform
+    n_r, n_h, n_c = n0.n_R, n0.n_H, n0.n_C
+    N = n0.N
+    t, times, codes, counts = 0.0, [], [], []
+    while True:
+        rate_cr = n_c * (p.b + p.q_soc * n_h / N)
+        upto_rh = rate_cr + n_r * p.r
+        upto_hc = upto_rh + n_h * (p.lam * s.u_H + p.q_inf * n_c / N)
+        total = upto_hc + p.lam * n_c * s.u_C
+        if total <= 0.0:
+            break
+        t += -math.log1p(-uniform()) / total
+        if t > t_end:
+            break
+        pick = uniform() * total
+        code = 0 if pick < rate_cr else 1 if pick < upto_rh else 2 if pick < upto_hc else 3
+        if code == 0:
+            n_c, n_r = n_c - 1, n_r + 1
+        elif code == 1:
+            n_r, n_h = n_r - 1, n_h + 1
+        elif code == 2:
+            n_h, n_c = n_h - 1, n_c + 1
+        else:
+            n_c, n_h = n_c - 1, n_h + 1
+        times.append(t)
+        codes.append(code)
+        counts.append((n_r, n_h, n_c))
+    return (np.array(times, dtype=np.float64), np.array(codes, dtype=np.uint8),
+            np.array(counts, dtype=np.int64).reshape(len(times), 3))
+
+
+def _initial_total_rate(p, n0, s):
+    n_r, n_h, n_c, N = n0.n_R, n0.n_H, n0.n_C, n0.N
+    return (n_c * (p.b + p.q_soc * n_h / N) + n_r * p.r
+            + n_h * (p.lam * s.u_H + p.q_inf * n_c / N) + p.lam * n_c * s.u_C)
+
+
+def _assert_matches_reference(p, n0, s, t_end, seed, stream=0):
+    path = cm.simulate_population(p, n0, s, t_end, seed, stream=stream)
+    times, codes, counts = _reference_population(p, n0, s, t_end, seed, stream)
+    assert path.times.tobytes() == times.tobytes()
+    assert path.transition_codes.tobytes() == codes.tobytes()
+    assert path.counts.dtype == np.int64 and path.counts.shape == counts.shape
+    assert path.counts.flags.c_contiguous
+    assert path.counts.tobytes() == counts.tobytes()
+    return path
+
+
+@st.composite
+def _population(draw):
+    N = draw(st.integers(1, 2000))
+    n_r = draw(st.integers(0, N))
+    n_h = draw(st.integers(0, N - n_r))
+    return cm.PopulationCounts(n_r, n_h, N - n_r - n_h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rates=st.tuples(_RATE, _RATE, _RATE, _COUPLING, _COUPLING), n0=_population(),
+       s=st.sampled_from(cm.ALL_PROFILES), events=st.floats(0.0, 300.0),
+       seed=st.integers(0, 2**32 - 1), stream=st.integers(0, 3))
+@example(rates=(1.0, 1.0, 1.0, 1.0, 1.0), n0=cm.PopulationCounts(0, 30, 0),
+         s=cm.StrategyProfile(0, 1), events=300.0, seed=1, stream=0)  # absorbing start
+@example(rates=(1.0, 1.0, 1.0, 0.0, 0.0), n0=cm.PopulationCounts(5, 5, 5),
+         s=cm.CORRUPT_PROFILE, events=0.0, seed=1, stream=0)  # t_end = 0
+@example(rates=(0.3, 0.7, 0.2, 0.3, 1.3), n0=cm.PopulationCounts(300, 500, 200),
+         s=cm.StrategyProfile(0, 0), events=300.0, seed=1, stream=0)  # q_soc x_H ~ b
+def test_population_matches_reference_loop_bit_for_bit(rates, n0, s, events, seed, stream):
+    # t_end is set for about `events` events at the initial total rate, and
+    # for at most 100 * events at the largest rate the chain can reach.
+    lam, r, b, q_soc, q_inf = rates
+    p = make_params(lam=lam, r=r, b=b, q_soc=q_soc, q_inf=q_inf)
+    largest = simulate.rate_scale(p) * n0.N
+    t_end = events / max(_initial_total_rate(p, n0, s), largest / 100.0)
+    path = _assert_matches_reference(p, n0, s, t_end, seed, stream)
+    if events == 0.0 or (n0.n_C == 0 and n0.n_R == 0 and s.u_H == 0):
+        assert path.counts.shape == (0, 3)
+
+
+@pytest.mark.parametrize("N", [2**53 - 1, 2**53])
+@pytest.mark.parametrize("split, s", [
+    ((1, 1, 1), cm.CORRUPT_PROFILE), ((1, 1, 1), cm.HONEST_PROFILE),
+    ((0, 1, 0), cm.CORRUPT_PROFILE), ((1, 0, 1), cm.HONEST_PROFILE),
+])
+def test_population_matches_reference_loop_at_the_largest_populations(N, split, s):
+    # Counts this large stay exact: every +-1 step lands on a distinct double.
+    # Over ~500 events the total rate barely moves, so t_end = 500 / total.
+    n = [w * N // sum(split) for w in split]
+    n[split.index(1)] += N - sum(n)
+    n0 = cm.PopulationCounts(*n)
+    t_end = 500.0 / _initial_total_rate(THREE_EQ, n0, s)
+    path = _assert_matches_reference(THREE_EQ, n0, s, t_end, seed=11)
+    assert 350 < len(path) < 650
+
+
 def _chisquare_statistic(counts):
     """Pearson's statistic of ``counts`` against equal expected counts."""
     expected = counts.sum() / len(counts)
@@ -509,6 +626,15 @@ def test_round_counts_largest_remainder():
     assert n.N == 7
     with pytest.raises(ValueError):
         cm.round_counts(0, THIRDS)
+
+
+@pytest.mark.parametrize("x_C", [1 / 3 - 9.5e-10, 1 / 3 + 8e-10])
+def test_round_counts_refuses_a_split_it_cannot_place(x_C):
+    # Both states are accepted (|sum - 1| <= SUM_TOL); at N = 10**10 their
+    # floors leave 11 and -7 agents to place.
+    x = cm.PopulationState(1 / 3, 1 / 3, x_C)
+    with pytest.raises(cm.SimplexError, match="agents to place"):
+        cm.round_counts(10**10, x)
 
 
 # ---------------------------------------------------------------------------
