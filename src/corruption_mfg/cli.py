@@ -51,9 +51,6 @@ from .simulate import (
 )
 from .stability import classify_equilibrium
 
-dataclass_replace = dataclasses.replace
-
-
 class ConfigError(ValueError):
     """A configuration document failed to parse or validate."""
 
@@ -208,7 +205,7 @@ def load_config(path: str, fmt: str | None = None, out: str | None = None,
         updates["out"] = out
     if seed is not None:
         updates["seed"] = seed
-    return dataclass_replace(cfg, **updates) if updates else cfg
+    return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
 def _g17(v: float) -> str:
@@ -275,19 +272,24 @@ def _equilibrium_rows(p: ModelParams) -> list[tuple[EquilibriumReport, object]]:
     return [(rep, classify_equilibrium(p, rep)) for rep in reports]
 
 
-# The leading columns of the equilibria and sweep tables.
+# The leading columns of the equilibria and sweep tables, and their template.
 _REPORT_COLUMNS = "x_bar,provenance,x_R,x_H,x_C,behavior"
+_REPORT_TEMPLATE = "%s,%s,%.17g,%.17g,%.17g,%s"
 
 
-def _report_cells(rep: EquilibriumReport) -> tuple[str, ...]:
-    """One report's cells for :data:`_REPORT_COLUMNS`."""
+def _report_cells(rep: EquilibriumReport) -> tuple:
+    """One report's values for :data:`_REPORT_TEMPLATE`.
+
+    Enum cells read ``_value_``: the ``.value`` property runs Python code.
+    """
+    state = rep.state
     return (
         _fmt_threshold(rep.diagnostics.x_bar),
-        rep.provenance.value,
-        _g17(rep.state.x_R),
-        _g17(rep.state.x_H),
-        _g17(rep.state.x_C),
-        rep.behavior.value,
+        rep.provenance._value_,
+        state.x_R,
+        state.x_H,
+        state.x_C,
+        rep.behavior._value_,
     )
 
 
@@ -329,24 +331,18 @@ def cmd_equilibria(cfg: RunConfig) -> str:
             f"stability={verdict.classification.value} ({verdict.method.value})"
         )
     lines.append(f"{_REPORT_COLUMNS},u_H,u_C,stability,residual")
+    template = _REPORT_TEMPLATE + ",%s,%s,%s,%.17g"
     for rep, verdict in rows:
-        lines.append(
-            ",".join(
-                (
-                    *_report_cells(rep),
-                    str(rep.strategy.u_H),
-                    str(rep.strategy.u_C),
-                    verdict.classification.value,
-                    _g17(rep.diagnostics.residual),
-                )
-            )
-        )
+        lines.append(template % (*_report_cells(rep), rep.strategy.u_H, rep.strategy.u_C,
+                                 verdict.classification._value_, rep.diagnostics.residual))
     return "\n".join(lines) + "\n"
 
 
-# Table rows are formatted from ``ndarray.tolist()`` values in chunks of this
-# many rows, each chunk joined into one string: per-row strings never all
-# exist at once.  ``"%.17g" % v`` equals ``_g17(v)`` for every float.
+# Every real cell of every table is written as ``"%.17g" % v``, which equals
+# ``_g17(v)`` for every float; only ``x_bar`` cells go through
+# ``_fmt_threshold`` for their ``+inf``/``-inf`` tokens.  Tables from arrays
+# are formatted from ``ndarray.tolist()`` values in chunks of this many rows,
+# each chunk joined into one string: per-row strings never all exist at once.
 _CHUNK_ROWS = 1024
 _LABELS = np.array(TRANSITION_LABELS, dtype=object)
 
@@ -398,29 +394,25 @@ def cmd_sweep(cfg: RunConfig) -> str:
     if cfg.sweep_param is None or cfg.sweep_grid is None:
         raise ConfigError("sweep requires sweep_param, sweep_min and sweep_max")
     field = "lam" if cfg.sweep_param == "lambda" else cfg.sweep_param
+    # Each point's parameters: the base set's fields with one of them moved.
+    fields = dataclasses.asdict(cfg.params)
+    # After the point's value: one report's cells, its stability and residual.
+    row_template = "," + _REPORT_TEMPLATE + ",%s,%.17g,"
     lines = [f"param_value,{_REPORT_COLUMNS},stability,residual,error"]
     for value in cfg.sweep_grid:
-        p = dataclass_replace(cfg.params, **{field: float(value)})
-        cell = _g17(value)
+        fields[field] = float(value)
+        cell = "%.17g" % value
         try:
-            # enumerate_equilibria validates p first.
-            rows = _equilibrium_rows(p)
+            # enumerate_equilibria validates the point's parameters first.
+            rows = _equilibrium_rows(ModelParams(**fields))
         except _POINT_ERRORS as exc:  # per-point failures recorded, sweep continues
             message = str(exc).replace(",", ";").replace("\n", " ")
             lines.append(f"{cell},,,,,,,,,{message}")
             continue
+        template = cell + row_template
         for rep, verdict in rows:
-            lines.append(
-                ",".join(
-                    (
-                        cell,
-                        *_report_cells(rep),
-                        verdict.classification.value,
-                        _g17(rep.diagnostics.residual),
-                        "",
-                    )
-                )
-            )
+            lines.append(template % (*_report_cells(rep), verdict.classification._value_,
+                                     rep.diagnostics.residual))
     return "\n".join(lines) + "\n"
 
 
@@ -433,18 +425,20 @@ _COMMANDS = {
 }
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="corruption-mfg",
+    description="Equilibrium solver and simulator for the three-state corruption game.",
+)
+_PARSER.add_argument("command", choices=sorted(_COMMANDS))
+_PARSER.add_argument("--config", required=True, help="path to a key = value config file")
+_PARSER.add_argument("--format", choices=("csv", "structured"), default=None)
+_PARSER.add_argument("--out", default=None, help="output path (default: stdout)")
+_PARSER.add_argument("--seed", type=int, default=None, help="override the config seed")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="corruption-mfg",
-        description="Equilibrium solver and simulator for the three-state corruption game.",
-    )
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--config", required=True, help="path to a key = value config file")
-    parser.add_argument("--format", choices=("csv", "structured"), default=None)
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on a usage error; here 2 means a numerical guard.
         return 1 if exc.code else 0

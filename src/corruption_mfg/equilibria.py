@@ -174,7 +174,7 @@ def _report(
     diag = EquilibriumDiagnostics(
         q_value=q_polynomial(p, state.x_H),
         x_bar=threshold.value,
-        residual=max(abs(v) for v in kinetic_rhs(p, state, strategy)),
+        residual=max(map(abs, kinetic_rhs(p, state, strategy))),
         # A boundary that is not a tie records no flag at all.
         flags=((flag, tie),) if tie or provenance is not Provenance.HONEST_BOUNDARY else (),
     )

@@ -66,31 +66,35 @@ class ModelParams:
     w_C: float
 
 
+_PARAM_FIELDS = ("lam", "r", "b", "f", "q_soc", "q_inf", "w_R", "w_H", "w_C")
+
+
 def validate_params(p: ModelParams) -> ModelParams:
     """Return ``p`` unchanged iff every admissibility inequality holds.
 
-    Raises :class:`ParameterError` naming the first violated inequality, in
+    Raises :class:`ParameterError` naming the first field that is not a
+    finite number, in field order, else the first violated inequality, in
     the order: lam > 0, r > 0, b > 0, f >= 0, q_soc >= 0, q_inf >= 0,
     w_C > w_H, w_H > w_R, w_R >= 0.
     """
-    for name in ("lam", "r", "b", "f", "q_soc", "q_inf", "w_R", "w_H", "w_C"):
-        v = getattr(p, name)
+    values = (p.lam, p.r, p.b, p.f, p.q_soc, p.q_inf, p.w_R, p.w_H, p.w_C)
+    for name, v in zip(_PARAM_FIELDS, values):
         if not isinstance(v, (int, float)) or not math.isfinite(v):
             raise ParameterError(f"{name} must be a finite number, got {v!r}")
-    checks = (
-        (p.lam > 0, "lambda > 0 violated"),
-        (p.r > 0, "r > 0 violated"),
-        (p.b > 0, "b > 0 violated"),
-        (p.f >= 0, "f >= 0 violated"),
-        (p.q_soc >= 0, "q_soc >= 0 violated"),
-        (p.q_inf >= 0, "q_inf >= 0 violated"),
-        (p.w_C > p.w_H, "w_C > w_H violated"),
-        (p.w_H > p.w_R, "w_H > w_R violated"),
-        (p.w_R >= 0, "w_R >= 0 violated"),
+    violated = (
+        "lambda > 0" if not p.lam > 0
+        else "r > 0" if not p.r > 0
+        else "b > 0" if not p.b > 0
+        else "f >= 0" if not p.f >= 0
+        else "q_soc >= 0" if not p.q_soc >= 0
+        else "q_inf >= 0" if not p.q_inf >= 0
+        else "w_C > w_H" if not p.w_C > p.w_H
+        else "w_H > w_R" if not p.w_H > p.w_R
+        else "w_R >= 0" if not p.w_R >= 0
+        else None
     )
-    for ok, message in checks:
-        if not ok:
-            raise ParameterError(message)
+    if violated is not None:
+        raise ParameterError(f"{violated} violated")
     return p
 
 
@@ -106,11 +110,12 @@ class PopulationState:
         total = self.x_R + self.x_H + self.x_C
         if abs(total - 1.0) > SUM_TOL:
             raise SimplexError(f"fractions sum to {total!r}, not 1")
-        for name in ("x_R", "x_H", "x_C"):
-            v = getattr(self, name)
+        for name, v in (("x_R", self.x_R), ("x_H", self.x_H), ("x_C", self.x_C)):
             if not math.isfinite(v) or v < COMPONENT_FLOOR or v > 1.0 + SUM_TOL:
                 raise SimplexError(f"{name} = {v!r} outside [0, 1]")
-            object.__setattr__(self, name, min(max(v, 0.0), 1.0))
+            # Inside [0, 1] the clamp returns v itself (-0.0 included).
+            if v < 0.0 or v > 1.0:
+                object.__setattr__(self, name, min(max(v, 0.0), 1.0))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x_R, self.x_H, self.x_C)

@@ -4,7 +4,10 @@ Mass conservation makes the third direction redundant, so the kinetics are
 reduced to the plane ``(x_H, x_C)`` via ``x_R = 1 - x_H - x_C`` and a fixed
 point is classified through the 2x2 Jacobian there: asymptotically stable
 iff its trace is negative and its determinant positive (equivalently both
-eigenvalue real parts negative).
+eigenvalue real parts negative).  :func:`trace_det_verdict` and
+:func:`classify_equilibrium` take the trace, determinant, real parts and
+their sign flags from one private helper, so an equilibrium's verdict
+carries exactly those of :func:`trace_det_verdict` at its Jacobian.
 
 Closed-form shortcuts are applied first where available: a sufficient band
 on ``q_soc - q_inf`` for the corrupt root, the explicit boundary eigenvalues
@@ -45,6 +48,11 @@ class Classification(Enum):
     STABLE = "stable"
     UNSTABLE = "unstable"
     MARGINAL = "marginal"
+
+
+# A closed-form verdict contradicts the eigenvalues when one of these reads
+# stable and the other unstable.
+_DEFINITE = (Classification.STABLE, Classification.UNSTABLE)
 
 
 class Method(Enum):
@@ -97,8 +105,9 @@ def eigen_real_parts(trace: float, det: float) -> tuple[float, float]:
     """Real parts of the roots of ``xi^2 - trace xi + det``, ascending."""
     disc = trace * trace - 4.0 * det
     if disc >= 0.0:
+        # root >= 0, so the first part never exceeds the second.
         root = disc**0.5
-        return tuple(sorted(((trace - root) / 2.0, (trace + root) / 2.0)))
+        return ((trace - root) / 2.0, (trace + root) / 2.0)
     return (trace / 2.0, trace / 2.0)
 
 
@@ -111,20 +120,19 @@ def _classify(real_parts: tuple[float, float]) -> Classification:
     return Classification.MARGINAL
 
 
-def trace_det_verdict(m) -> StabilityVerdict:
-    """Planar verdict from the trace/determinant test of a 2x2 matrix ``((a, b), (c, d))``."""
+def _trace_det(m) -> tuple:
+    """``(trace, det, eigenvalue real parts, sign flags)`` of a 2x2 matrix ``((a, b), (c, d))``."""
     (a, b), (c, d) = m
     trace = float(a + d)
     det = float(a * d - b * c)
-    parts = eigen_real_parts(trace, det)
-    return StabilityVerdict(
-        _classify(parts),
-        Method.TRACE_DET,
-        parts,
-        trace,
-        det,
-        flags=(("trace_negative", trace < 0.0), ("det_positive", det > 0.0)),
-    )
+    flags = (("trace_negative", trace < 0.0), ("det_positive", det > 0.0))
+    return trace, det, eigen_real_parts(trace, det), flags
+
+
+def trace_det_verdict(m) -> StabilityVerdict:
+    """Planar verdict from the trace/determinant test of a 2x2 matrix ``((a, b), (c, d))``."""
+    trace, det, parts, flags = _trace_det(m)
+    return StabilityVerdict(_classify(parts), Method.TRACE_DET, parts, trace, det, flags)
 
 
 def corrupt_stability_band(p: ModelParams) -> bool:
@@ -179,18 +187,19 @@ def classify_equilibrium(p: ModelParams, e: EquilibriumReport) -> StabilityVerdi
     band raises :class:`StabilityContradictionError`, unless the deciding
     real part is within :data:`ROUNDOFF` of the rate scale, where the
     eigenvalues cannot confirm the rule and the verdict falls back to them.
+    The verdict's flags are the rule's flag, then ``trace_negative`` and
+    ``det_positive``.
     """
-    eig = trace_det_verdict(jacobian(p, e.state, e.strategy))
+    trace, det, parts, eig_flags = _trace_det(jacobian(p, e.state, e.strategy))
+    classification = _classify(parts)
     closed, flags = _closed_form(p, e)
-    if {closed, eig.classification} == {Classification.STABLE, Classification.UNSTABLE}:
-        if abs(max(eig.eigen_real_parts)) > ROUNDOFF * rate_scale(p):
+    # Members compare by identity: Enum.__hash__ is Python code.
+    if closed is not classification and closed in _DEFINITE and classification in _DEFINITE:
+        if abs(max(parts)) > ROUNDOFF * rate_scale(p):
             raise StabilityContradictionError(
                 f"closed-form verdict {closed.value} contradicts eigenvalues "
-                f"{eig.eigen_real_parts} at {e.provenance.value}"
+                f"{parts} at {e.provenance.value}"
             )
         closed = None
     method = Method.FALLBACK if closed is None else Method.CLOSED_FORM
-    return StabilityVerdict(
-        eig.classification, method, eig.eigen_real_parts, eig.trace, eig.det,
-        flags=flags + eig.flags,
-    )
+    return StabilityVerdict(classification, method, parts, trace, det, flags + eig_flags)

@@ -73,3 +73,30 @@ def test_traced_ctmc_run_counts_every_stream(tmp_path):
     assert counts["simulate.simulate_population.calls"] == 3
     assert counts["simulate.simulate_population.events"] > 0
     assert counts["_rng.UniformStream.calls"] == 3
+
+
+def test_traced_sweep_counts_every_layer_call(tmp_path):
+    # A layer function captured out of the tracer's reach reads no calls here,
+    # instead of silently zeroing a benchmark layer.  b <= 0 at three of the
+    # nine points, which write error rows.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(THREE_EQ_CONFIG
+                   + "sweep_param = b\nsweep_min = -0.1\nsweep_max = 0.3\nsweep_points = 9\n")
+    out = tmp_path / "sweep.out"
+    module = _load_tracer()
+    tracer = module.Tracer()
+    tracer.install(module.program_bindings(cli, equilibria, simulate))
+    try:
+        rc = cli.main(["sweep", "--config", str(cfg), "--out", str(out)])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    rows = out.read_text().splitlines()[1:]
+    report_rows = [row for row in rows if row.endswith(",")]
+    assert 0 < len(report_rows) and len(rows) - len(report_rows) == 3
+    counts = tracer.current.exact_counts()
+    assert counts["equilibria.enumerate_equilibria.calls"] == 9
+    assert counts["equilibria.reports"] == len(report_rows)
+    assert counts["stability.classify_equilibrium.calls"] == len(report_rows)
+    # parse_config validates the base set once, then each point is validated.
+    assert counts["model.validate_params.calls"] == 9 + 1

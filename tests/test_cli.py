@@ -1,5 +1,6 @@
 """Configuration parsing, subcommand output contracts, determinism."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -432,6 +433,47 @@ def test_sweep_lambda_axis_maps_to_rate(tmp_path):
     interior = {float(r[0]): float(r[4]) for r in rows if r[2] == "honest_interior"}
     assert interior[0.1] == pytest.approx(0.3 / 1.5, abs=1e-12)
     assert interior[0.3] == pytest.approx(0.5 / 1.5, abs=1e-12)
+
+
+def _hand_sweep_rows(base, field, grid):
+    """Sweep rows built point by point, each real cell by format(v, ".17g")."""
+    def g17(v):
+        return format(v, ".17g")
+
+    rows = []
+    for value in grid:
+        p = dataclasses.replace(base, **{field: value})
+        try:
+            reports = cm.enumerate_equilibria(p)
+            verdicts = [cm.classify_equilibrium(p, rep) for rep in reports]
+        except (cm.ParameterError, cm.SimplexError, ArithmeticError) as exc:
+            rows.append(f"{g17(value)},,,,,,,,,{str(exc).replace(',', ';')}")
+            continue
+        for rep, verdict in zip(reports, verdicts):
+            x_bar = rep.diagnostics.x_bar
+            x_bar_cell = ("+inf" if x_bar > 0 else "-inf") if math.isinf(x_bar) else g17(x_bar)
+            rows.append(",".join((
+                g17(value), x_bar_cell, rep.provenance.value,
+                g17(rep.state.x_R), g17(rep.state.x_H), g17(rep.state.x_C),
+                rep.behavior.value, verdict.classification.value,
+                g17(rep.diagnostics.residual), "",
+            )))
+    return rows
+
+
+@pytest.mark.parametrize("axis", cli._SWEEP_AXES)
+def test_sweep_matches_rows_built_per_point(tmp_path, axis):
+    # The grid starts below zero, so every axis writes error rows, and passes
+    # through 0, where q_soc = 0 puts x_bar at infinity.
+    cfg = THREE_CFG + f"sweep_param = {axis}\nsweep_min = -0.2\nsweep_max = 3\nsweep_points = 17\n"
+    rc, out = run_cli(tmp_path, cfg, "sweep")
+    assert rc == 0
+    field = "lam" if axis == "lambda" else axis
+    grid = [float(v) for v in np.linspace(-0.2, 3.0, 17)]
+    rows = _hand_sweep_rows(cli.parse_config(THREE_CFG).params, field, grid)
+    assert any(row.endswith(" violated") for row in rows)
+    header = "param_value,x_bar,provenance,x_R,x_H,x_C,behavior,stability,residual,error"
+    assert out.decode() == "\n".join([header, *rows]) + "\n"
 
 
 def test_sweep_requires_grid(tmp_path):

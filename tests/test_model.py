@@ -1,11 +1,15 @@
 """Parameter validation, kinetics and the per-capita rate kernel."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import corruption_mfg as cm
+from corruption_mfg.model import COMPONENT_FLOOR, SUM_TOL
 from support import BASELINE, make_params, random_params, random_simplex
 
 
@@ -42,6 +46,56 @@ def test_validate_rejects_non_finite():
         cm.validate_params(dataclasses.replace(BASELINE, b=float("nan")))
 
 
+_PARAM_FIELDS = ("lam", "r", "b", "f", "q_soc", "q_inf", "w_R", "w_H", "w_C")
+# The documented precedence: a non-finite field, in field order, before
+# every inequality; then the inequalities in this order.
+_INEQUALITIES = (
+    ("lambda > 0", lambda p: p.lam > 0),
+    ("r > 0", lambda p: p.r > 0),
+    ("b > 0", lambda p: p.b > 0),
+    ("f >= 0", lambda p: p.f >= 0),
+    ("q_soc >= 0", lambda p: p.q_soc >= 0),
+    ("q_inf >= 0", lambda p: p.q_inf >= 0),
+    ("w_C > w_H", lambda p: p.w_C > p.w_H),
+    ("w_H > w_R", lambda p: p.w_H > p.w_R),
+    ("w_R >= 0", lambda p: p.w_R >= 0),
+)
+
+
+def _first_violation(p):
+    for name in _PARAM_FIELDS:
+        v = getattr(p, name)
+        if not math.isfinite(v):
+            return f"{name} must be a finite number, got {v!r}"
+    for text, holds in _INEQUALITIES:
+        if not holds(p):
+            return f"{text} violated"
+    return None
+
+
+# Mostly boundary values, so one set often breaks several rules at once.
+_PARAM_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.0, math.nan, math.inf, -math.inf]),
+    st.floats(-1.0, 3.0),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.tuples(*[_PARAM_VALUE] * len(_PARAM_FIELDS)))
+@example((0.0, 1.0, math.nan, 0.0, 0.0, 0.0, 0.0, 1.0, 2.0))  # names b, not lambda
+@example((-1.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0, math.inf))
+@example((1.0, 1.0, 1.0, 0.0, 0.0, 0.0, -1.0, -2.0, -3.0))
+def test_validate_reports_the_first_violation(values):
+    p = cm.ModelParams(*values)
+    expected = _first_violation(p)
+    if expected is None:
+        assert cm.validate_params(p) is p
+        return
+    with pytest.raises(cm.ParameterError) as info:
+        cm.validate_params(p)
+    assert str(info.value) == expected
+
+
 # ---------------------------------------------------------------------------
 # state / counts / strategy types
 
@@ -50,6 +104,45 @@ def test_population_state_accepts_roundoff_and_clamps():
     x = cm.PopulationState(-1e-13, 0.5, 0.5 + 1e-13)
     assert x.x_R == 0.0
     assert 0.0 <= x.x_C <= 1.0
+
+
+_STATE_FIELDS = ("x_R", "x_H", "x_C")
+_COMPONENT = st.one_of(
+    st.sampled_from([COMPONENT_FLOOR, 2 * COMPONENT_FLOOR, -0.0, 0.0, 1.0, 1.0 + SUM_TOL,
+                     1.0 + 2 * SUM_TOL, math.nan, math.inf, -math.inf]),
+    st.floats(-0.01, 1.01),
+)
+
+
+def _expected_state(x):
+    """The sum check, then each component in order, then the clamp into [0, 1]."""
+    total = x[0] + x[1] + x[2]
+    if abs(total - 1.0) > SUM_TOL:
+        return f"fractions sum to {total!r}, not 1"
+    for name, v in zip(_STATE_FIELDS, x):
+        if not (math.isfinite(v) and COMPONENT_FLOOR <= v <= 1.0 + SUM_TOL):
+            return f"{name} = {v!r} outside [0, 1]"
+    return tuple(repr(0.0 if v < 0.0 else 1.0 if v > 1.0 else v) for v in x)
+
+
+@settings(max_examples=500, deadline=None)
+@given(x_R=_COMPONENT, x_H=_COMPONENT, x_C=st.one_of(st.none(), _COMPONENT))
+@example(x_R=-0.0, x_H=0.5, x_C=None)
+@example(x_R=COMPONENT_FLOOR, x_H=1.0 + SUM_TOL, x_C=-0.0)
+@example(x_R=2.0, x_H=-1.0, x_C=0.5)
+@example(x_R=1.5, x_H=-0.5, x_C=0.0)
+@example(x_R=math.nan, x_H=0.5, x_C=0.5)
+def test_population_state_checks_in_order_and_clamps(x_R, x_H, x_C):
+    # x_C = None puts the state on the simplex up to the round-off of 1 - x_R - x_H.
+    x = (x_R, x_H, 1.0 - x_R - x_H if x_C is None else x_C)
+    expected = _expected_state(x)
+    if isinstance(expected, str):
+        with pytest.raises(cm.SimplexError) as info:
+            cm.PopulationState(*x)
+        assert str(info.value) == expected
+    else:
+        state = cm.PopulationState(*x)
+        assert tuple(repr(v) for v in state.as_tuple()) == expected
 
 
 def test_population_state_rejects_bad_sum():

@@ -159,6 +159,23 @@ def test_classify_no_interaction_both_cases_stable():
         assert v.method is cm.Method.CLOSED_FORM
 
 
+def test_classify_carries_the_trace_det_verdict_of_its_jacobian():
+    # The equilibrium verdict reports exactly the trace/determinant test of
+    # its Jacobian, behind the closed-form rule's one flag.
+    rng = np.random.default_rng(37)
+    rule_flags = {"sufficient_band", "boundary_rate_negative", "char_coefficients_positive"}
+    for _ in range(200):
+        p = random_params(rng)
+        for rep in cm.enumerate_equilibria(p):
+            v = cm.classify_equilibrium(p, rep)
+            eig = cm.trace_det_verdict(cm.jacobian(p, rep.state, rep.strategy))
+            assert (v.classification, v.trace, v.det, v.eigen_real_parts) == (
+                eig.classification, eig.trace, eig.det, eig.eigen_real_parts)
+            assert v.eigen_real_parts[0] <= v.eigen_real_parts[1]
+            assert v.flags[0][0] in rule_flags and v.flags[1:] == eig.flags
+            assert [name for name, _ in eig.flags] == ["trace_negative", "det_positive"]
+
+
 def test_honest_boundary_rule_matches_eigenvalues():
     rng = np.random.default_rng(34)
     found = 0
