@@ -10,6 +10,13 @@ a JSON document for ``--format structured`` where supported.  The JSON
 document writes every non-finite number as the CSV's token, ``+inf``,
 ``-inf`` or ``nan`` (a JSON string), since JSON has neither.
 
+Each ``cmd_*`` takes the run's config and a ``write`` callable and writes
+its text in pieces as it is formatted: ``simulate``, ``ctmc`` and ``sweep``
+one piece per :data:`_CHUNK_ROWS` rows, ``classify`` and ``equilibria``
+once.  :func:`main` opens ``--out`` (or uses stdout) at the first piece, so
+a run that fails before it writes, as every guard and numerical failure
+does, leaves no output and creates no file.
+
 Exit codes: 0 success (also ``--help``), 1 usage, configuration or
 validation error, 2 numerical guard or numerical failure, such as a state
 pushed off the simplex (a one-line message on stderr, no traceback).
@@ -69,8 +76,9 @@ _SWEEP_AXES = ("b", "f", "q_soc", "q_inf", "lambda")
 
 DEFAULTS = {"dt": 0.01, "t_end": 50.0, "N": 1000, "seed": 42, "replications": 20}
 
-# Largest sweep grid ``parse_config`` will build: a sweep holds about 0.8 KB
-# per point until it is written, so 10**6 points peak near 0.8 GB.
+# Largest sweep grid ``parse_config`` will build.  Rows are written as they
+# are made, but the grid is built whole before the first point: at the cap
+# it holds ~32 MB of floats.
 MAX_SWEEP_POINTS = 10**6
 
 
@@ -244,7 +252,7 @@ def _regime(threshold) -> str:
     return "honest boundary equilibrium present; corrupt root admissible iff Q(x_bar) >= 0"
 
 
-def cmd_classify(cfg: RunConfig) -> str:
+def cmd_classify(cfg: RunConfig, write) -> None:
     p = cfg.params
     threshold = classifier_xbar(p)
     regime = _regime(threshold)
@@ -257,14 +265,15 @@ def cmd_classify(cfg: RunConfig) -> str:
         }
         if disc is not None:
             record["x_bar_discounted"] = disc.value
-        return _json_text(record)
+        write(_json_text(record))
+        return
     lines = [f"x_bar = {_fmt_threshold(threshold.value)}"]
     if threshold.indifferent_everywhere:
         lines[0] += "  (indifferent everywhere)"
     lines.append(f"regime: {regime}")
     if disc is not None:
         lines.append(f"x_bar(delta={_g17(cfg.delta)}) = {_fmt_threshold(disc.value)}")
-    return "\n".join(lines) + "\n"
+    write("\n".join(lines) + "\n")
 
 
 def _equilibrium_rows(p: ModelParams) -> list[tuple[EquilibriumReport, object]]:
@@ -293,7 +302,7 @@ def _report_cells(rep: EquilibriumReport) -> tuple:
     )
 
 
-def cmd_equilibria(cfg: RunConfig) -> str:
+def cmd_equilibria(cfg: RunConfig, write) -> None:
     p = cfg.params
     rows = _equilibrium_rows(p)
     if cfg.format == "structured":
@@ -322,7 +331,8 @@ def cmd_equilibria(cfg: RunConfig) -> str:
                     "warnings": list(rep.warnings),
                 }
             )
-        return _json_text(records)
+        write(_json_text(records))
+        return
     lines = [f"# {len(rows)} equilibria"]
     for i, (rep, verdict) in enumerate(rows, start=1):
         lines.append(
@@ -335,28 +345,33 @@ def cmd_equilibria(cfg: RunConfig) -> str:
     for rep, verdict in rows:
         lines.append(template % (*_report_cells(rep), rep.strategy.u_H, rep.strategy.u_C,
                                  verdict.classification._value_, rep.diagnostics.residual))
-    return "\n".join(lines) + "\n"
+    write("\n".join(lines) + "\n")
 
 
 # Every real cell of every table is written as ``"%.17g" % v``, which equals
 # ``_g17(v)`` for every float; only ``x_bar`` cells go through
-# ``_fmt_threshold`` for their ``+inf``/``-inf`` tokens.  Tables from arrays
-# are formatted from ``ndarray.tolist()`` values in chunks of this many rows,
-# each chunk joined into one string: per-row strings never all exist at once.
+# ``_fmt_threshold`` for their ``+inf``/``-inf`` tokens.  Tables are written
+# as they are formatted, one piece per this many rows: a table from arrays
+# is formatted from the ``ndarray.tolist()`` values of one chunk at a time,
+# so neither its per-row strings nor its whole text ever exist at once.
 _CHUNK_ROWS = 1024
 _LABELS = np.array(TRANSITION_LABELS, dtype=object)
 
 
-def _table_chunks(header: str, template: str, columns: list[np.ndarray]) -> list[str]:
-    """``header``, then ``template % row`` for every row of ``columns``, as chunks."""
-    chunks = [header]
+def _write_table(write, template: str, columns: list[np.ndarray],
+                 codes_at: int | None = None) -> None:
+    """Write ``template % row + "\\n"`` for every row of ``columns``, one chunk
+    per :data:`_CHUNK_ROWS` rows.  Column ``codes_at``, if given, holds
+    indices into :data:`TRANSITION_LABELS` and is written as the labels."""
+    template += "\n"
     for lo in range(0, len(columns[0]), _CHUNK_ROWS):
-        rows = zip(*[column[lo:lo + _CHUNK_ROWS].tolist() for column in columns])
-        chunks.append("\n".join([template % row for row in rows]))
-    return chunks
+        cells = [column[lo:lo + _CHUNK_ROWS] for column in columns]
+        if codes_at is not None:
+            cells[codes_at] = _LABELS[cells[codes_at]]
+        write("".join([template % row for row in zip(*[cell.tolist() for cell in cells])]))
 
 
-def cmd_simulate(cfg: RunConfig) -> str:
+def cmd_simulate(cfg: RunConfig, write) -> None:
     traj = integrate_ode(cfg.params, cfg.x0, cfg.strategy, cfg.t_end, cfg.dt)
     times, states = traj.times, traj.states
     # The trailing run of rows whose state is bit-identical to the last row
@@ -364,24 +379,22 @@ def cmd_simulate(cfg: RunConfig) -> str:
     bits = states.view(np.uint64)
     changed = np.flatnonzero((bits != bits[-1]).any(axis=1))
     settled = int(changed[-1]) + 1 if len(changed) else 0
-    chunks = _table_chunks("t,x_R,x_H,x_C", "%.17g,%.17g,%.17g,%.17g",
-                           [times[:settled], *states[:settled].T])
+    write("t,x_R,x_H,x_C\n")
+    _write_table(write, "%.17g,%.17g,%.17g,%.17g", [times[:settled], *states[:settled].T])
     # The settled state is formatted once into the template, so each of its
     # rows formats only its time.
     template = "%.17g" + ",%.17g,%.17g,%.17g" % tuple(states[-1].tolist())
-    for lo in range(settled, len(times), _CHUNK_ROWS):
-        chunks.append("\n".join([template % t for t in times[lo:lo + _CHUNK_ROWS].tolist()]))
-    return "\n".join(chunks) + "\n"
+    _write_table(write, template, [times[settled:]])
 
 
-def cmd_ctmc(cfg: RunConfig) -> str:
+def cmd_ctmc(cfg: RunConfig, write) -> None:
     distance, path = lln_convergence(
         cfg.params, cfg.N, cfg.x0, cfg.strategy, cfg.t_end, cfg.replications, cfg.seed, cfg.dt
     )
-    chunks = _table_chunks("t,transition,n_R,n_H,n_C", "%.17g,%s,%d,%d,%d",
-                           [path.times, _LABELS[path.transition_codes], *path.counts.T])
-    chunks.append(f"# lln_distance = {_g17(distance)}")
-    return "\n".join(chunks) + "\n"
+    write("t,transition,n_R,n_H,n_C\n")
+    _write_table(write, "%.17g,%s,%d,%d,%d",
+                 [path.times, path.transition_codes, *path.counts.T], codes_at=1)
+    write(f"# lln_distance = {_g17(distance)}\n")
 
 
 # The model's numerical failures exit 2 from ``main``; at one sweep point they
@@ -390,7 +403,7 @@ _NUMERICAL_FAILURES = (SimplexError, ArithmeticError)
 _POINT_ERRORS = (ParameterError, *_NUMERICAL_FAILURES)
 
 
-def cmd_sweep(cfg: RunConfig) -> str:
+def cmd_sweep(cfg: RunConfig, write) -> None:
     if cfg.sweep_param is None or cfg.sweep_grid is None:
         raise ConfigError("sweep requires sweep_param, sweep_min and sweep_max")
     field = "lam" if cfg.sweep_param == "lambda" else cfg.sweep_param
@@ -408,12 +421,16 @@ def cmd_sweep(cfg: RunConfig) -> str:
         except _POINT_ERRORS as exc:  # per-point failures recorded, sweep continues
             message = str(exc).replace(",", ";").replace("\n", " ")
             lines.append(f"{cell},,,,,,,,,{message}")
-            continue
-        template = cell + row_template
-        for rep, verdict in rows:
-            lines.append(template % (*_report_cells(rep), verdict.classification._value_,
-                                     rep.diagnostics.residual))
-    return "\n".join(lines) + "\n"
+        else:
+            template = cell + row_template
+            for rep, verdict in rows:
+                lines.append(template % (*_report_cells(rep), verdict.classification._value_,
+                                         rep.diagnostics.residual))
+        if len(lines) >= _CHUNK_ROWS:
+            write("\n".join(lines) + "\n")
+            lines.clear()
+    if lines:
+        write("\n".join(lines) + "\n")
 
 
 _COMMANDS = {
@@ -443,14 +460,23 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on a usage error; here 2 means a numerical guard.
         return 1 if exc.code else 0
 
+    sink = None
+
+    def write(text: str) -> None:
+        # Opens --out at the first piece, so a run that fails earlier
+        # creates no file and leaves an existing one as it was.
+        nonlocal sink
+        if sink is None:
+            sink = open(cfg.out, "w", encoding="utf-8", newline="") if cfg.out else sys.stdout
+        sink.write(text)
+
     try:
         cfg = load_config(args.config, fmt=args.format, out=args.out, seed=args.seed)
-        text = _COMMANDS[args.command](cfg)
-        if cfg.out:
-            with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        try:
+            _COMMANDS[args.command](cfg, write)
+        finally:
+            if sink is not None and sink is not sys.stdout:
+                sink.close()
     except (ConfigError, ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -100,7 +100,11 @@ def q_polynomial(p: ModelParams, x_H: float) -> float:
     ``Q(0) = -r b < 0`` and ``Q(1) = lam (q_soc + r + b) > 0`` for every
     valid parameter set, so Q has exactly one root in (0, 1).
     """
-    alpha, beta, gamma = q_coefficients(p)
+    return _q_at(q_coefficients(p), x_H)
+
+
+def _q_at(coefficients: tuple[float, float, float], x_H: float) -> float:
+    alpha, beta, gamma = coefficients
     return (alpha * x_H + beta) * x_H + gamma
 
 
@@ -111,7 +115,11 @@ def corrupt_root(p: ModelParams) -> tuple[float, float]:
     product-form companion root to avoid cancellation and polished with one
     Newton step; ``x_C* = (1 - x_H*) r / (r + b + q_soc x_H*)``.
     """
-    alpha, beta, gamma = q_coefficients(p)
+    return _corrupt_root(p, q_coefficients(p))
+
+
+def _corrupt_root(p: ModelParams, coefficients: tuple[float, float, float]) -> tuple[float, float]:
+    alpha, beta, gamma = coefficients
     if abs(alpha) <= DEGENERATE_LEADING * abs(beta):
         root = -gamma / beta
     else:
@@ -134,6 +142,7 @@ def corrupt_root(p: ModelParams) -> tuple[float, float]:
 
 def _report(
     p: ModelParams,
+    coefficients: tuple[float, float, float],
     threshold: ClassifierThreshold,
     provenance: Provenance,
     point: tuple[float, float] | None,
@@ -157,7 +166,7 @@ def _report(
             # tie band the sign of Q at the threshold must agree with regime_at.
             # Q(1) = lam (q_soc + r + b) exactly; alpha + beta + gamma can cancel below 0.
             x_bar = threshold.value
-            q_at_bar = p.lam * (p.q_soc + p.r + p.b) if x_bar >= 1.0 else q_polynomial(p, x_bar)
+            q_at_bar = p.lam * (p.q_soc + p.r + p.b) if x_bar >= 1.0 else _q_at(coefficients, x_bar)
             if (q_at_bar >= 0.0) != reads_corrupt:
                 raise ArithmeticError(
                     "admissibility checks disagree: "
@@ -172,7 +181,7 @@ def _report(
     state = PopulationState(1.0 - x_h - x_c, x_h, x_c)
     strategy = CORRUPT_PROFILE if corrupt else HONEST_PROFILE
     diag = EquilibriumDiagnostics(
-        q_value=q_polynomial(p, state.x_H),
+        q_value=_q_at(coefficients, state.x_H),
         x_bar=threshold.value,
         residual=max(map(abs, kinetic_rhs(p, state, strategy))),
         # A boundary that is not a tie records no flag at all.
@@ -202,14 +211,15 @@ def enumerate_equilibria(p: ModelParams) -> list[EquilibriumReport]:
     """
     validate_params(p)
     threshold = classifier_xbar(p)
-    # No corrupt root where x_bar <= 0, and corrupt_root is not run there.
-    root = corrupt_root(p) if threshold.value > 0.0 else None
+    coefficients = q_coefficients(p)
+    # No corrupt root where x_bar <= 0, and the root is not computed there.
+    root = _corrupt_root(p, coefficients) if threshold.value > 0.0 else None
     candidates = (
-        _report(p, threshold, Provenance.CORRUPT_ROOT, root,
+        _report(p, coefficients, threshold, Provenance.CORRUPT_ROOT, root,
                 "corrupt root sits on the classifier boundary; both regimes are optimal here"),
-        _report(p, threshold, Provenance.HONEST_BOUNDARY, (1.0, 0.0),
+        _report(p, coefficients, threshold, Provenance.HONEST_BOUNDARY, (1.0, 0.0),
                 "classifier threshold ties with x_H = 1; both regimes are optimal here"),
-        _report(p, threshold, Provenance.HONEST_INTERIOR, _interior_point(p),
+        _report(p, coefficients, threshold, Provenance.HONEST_INTERIOR, _interior_point(p),
                 "interior honest point sits on the classifier boundary"),
     )
     reports = [rep for rep in candidates if rep is not None]

@@ -403,6 +403,9 @@ def lln_convergence(
     :data:`MAX_AGENTS` is refused before :func:`round_counts` sees it), then
     the step and row guards of :func:`integrate_ode`, whose reference path
     is computed before any stream is opened.
+
+    Memory: replication 0's path, which is returned, plus the path of the
+    replication running; each path is dropped once it is sampled.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
@@ -416,8 +419,13 @@ def lln_convergence(
         path = simulate_population(p, n0, s, t_end, seed, stream=stream)
         if stream == 0:
             first = path
+        # Grid point i reads the counts after the last event at or before it,
+        # or the start counts where no event precedes it.
         idx = np.searchsorted(path.times, grid, side="right")
-        mean += np.vstack([start, path.counts])[idx] / N
+        sampled = path.counts[idx - 1] if len(path) else np.empty((len(grid), 3), np.int64)
+        del path
+        sampled[idx == 0] = start
+        mean += sampled / N
     mean /= replications
     return float(np.max(np.abs(mean - ode.states))), first
 

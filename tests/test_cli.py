@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -476,6 +477,19 @@ def test_sweep_matches_rows_built_per_point(tmp_path, axis):
     assert out.decode() == "\n".join([header, *rows]) + "\n"
 
 
+def test_sweep_written_in_small_chunks_matches_one_piece(tmp_path, monkeypatch):
+    # Rows are written every _CHUNK_ROWS rows; at 5 the 17 points' rows
+    # (error rows and 1 to 3 equilibria per point) split across several
+    # pieces, at the default they are one.
+    cfg = THREE_CFG + "sweep_param = q_inf\nsweep_min = -0.2\nsweep_max = 3\nsweep_points = 17\n"
+    _, whole = run_cli(tmp_path, cfg, "sweep")
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 5)
+    pieces = []
+    cli.cmd_sweep(cli.parse_config(cfg), pieces.append)
+    assert len(pieces) > 3
+    assert "".join(pieces).encode() == whole
+
+
 def test_sweep_requires_grid(tmp_path):
     rc, _ = run_cli(tmp_path, THREE_CFG, "sweep")
     assert rc == 1
@@ -661,6 +675,38 @@ def test_file_errors_exit_1_with_one_line(tmp_path, capsys, case):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Runs that fail after parsing, each on a guard or a numerical failure that
+# fires before the command formats anything.
+FAILED_RUNS = {
+    "simulate-step-guard": ("simulate", BASE_CFG + "dt = 0.05\n"),
+    "simulate-row-cap": ("simulate", BASE_CFG + "dt = 0.03125\nt_end = 312500\n"),
+    "ctmc-above-2**53": ("ctmc", THREE_CFG + "N = 100000000000000000\nt_end = 1e-12\n"
+                                             "dt = 1e-13\n"),
+    "ctmc-event-bound": ("ctmc", BASE_CFG + "N = 100\nt_end = 40000\n"),
+    "equilibria-off-the-simplex": ("equilibria", OVERFLOW_CFG),
+}
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["no-out-file", "existing-out-file"])
+@pytest.mark.parametrize("name", sorted(FAILED_RUNS))
+def test_failed_run_writes_nothing(tmp_path, capsys, name, existing):
+    command, text = FAILED_RUNS[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "answer.out"
+    earlier = b"an earlier answer\n"
+    if existing:
+        out.write_bytes(earlier)
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    if existing:
+        assert out.read_bytes() == earlier
+    else:
+        assert not out.exists()
 
 
 def test_stdout_output(tmp_path, capsys):
@@ -849,12 +895,19 @@ def test_structured_nonfinite_numbers_are_strict_json(tmp_path, command, name):
         assert doc[0]["stability"]["det"] == "+inf"
 
 
+def _text_of(command, cfg):
+    """Everything ``command`` writes for ``cfg``, joined."""
+    pieces = []
+    command(cfg, pieces.append)
+    return "".join(pieces)
+
+
 def _full_table(traj):
     """The simulate table with every row formatted in full, as it was rendered
     before settled tails were formatted from one template."""
-    chunks = cli._table_chunks("t,x_R,x_H,x_C", "%.17g,%.17g,%.17g,%.17g",
-                               [traj.times, *traj.states.T])
-    return "\n".join(chunks) + "\n"
+    pieces = ["t,x_R,x_H,x_C\n"]
+    cli._write_table(pieces.append, "%.17g,%.17g,%.17g,%.17g", [traj.times, *traj.states.T])
+    return "".join(pieces)
 
 
 def _first_difference(got, want):
@@ -873,7 +926,7 @@ def _first_difference(got, want):
 def test_simulate_settled_tail_renders_like_full_table(name):
     cfg = cli.parse_config(SETTLED_CFGS[name])
     traj = simulate.integrate_ode(cfg.params, cfg.x0, cfg.strategy, cfg.t_end, cfg.dt)
-    assert _first_difference(cli.cmd_simulate(cfg), _full_table(traj)) is None
+    assert _first_difference(_text_of(cli.cmd_simulate, cfg), _full_table(traj)) is None
 
 
 # States ending in a run of one row, with -0.0 rows just before it that float
@@ -892,5 +945,46 @@ _SYNTHETIC_TAILS = [
 def test_simulate_settled_tail_keeps_signed_zeros(monkeypatch, states):
     traj = simulate.Trajectory(times=np.arange(len(states)) * 0.01, states=states)
     monkeypatch.setattr(cli, "integrate_ode", lambda *args: traj)
-    got = cli.cmd_simulate(cli.parse_config(BASE_CFG))
+    got = _text_of(cli.cmd_simulate, cli.parse_config(BASE_CFG))
     assert _first_difference(got, _full_table(traj)) is None
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+
+def _traced_peak(tmp_path, cfg_text, command):
+    """Exit code and tracemalloc peak, in bytes, of one ``cli.main`` run."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(cfg_text)
+    out = tmp_path / "answer.out"
+    tracemalloc.start()
+    try:
+        rc = cli.main([command, "--config", str(cfg), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return rc, peak
+
+
+def test_simulate_memory_does_not_grow_with_the_text(tmp_path):
+    # 10**5 rows: the trajectory holds 32 B per row and its text ~80 B per
+    # row.  Written chunk by chunk the run peaks near 47 B per row; holding
+    # the whole text as chunks, as one str and as its UTF-8 bytes took ~262.
+    rc, peak = _traced_peak(tmp_path, THREE_CFG + X0_CFG + "t_end = 1000\n", "simulate")
+    assert rc == 0
+    assert peak / 100_001 < 120
+
+
+def test_ctmc_memory_holds_two_paths(tmp_path):
+    # A path takes 33 B per event (8 B time, 1 B code, 24 B counts).  The run
+    # holds replication 0's path while the next one is built and peaks near
+    # 3.1 paths; keeping the previous path as well, a stacked copy of its
+    # counts and the whole text took ~5.2.
+    cfg_text = THREE_CFG + "N = 5000\nreplications = 3\nt_end = 10\n"
+    rc, peak = _traced_peak(tmp_path, cfg_text, "ctmc")
+    assert rc == 0
+    cfg = cli.parse_config(cfg_text)
+    path = simulate.simulate_population(cfg.params, simulate.round_counts(cfg.N, cfg.x0),
+                                        cfg.strategy, cfg.t_end, cfg.seed)
+    assert peak / (33 * len(path)) < 4.0

@@ -310,7 +310,9 @@ def test_classify_regime_line_agrees_with_the_enumeration(p):
         assume("expected one root of Q" not in str(exc))
         raise
     listed = {rep.provenance for rep in reports}
-    text = cli.cmd_classify(dataclasses.replace(_RUN, params=p))
+    pieces = []
+    cli.cmd_classify(dataclasses.replace(_RUN, params=p), pieces.append)
+    text = "".join(pieces)
     (regime,) = [line for line in text.splitlines() if line.startswith("regime: ")]
     unique = regime == "regime: unique corrupt equilibrium"
     assert unique == (Provenance.HONEST_BOUNDARY not in listed)

@@ -261,14 +261,14 @@ def test_enumerate_takes_q_at_one_exactly_above_the_threshold():
 
 
 def test_enumerate_computes_threshold_once_and_root_at_most_once(monkeypatch):
-    calls = {"classifier_xbar": 0, "corrupt_root": 0}
+    calls = {"classifier_xbar": 0, "q_coefficients": 0, "_corrupt_root": 0}
 
     def counted(name):
         inner = getattr(equilibria, name)
 
-        def wrapper(p):
+        def wrapper(*args):
             calls[name] += 1
-            return inner(p)
+            return inner(*args)
         return wrapper
 
     for name in calls:
@@ -286,7 +286,8 @@ def test_enumerate_computes_threshold_once_and_root_at_most_once(monkeypatch):
             calls[name] = 0
         cm.enumerate_equilibria(p)
         assert calls["classifier_xbar"] == 1
-        assert calls["corrupt_root"] <= 1
+        assert calls["q_coefficients"] == 1
+        assert calls["_corrupt_root"] <= 1
 
 
 def test_enumerate_rejects_invalid_params():

@@ -663,6 +663,18 @@ def test_lln_deterministic():
     assert path_a.times.tobytes() == path_b.times.tobytes()
 
 
+def test_lln_replications_without_events_read_the_start_counts():
+    # All honest with nobody corrupt: every rate is zero, so no replication
+    # makes an event and every grid point reads the start counts, which sit
+    # on the ODE's fixed point.
+    honest = cm.PopulationState(0.0, 1.0, 0.0)
+    distance, path = cm.lln_convergence(THREE_EQ, 50, honest, cm.HONEST_PROFILE, 2.0, 3, seed=1,
+                                        dt=0.01)
+    assert len(path) == 0
+    assert path.initial == cm.PopulationCounts(0, 50, 0)
+    assert distance == 0.0
+
+
 @settings(max_examples=6, deadline=None)
 @given(N=st.integers(1, 80), seed=st.integers(0, 2**32 - 1), replications=st.integers(1, 4),
        strategy=st.sampled_from([cm.CORRUPT_PROFILE, cm.HONEST_PROFILE]))
