@@ -51,7 +51,7 @@ delta = 0.5
 t_d = cm.classifier_xbar_discounted(p, delta).value
 for x_h in (max(t_d - 0.1, 0.0), min(t_d + 0.1, 0.9)):
     x = cm.PopulationState(1.0 - x_h - x_c, x_h, x_c)
-    regime = cm.Behavior.CORRUPT if x_h < t_d else cm.Behavior.HONEST
-    v = cm.solve_discounted(p, x, delta, regime)
+    u, regime = (cm.CORRUPT_PROFILE, "corrupt") if x_h < t_d else (cm.HONEST_PROFILE, "honest")
+    v = cm.solve_discounted(p, x, delta, u)
     print("x_H = %.3f: discounted g = (R %.3f, H %.3f, C %.3f), regime %s"
-          % (x_h, v.g_R, v.g_H, v.g_C, regime.value))
+          % (x_h, v.g_R, v.g_H, v.g_C, regime))

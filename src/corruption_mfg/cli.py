@@ -216,14 +216,10 @@ def load_config(path: str, fmt: str | None = None, out: str | None = None,
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
-def _g17(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def _fmt_threshold(v: float) -> str:
     if math.isinf(v):
         return "+inf" if v > 0 else "-inf"
-    return _g17(v)
+    return "%.17g" % v
 
 
 def _json_text(doc) -> str:
@@ -272,7 +268,7 @@ def cmd_classify(cfg: RunConfig, write) -> None:
         lines[0] += "  (indifferent everywhere)"
     lines.append(f"regime: {regime}")
     if disc is not None:
-        lines.append(f"x_bar(delta={_g17(cfg.delta)}) = {_fmt_threshold(disc.value)}")
+        lines.append("x_bar(delta=%.17g) = %s" % (cfg.delta, _fmt_threshold(disc.value)))
     write("\n".join(lines) + "\n")
 
 
@@ -293,7 +289,7 @@ def _report_cells(rep: EquilibriumReport) -> tuple:
     """
     state = rep.state
     return (
-        _fmt_threshold(rep.diagnostics.x_bar),
+        _fmt_threshold(rep.x_bar),
         rep.provenance._value_,
         state.x_R,
         state.x_H,
@@ -323,10 +319,10 @@ def cmd_equilibria(cfg: RunConfig, write) -> None:
                         "flags": dict(verdict.flags),
                     },
                     "diagnostics": {
-                        "q_value": rep.diagnostics.q_value,
-                        "x_bar": rep.diagnostics.x_bar,
-                        "residual": rep.diagnostics.residual,
-                        "flags": dict(rep.diagnostics.flags),
+                        "q_value": rep.q_value,
+                        "x_bar": rep.x_bar,
+                        "residual": rep.residual,
+                        "flags": dict(rep.flags),
                     },
                     "warnings": list(rep.warnings),
                 }
@@ -344,12 +340,12 @@ def cmd_equilibria(cfg: RunConfig, write) -> None:
     template = _REPORT_TEMPLATE + ",%s,%s,%s,%.17g"
     for rep, verdict in rows:
         lines.append(template % (*_report_cells(rep), rep.strategy.u_H, rep.strategy.u_C,
-                                 verdict.classification._value_, rep.diagnostics.residual))
+                                 verdict.classification._value_, rep.residual))
     write("\n".join(lines) + "\n")
 
 
-# Every real cell of every table is written as ``"%.17g" % v``, which equals
-# ``_g17(v)`` for every float; only ``x_bar`` cells go through
+# Every real, in tables and elsewhere, is written as ``"%.17g" % v``, which
+# equals ``format(v, ".17g")`` for every float; only ``x_bar`` cells go through
 # ``_fmt_threshold`` for their ``+inf``/``-inf`` tokens.  Tables are written
 # as they are formatted, one piece per this many rows: a table from arrays
 # is formatted from the ``ndarray.tolist()`` values of one chunk at a time,
@@ -394,7 +390,7 @@ def cmd_ctmc(cfg: RunConfig, write) -> None:
     write("t,transition,n_R,n_H,n_C\n")
     _write_table(write, "%.17g,%s,%d,%d,%d",
                  [path.times, path.transition_codes, *path.counts.T], codes_at=1)
-    write(f"# lln_distance = {_g17(distance)}\n")
+    write("# lln_distance = %.17g\n" % distance)
 
 
 # The model's numerical failures exit 2 from ``main``; at one sweep point they
@@ -425,7 +421,7 @@ def cmd_sweep(cfg: RunConfig, write) -> None:
             template = cell + row_template
             for rep, verdict in rows:
                 lines.append(template % (*_report_cells(rep), verdict.classification._value_,
-                                         rep.diagnostics.residual))
+                                         rep.residual))
         if len(lines) >= _CHUNK_ROWS:
             write("\n".join(lines) + "\n")
             lines.clear()

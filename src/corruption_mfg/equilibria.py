@@ -48,7 +48,7 @@ from .model import (
 )
 
 __all__ = [
-    "EquilibriumDiagnostics", "EquilibriumReport", "Provenance", "corrupt_root",
+    "EquilibriumReport", "Provenance", "corrupt_root",
     "enumerate_equilibria", "q_coefficients", "q_polynomial",
 ]
 
@@ -67,22 +67,19 @@ class Provenance(Enum):
 
 
 @dataclass(frozen=True)
-class EquilibriumDiagnostics:
-    """Evidence attached to a report: Q at the point, the threshold, residual."""
-
-    q_value: float
-    x_bar: float
-    residual: float
-    flags: tuple[tuple[str, bool], ...] = ()
-
-
-@dataclass(frozen=True)
 class EquilibriumReport:
+    """One equilibrium and its evidence: Q at the point, the threshold, the
+    largest drift under ``strategy`` and the tie flag (a boundary that is not
+    a tie records none)."""
+
     state: PopulationState
     behavior: Behavior
     strategy: StrategyProfile
     provenance: Provenance
-    diagnostics: EquilibriumDiagnostics
+    q_value: float
+    x_bar: float
+    residual: float
+    flags: tuple[tuple[str, bool], ...] = ()
     warnings: tuple[str, ...] = ()
 
 
@@ -180,14 +177,14 @@ def _report(
         warning = "regimes tie at every x (q_soc = 0 with zero bracket)"
     state = PopulationState(1.0 - x_h - x_c, x_h, x_c)
     strategy = CORRUPT_PROFILE if corrupt else HONEST_PROFILE
-    diag = EquilibriumDiagnostics(
+    return EquilibriumReport(
+        state, regime, strategy, provenance,
         q_value=_q_at(coefficients, state.x_H),
         x_bar=threshold.value,
         residual=max(map(abs, kinetic_rhs(p, state, strategy))),
-        # A boundary that is not a tie records no flag at all.
         flags=((flag, tie),) if tie or provenance is not Provenance.HONEST_BOUNDARY else (),
+        warnings=(warning,) if tie else (),
     )
-    return EquilibriumReport(state, regime, strategy, provenance, diag, (warning,) if tie else ())
 
 
 def _interior_point(p: ModelParams) -> tuple[float, float] | None:

@@ -3,8 +3,8 @@
 For a frozen background distribution ``x`` the tagged agent's long-run
 average payoff solves a three-line stationary Bellman system.  Normalizing
 ``g_R = 0`` and shifting wages by ``w_R`` reduces it to a 2x2 linear system
-per behavioral regime; :func:`solve_regime` solves it in closed form for
-either regime, with coefficients from the rate kernel
+per strategy profile; :func:`solve_regime` solves it in closed form for any
+of the four profiles, with coefficients from the rate kernel
 :func:`~corruption_mfg.model.transition_rates`, and returns the values.
 The regime boundary is a single threshold ``x_bar`` on the honest fraction,
 and :func:`regime_at` alone applies it: corrupt below ``x_bar - TIE_TOL``,
@@ -21,8 +21,11 @@ from dataclasses import dataclass
 
 from .model import (
     Behavior,
+    CORRUPT_PROFILE,
+    HONEST_PROFILE,
     ModelParams,
     PopulationState,
+    StrategyProfile,
     transition_rates,
 )
 
@@ -42,8 +45,8 @@ TIE_TOL = 1e-9
 class ValueFunction:
     """Stationary payoffs per state.
 
-    Average-payoff values carry ``mu``, the absolute optimal average payoff
-    per unit time ``mu = r * g_H + w_R``, and use the ``g_R = 0`` convention
+    Average-payoff values carry ``mu``, the absolute average payoff per
+    unit time ``mu = r * g_H + w_R``, and use the ``g_R = 0`` convention
     on ``w_R``-shifted wages.  Discounted values are absolute and carry
     ``mu = None``.
     """
@@ -69,6 +72,11 @@ class ClassifierThreshold:
 
 def _threshold(p: ModelParams, rate: float) -> ClassifierThreshold:
     bracket = rate * (p.w_C - p.w_H) / (p.w_H - p.w_R + rate * p.f) - p.b
+    if not math.isfinite(bracket):
+        # rate * f or rate * (w_C - w_H) overflowed: divide through by rate.
+        # A zero denominator (f = 0, (w_H - w_R) / rate underflowed) is +inf.
+        den = (p.w_H - p.w_R) / rate + p.f
+        bracket = math.inf if den == 0.0 else (p.w_C - p.w_H) / den - p.b
     if p.q_soc > 0.0:
         return ClassifierThreshold(bracket / p.q_soc)
     if bracket > 0.0:
@@ -96,11 +104,11 @@ def classifier_xbar_discounted(p: ModelParams, delta: float) -> ClassifierThresh
     return _threshold(p, p.r + delta)
 
 
-def solve_regime(p: ModelParams, x: PopulationState, regime: Behavior) -> ValueFunction:
-    """Average-payoff values assuming ``regime`` is optimal.
+def solve_regime(p: ModelParams, x: PopulationState, u: StrategyProfile) -> ValueFunction:
+    """Average-payoff values ``(g, mu)`` of an agent that follows profile ``u``.
 
-    On shifted wages with ``g_R = 0`` the two remaining Bellman lines, with
-    the max resolved by the regime's profile, are linear in ``(g_H, g_C)``::
+    They are the Poisson pair of ``u``'s generator.  On shifted wages with
+    ``g_R = 0`` the two remaining lines are linear in ``(g_H, g_C)``::
 
         w_H + a (g_C - g_H)                            = r g_H
         w_C - k f + s (g_H - g_C) - k g_C              = r g_H
@@ -110,7 +118,7 @@ def solve_regime(p: ModelParams, x: PopulationState, regime: Behavior) -> ValueF
     :func:`~corruption_mfg.model.transition_rates`.  The common denominator
     ``r (s + a + k) + a k`` is strictly positive for valid parameters.
     """
-    k, _, a, s = transition_rates(p, x.x_H, x.x_C, regime.profile())
+    k, _, a, s = transition_rates(p, x.x_H, x.x_C, u)
     w_h = p.w_H - p.w_R
     net_c = (p.w_C - p.w_R) - k * p.f
     den = p.r * (s + a + k) + a * k
@@ -147,17 +155,17 @@ def best_response(p: ModelParams, x: PopulationState) -> BestResponse:
     """Classify the optimal regime at ``x`` by :func:`regime_at` and solve it.
 
     Inside the tie band both regime values agree within tolerance; only the
-    corrupt regime is solved and reported.
+    corrupt profile is solved and reported.
     """
     behavior = regime_at(classifier_xbar(p), x.x_H)
-    regime = Behavior.HONEST if behavior is Behavior.HONEST else Behavior.CORRUPT
-    return BestResponse(behavior, solve_regime(p, x, regime))
+    u = HONEST_PROFILE if behavior is Behavior.HONEST else CORRUPT_PROFILE
+    return BestResponse(behavior, solve_regime(p, x, u))
 
 
 def solve_discounted(
-    p: ModelParams, x: PopulationState, delta: float, regime: Behavior
+    p: ModelParams, x: PopulationState, delta: float, u: StrategyProfile
 ) -> ValueFunction:
-    """Absolute discounted values with the max resolved by ``regime``.
+    """Absolute discounted values of an agent that follows profile ``u``.
 
     Solves, by elimination, the three Bellman lines::
 
@@ -166,14 +174,14 @@ def solve_discounted(
         (delta + s + k) g_C - s g_H - k g_R                  = w_C - k f
 
     with the C->R rate ``k = b + q_soc x_H``, the H->C rate ``a = lam u_H +
-    q_inf x_C`` and the C->H rate ``s = lam u_C`` of the regime's profile.
+    q_inf x_C`` and the C->H rate ``s = lam u_C`` of ``u``.
     Lines 1-2 make ``g_R``, ``g_H`` affine in ``g_C``; line 3 then divides by
     ``delta + s (1 - h1) + k (1 - r1) >= delta > 0`` (``h1, r1`` the slopes
     of ``g_H``, ``g_R``), formed as a sum of positive terms.
     """
     if not delta > 0:
         raise ValueError("delta must be > 0 for the discounted criterion")
-    k, _, a, s = transition_rates(p, x.x_H, x.x_C, regime.profile())
+    k, _, a, s = transition_rates(p, x.x_H, x.x_C, u)
     d_h = delta + a
     d_r = delta + p.r
     h0 = p.w_H / d_h

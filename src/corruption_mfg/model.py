@@ -9,9 +9,10 @@ agents toward corruption at rate ``q_inf * x_C``, and reserved agents are
 re-recruited into ``H`` at rate ``r``.
 
 This module holds the parameter set, population/strategy value types, the
-per-capita rate kernel :func:`transition_rates` of the four rates above
-(read by the Bellman solvers, the tagged agent and the payoff flows) and
-the mean-field drift of the fraction vector ``x = (x_R, x_H, x_C)``.  All
+per-capita rate kernel :func:`transition_rates` of the four rates above for
+a :class:`StrategyProfile` (read by the Bellman solvers, the tagged agent
+and the payoff flows; a :class:`Behavior` only names a regime) and the
+mean-field drift of the fraction vector ``x = (x_R, x_H, x_C)``.  All
 functions are pure; all value types are immutable.
 """
 
@@ -175,13 +176,6 @@ class Behavior(Enum):
     CORRUPT = "corrupt"
     HONEST = "honest"
     INDIFFERENT = "indifferent"
-
-    def profile(self) -> StrategyProfile:
-        if self is Behavior.CORRUPT:
-            return CORRUPT_PROFILE
-        if self is Behavior.HONEST:
-            return HONEST_PROFILE
-        raise ValueError("indifferent behavior has no canonical strategy profile")
 
 
 # The four transitions, in the order of the rates returned by

@@ -61,7 +61,7 @@ def test_criterion_02_regime_classifier_equivalence():
         x_bar = cm.classifier_xbar(p).value
         if abs(x.x_H - x_bar) <= cm.TIE_TOL:
             continue
-        sol = cm.solve_regime(p, x, cm.Behavior.CORRUPT)
+        sol = cm.solve_regime(p, x, cm.CORRUPT_PROFILE)
         if (sol.g_C > sol.g_H) != (x.x_H < x_bar):
             violations += 1
     elapsed = time.perf_counter() - t0

@@ -168,6 +168,41 @@ def test_classify_rejects_inadmissible_delta(tmp_path, capsys, delta):
     assert captured.out == ""
 
 
+_HUGE_R = BASE_CFG.replace("r = 1\n", "r = 1e308\n")
+_FINED = "f = 10\nq_soc = 1\n"
+_BOUNDARY_ONLY = "regime: corrupt equilibrium impossible; honest boundary equilibrium present\n"
+# Configs whose threshold bracket overflows in floats, with the classify text
+# of each: the bracket's limit, formed with every term divided by the rate.
+OVERFLOWING_BRACKETS = {
+    # rate * f overflows: inf / inf.
+    "huge-delta": (BASE_CFG.replace("f = 0\nq_soc = 0\n", _FINED) + "delta = 1e308\n",
+                   "x_bar = -0.18181818181818177\n" + _BOUNDARY_ONLY
+                   + "x_bar(delta=1e+308) = -0.099999999999999978\n"),
+    "huge-r": (_HUGE_R.replace("f = 0\nq_soc = 0\n", _FINED),
+               "x_bar = -0.099999999999999978\n" + _BOUNDARY_ONLY),
+    # At q_soc = 0 a NaN bracket read as a zero one: indifferent everywhere.
+    "huge-r-q_soc-zero": (_HUGE_R.replace("f = 0\n", "f = 10\n"),
+                          "x_bar = -inf\n" + _BOUNDARY_ONLY),
+    # f = 0 and (w_H - w_R) / (r + delta) underflows: a zero denominator, +inf.
+    "underflow": (BASE_CFG.replace("q_soc = 0", "q_soc = 1").replace("w_H = 1\n", "w_H = 1e-20\n")
+                  + "delta = 1e308\n",
+                  "x_bar = 1e+21\nregime: unique corrupt equilibrium\n"
+                  "x_bar(delta=1e+308) = +inf\n"),
+    # r + delta overflows to inf, and inf * f is NaN at f = 0.
+    "infinite-rate": (_HUGE_R.replace("q_soc = 0", "q_soc = 1") + "delta = 1e308\n",
+                      "x_bar = +inf\nregime: unique corrupt equilibrium\n"
+                      "x_bar(delta=1e+308) = +inf\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_BRACKETS))
+def test_overflowing_threshold_bracket_takes_its_limit(tmp_path, name):
+    cfg, text = OVERFLOWING_BRACKETS[name]
+    rc, out = run_cli(tmp_path, cfg, "classify")
+    assert rc == 0
+    assert out.decode() == text
+
+
 # ---------------------------------------------------------------------------
 # equilibria
 
@@ -451,13 +486,13 @@ def _hand_sweep_rows(base, field, grid):
             rows.append(f"{g17(value)},,,,,,,,,{str(exc).replace(',', ';')}")
             continue
         for rep, verdict in zip(reports, verdicts):
-            x_bar = rep.diagnostics.x_bar
+            x_bar = rep.x_bar
             x_bar_cell = ("+inf" if x_bar > 0 else "-inf") if math.isinf(x_bar) else g17(x_bar)
             rows.append(",".join((
                 g17(value), x_bar_cell, rep.provenance.value,
                 g17(rep.state.x_R), g17(rep.state.x_H), g17(rep.state.x_C),
                 rep.behavior.value, verdict.classification.value,
-                g17(rep.diagnostics.residual), "",
+                g17(rep.residual), "",
             )))
     return rows
 
@@ -868,17 +903,16 @@ def test_structured_infinite_threshold_is_strict_json(tmp_path, command, name):
         assert doc["x_bar_discounted"] == "+inf"
 
 
-# Finite configs whose structured output holds NaN or infinite numbers that
-# are not thresholds: q_value nan and det +inf, and x_bar_discounted nan.
+# Finite configs whose rates overflow in floats.  The equilibria one holds
+# NaN or infinite numbers that are not thresholds: q_value nan and det +inf.
+# The classify one's discounted threshold is its finite limit, not NaN.
 NONFINITE_CFGS = {
     ("equilibria", "overflow"): (
         OVERFLOW_CFG.replace("lambda = 1e155\nr = 1e155\nb = 1e155\n",
                              "lambda = 1e160\nr = 1e160\nb = 1e160\n")
         .replace("w_H = 1\nw_C = 10\n", "w_H = 5\nw_C = 5.5\n")
     ),
-    ("classify", "huge-delta"): (
-        BASE_CFG.replace("f = 0\nq_soc = 0\n", "f = 10\nq_soc = 1\n") + "delta = 1e308\n"
-    ),
+    ("classify", "huge-delta"): OVERFLOWING_BRACKETS["huge-delta"][0],
 }
 
 
@@ -889,7 +923,7 @@ def test_structured_nonfinite_numbers_are_strict_json(tmp_path, command, name):
     assert rc == 0
     doc = json.loads(out, parse_constant=_reject_constant)
     if command == "classify":
-        assert doc["x_bar_discounted"] == "nan"
+        assert doc["x_bar_discounted"] == -0.099999999999999978
     else:
         assert doc[0]["diagnostics"]["q_value"] == "nan"
         assert doc[0]["stability"]["det"] == "+inf"

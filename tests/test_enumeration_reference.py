@@ -13,7 +13,6 @@ import corruption_mfg as cm  # noqa: E402
 from corruption_mfg import cli  # noqa: E402
 from corruption_mfg.equilibria import (  # noqa: E402
     DEGENERATE_LEADING,
-    EquilibriumDiagnostics,
     EquilibriumReport,
     Provenance,
     q_coefficients,
@@ -100,10 +99,8 @@ def _report(
     warnings: tuple[str, ...] = (),
 ) -> EquilibriumReport:
     residual = max(abs(v) for v in kinetic_rhs(p, state, strategy))
-    diag = EquilibriumDiagnostics(
-        q_value=q_polynomial(p, state.x_H), x_bar=x_bar, residual=residual, flags=flags
-    )
-    return EquilibriumReport(state, behavior, strategy, provenance, diag, warnings)
+    return EquilibriumReport(state, behavior, strategy, provenance, q_polynomial(p, state.x_H),
+                             x_bar, residual, flags, warnings)
 
 
 def honest_boundary(p: ModelParams) -> EquilibriumReport | None:

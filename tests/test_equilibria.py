@@ -144,7 +144,7 @@ def test_honest_boundary_present_for_low_threshold():
     assert rep is not None
     assert rep.state.as_tuple() == (0.0, 1.0, 0.0)
     assert rep.behavior is cm.Behavior.HONEST
-    assert rep.diagnostics.residual == 0.0
+    assert rep.residual == 0.0
 
 
 def test_honest_boundary_absent_for_high_threshold():
@@ -171,7 +171,7 @@ def test_enumerate_unique_corrupt():
     assert rep.provenance is cm.Provenance.CORRUPT_ROOT
     assert rep.behavior is cm.Behavior.CORRUPT
     assert rep.state.x_H == pytest.approx(1 / 3, abs=1e-12)
-    assert rep.diagnostics.residual <= 1e-9
+    assert rep.residual <= 1e-9
 
 
 def test_enumerate_three_equilibria_ordering():
@@ -235,7 +235,7 @@ def test_enumerate_admits_interior_point_on_the_threshold():
     rep = reports[1]
     assert rep.state.x_H == pytest.approx(0.2, abs=1e-15) and rep.state.x_H < x_bar
     assert rep.behavior is cm.Behavior.INDIFFERENT
-    assert dict(rep.diagnostics.flags)["classifier_tie"] and rep.warnings
+    assert dict(rep.flags)["classifier_tie"] and rep.warnings
     assert cm.best_response(p, rep.state).behavior is cm.Behavior.INDIFFERENT
     assert max_rhs(p, rep.state, rep.strategy) <= 1e-15
 
@@ -329,7 +329,7 @@ def test_no_interaction_tie():
     for rep in reports:
         assert rep.behavior is cm.Behavior.INDIFFERENT
         assert rep.warnings
-    assert dict(reports[0].diagnostics.flags)["indifferent_everywhere"]
+    assert dict(reports[0].flags)["indifferent_everywhere"]
     for got, want in zip(reports[0].state.as_tuple(), (1 / 3, 1 / 3, 1 / 3)):
         assert got == pytest.approx(want, abs=1e-12)
 

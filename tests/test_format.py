@@ -19,5 +19,5 @@ from hypothesis import strategies as st  # noqa: E402
 @example(5e-324)
 @example(-2.225073858507201e-308)
 def test_percent_format_matches_g17(v):
-    # Table rows use one "%.17g" template; every other real uses format().
+    # The CLI writes every real with "%.17g"; it must read as format() does.
     assert "%.17g" % v == format(v, ".17g")

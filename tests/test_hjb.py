@@ -33,6 +33,21 @@ def test_classifier_infinite_conventions():
     assert tie.value == math.inf and tie.indifferent_everywhere
 
 
+def test_classifier_overflowing_bracket_takes_its_limit():
+    # Where r f or r (w_C - w_H) overflows, the bracket is formed with every
+    # term divided by r: (w_C - w_H) / ((w_H - w_R) / r + f) - b.
+    p = make_params(r=1e308, f=10.0, q_soc=1.0)  # 9 / 10 - 1
+    assert cm.classifier_xbar(p).value == pytest.approx(-0.1, rel=1e-15)
+    corner = cm.classifier_xbar(make_params(r=1e308, f=10.0))  # q_soc = 0
+    assert corner.value == -math.inf and not corner.indifferent_everywhere
+    # r + delta overflows to inf at f = 0: the bracket has no bound.
+    assert cm.classifier_xbar_discounted(make_params(r=1e308, q_soc=1.0), 1e308).value == math.inf
+    # f = 0 and (w_H - w_R) / (r + delta) underflows to 0: +inf, not a
+    # ZeroDivisionError.
+    p = make_params(w_H=1e-20, q_soc=1.0)
+    assert cm.classifier_xbar_discounted(p, 1e308).value == math.inf
+
+
 def test_discounted_classifier_hand_value_and_delta_zero():
     p = make_params(q_soc=1.0, f=1.0, w_H=5.0)
     # (r+delta)(w_C-w_H)/(w_H-w_R+(r+delta)f) - b = 2*5/7 - 1 = 3/7 at delta=1
@@ -60,7 +75,7 @@ def test_corrupt_regime_hand_solution():
     #   w_H + lam (g_C - g_H) = r g_H    and    w_C - b g_C = r g_H
     # => denominator r(a+k)+a k = 3, g_C = (2*10 - 1)/3, g_H = (10 + 1)/3.
     x = cm.PopulationState(0.2, 0.3, 0.5)
-    sol = cm.solve_regime(BASELINE, x, cm.Behavior.CORRUPT)
+    sol = cm.solve_regime(BASELINE, x, cm.CORRUPT_PROFILE)
     assert sol.g_C == pytest.approx(19.0 / 3.0, abs=1e-14)
     assert sol.g_H == pytest.approx(11.0 / 3.0, abs=1e-14)
     assert sol.mu == pytest.approx(11.0 / 3.0, abs=1e-14)
@@ -72,7 +87,7 @@ def test_corrupt_regime_restores_reserved_wage():
     # Shifting all wages by w_R leaves (g_H, g_C) unchanged and adds w_R to mu.
     x = cm.PopulationState(0.2, 0.3, 0.5)
     shifted = make_params(w_R=2.0, w_H=3.0, w_C=12.0)
-    sol = cm.solve_regime(shifted, x, cm.Behavior.CORRUPT)
+    sol = cm.solve_regime(shifted, x, cm.CORRUPT_PROFILE)
     assert sol.g_C == pytest.approx(19.0 / 3.0, abs=1e-12)
     assert sol.g_H == pytest.approx(11.0 / 3.0, abs=1e-12)
     assert sol.mu == pytest.approx(11.0 / 3.0 + 2.0, abs=1e-12)
@@ -80,7 +95,7 @@ def test_corrupt_regime_restores_reserved_wage():
 
 def test_honest_regime_hand_solution_corruption_pays():
     x = cm.PopulationState(0.2, 0.3, 0.5)
-    sol = cm.solve_regime(BASELINE, x, cm.Behavior.HONEST)
+    sol = cm.solve_regime(BASELINE, x, cm.HONEST_PROFILE)
     assert sol.g_C == pytest.approx(5.0, abs=1e-14)
     assert sol.g_H == pytest.approx(1.0, abs=1e-14)
     assert sol.g_C > sol.g_H + cm.TIE_TOL  # corruption pays here
@@ -89,7 +104,7 @@ def test_honest_regime_hand_solution_corruption_pays():
 def test_honest_regime_hand_solution_consistent():
     p = make_params(f=1.0, q_soc=1.0, w_H=5.0, w_C=5.5)
     x = cm.PopulationState(0.0, 1.0, 0.0)
-    sol = cm.solve_regime(p, x, cm.Behavior.HONEST)
+    sol = cm.solve_regime(p, x, cm.HONEST_PROFILE)
     assert sol.g_C == pytest.approx(3.5 / 3.0, abs=1e-14)
     assert sol.g_H == pytest.approx(5.0, abs=1e-14)
     assert sol.g_C <= sol.g_H + cm.TIE_TOL
@@ -98,17 +113,17 @@ def test_honest_regime_hand_solution_consistent():
 def test_honest_regime_large_fine_dominates():
     p = make_params(f=100.0, q_soc=0.5, w_H=1.0, w_C=1.0 + 1e-6)
     x = cm.PopulationState(0.3, 0.4, 0.3)
-    sol = cm.solve_regime(p, x, cm.Behavior.HONEST)
+    sol = cm.solve_regime(p, x, cm.HONEST_PROFILE)
     assert sol.g_C < sol.g_H
     assert sol.g_C <= sol.g_H + cm.TIE_TOL
 
 
-def _branch_residuals(p, x, regime, sol):
-    """Restate both Bellman lines of the assumed regime and evaluate them."""
+def _branch_residuals(p, x, u, sol):
+    """Restate both Bellman lines of the profile ``u`` and evaluate them."""
     g_h, g_c = sol.g_H, sol.g_C
     w_h, w_c = p.w_H - p.w_R, p.w_C - p.w_R
     k = p.b + p.q_soc * x.x_H
-    if regime is cm.Behavior.CORRUPT:
+    if u == cm.CORRUPT_PROFILE:
         a = p.lam + p.q_inf * x.x_C
         eq1 = w_h + a * (g_c - g_h) - p.r * g_h
         eq2 = w_c - k * p.f - k * g_c - p.r * g_h
@@ -124,9 +139,9 @@ def test_branch_solutions_satisfy_their_systems():
         p = random_params(rng)
         x = random_simplex(rng)
         tol = 1e-10 * max(1.0, abs(p.w_C), abs(p.w_H))
-        for regime in (cm.Behavior.CORRUPT, cm.Behavior.HONEST):
-            sol = cm.solve_regime(p, x, regime)
-            r1, r2 = _branch_residuals(p, x, regime, sol)
+        for u in (cm.CORRUPT_PROFILE, cm.HONEST_PROFILE):
+            sol = cm.solve_regime(p, x, u)
+            r1, r2 = _branch_residuals(p, x, u, sol)
             assert r1 <= tol and r2 <= tol
 
 
@@ -140,8 +155,8 @@ def test_consistency_flags_match_threshold():
         if abs(x.x_H - x_bar) <= 1e-9:
             continue
         corrupt_ok = x.x_H < x_bar
-        corrupt = cm.solve_regime(p, x, cm.Behavior.CORRUPT)
-        honest = cm.solve_regime(p, x, cm.Behavior.HONEST)
+        corrupt = cm.solve_regime(p, x, cm.CORRUPT_PROFILE)
+        honest = cm.solve_regime(p, x, cm.HONEST_PROFILE)
         assert (corrupt.g_C >= corrupt.g_H - cm.TIE_TOL) == corrupt_ok
         assert (honest.g_C <= honest.g_H + cm.TIE_TOL) == (not corrupt_ok)
 
@@ -154,7 +169,7 @@ def test_best_response_corrupt_region():
     p = make_params(q_soc=1.0)  # x_bar = 8
     x = cm.PopulationState(0.25, 0.5, 0.25)
     resp = cm.best_response(p, x)
-    corrupt = cm.solve_regime(p, x, cm.Behavior.CORRUPT)
+    corrupt = cm.solve_regime(p, x, cm.CORRUPT_PROFILE)
     assert resp.behavior is cm.Behavior.CORRUPT
     assert resp.value == corrupt
     assert corrupt.g_C >= corrupt.g_H - cm.TIE_TOL
@@ -172,8 +187,8 @@ def test_best_response_tie_is_indifferent():
     x = cm.PopulationState(0.25, 0.5, 0.25)
     resp = cm.best_response(p, x)
     assert resp.behavior is cm.Behavior.INDIFFERENT
-    corrupt = cm.solve_regime(p, x, cm.Behavior.CORRUPT)
-    honest = cm.solve_regime(p, x, cm.Behavior.HONEST)
+    corrupt = cm.solve_regime(p, x, cm.CORRUPT_PROFILE)
+    honest = cm.solve_regime(p, x, cm.HONEST_PROFILE)
     assert corrupt.g_C - corrupt.g_H == pytest.approx(0.0, abs=1e-12)
     assert honest.g_C - honest.g_H == pytest.approx(0.0, abs=1e-12)
 
@@ -233,8 +248,7 @@ def test_best_response_value_solves_full_bellman_system():
 # discounted solver
 
 
-def _discounted_residuals(p, x, delta, regime, v):
-    u = regime.profile()
+def _discounted_residuals(p, x, delta, u, v):
     a = p.lam * u.u_H + p.q_inf * x.x_C
     k = p.b + p.q_soc * x.x_H
     eq1 = p.w_R + p.r * (v.g_H - v.g_R) - delta * v.g_R
@@ -252,10 +266,10 @@ def test_discounted_solution_residuals():
         p = random_params(rng)
         x = random_simplex(rng)
         delta = float(10 ** rng.uniform(-2, 1))
-        for regime in (cm.Behavior.CORRUPT, cm.Behavior.HONEST):
-            v = cm.solve_discounted(p, x, delta, regime)
+        for u in cm.ALL_PROFILES:
+            v = cm.solve_discounted(p, x, delta, u)
             scale = max(1.0, abs(v.g_R), abs(v.g_H), abs(v.g_C))
-            assert max(_discounted_residuals(p, x, delta, regime, v)) <= 1e-10 * scale
+            assert max(_discounted_residuals(p, x, delta, u, v)) <= 1e-10 * scale
             assert v.mu is None
 
 
@@ -264,7 +278,7 @@ def test_discounted_myopic_limit():
     p = make_params(w_R=0.5, w_H=2.0, w_C=11.0, f=0.3, q_soc=0.7, q_inf=0.4)
     x = cm.PopulationState(0.3, 0.4, 0.3)
     delta = 1e6
-    v = cm.solve_discounted(p, x, delta, cm.Behavior.CORRUPT)
+    v = cm.solve_discounted(p, x, delta, cm.CORRUPT_PROFILE)
     k = p.b + p.q_soc * x.x_H
     assert v.g_R * delta == pytest.approx(p.w_R, rel=1e-3)
     assert v.g_H * delta == pytest.approx(p.w_H, rel=1e-3)
@@ -283,28 +297,27 @@ def test_discounted_regime_matches_discounted_threshold():
         x_bar = cm.classifier_xbar_discounted(p, delta).value
         if abs(x.x_H - x_bar) < 1e-3:
             continue
-        regime = cm.Behavior.CORRUPT if x.x_H < x_bar else cm.Behavior.HONEST
-        v = cm.solve_discounted(p, x, delta, regime)
+        u = cm.CORRUPT_PROFILE if x.x_H < x_bar else cm.HONEST_PROFILE
+        v = cm.solve_discounted(p, x, delta, u)
         assert (v.g_C > v.g_H) == (x.x_H < x_bar)
         checked += 1
 
 
 def test_discounted_requires_positive_delta():
     with pytest.raises(ValueError):
-        cm.solve_discounted(BASELINE, cm.PopulationState(0.4, 0.3, 0.3), 0.0, cm.Behavior.CORRUPT)
+        cm.solve_discounted(BASELINE, cm.PopulationState(0.4, 0.3, 0.3), 0.0, cm.CORRUPT_PROFILE)
 
 
 def test_discounted_rejects_nan_delta():
     with pytest.raises(ValueError):
         cm.solve_discounted(
-            BASELINE, cm.PopulationState(0.4, 0.3, 0.3), math.nan, cm.Behavior.CORRUPT
+            BASELINE, cm.PopulationState(0.4, 0.3, 0.3), math.nan, cm.CORRUPT_PROFILE
         )
 
 
-def _row_scaled_residuals(p, x, delta, regime, v):
+def _row_scaled_residuals(p, x, delta, u, v):
     # Each Bellman line as its separate terms; the residual is their exact
     # sum over the sum of their magnitudes.
-    u = regime.profile()
     a = p.lam * u.u_H + p.q_inf * x.x_C
     s = p.lam * u.u_C
     k = p.b + p.q_soc * x.x_H
@@ -325,8 +338,8 @@ _OR_ZERO = st.one_of(st.just(0.0), _DECADES)
        wages=st.tuples(_OR_ZERO, _DECADES, _DECADES),
        x=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
        delta=st.floats(-8.0, 6.0).map(lambda e: 10.0**e),
-       regime=st.sampled_from([cm.Behavior.CORRUPT, cm.Behavior.HONEST]))
-def test_discounted_row_scaled_residuals_over_twelve_decades(rates, wages, x, delta, regime):
+       u=st.sampled_from(cm.ALL_PROFILES))
+def test_discounted_row_scaled_residuals_over_twelve_decades(rates, wages, x, delta, u):
     lam, r, b, f, q_soc, q_inf = rates
     w_R, gap_h, gap_c = wages
     p = cm.validate_params(make_params(lam=lam, r=r, b=b, f=f, q_soc=q_soc, q_inf=q_inf,
@@ -334,5 +347,5 @@ def test_discounted_row_scaled_residuals_over_twelve_decades(rates, wages, x, de
     x_h = x[0]
     x_c = (1.0 - x_h) * x[1]
     state = cm.PopulationState(1.0 - x_h - x_c, x_h, x_c)
-    v = cm.solve_discounted(p, state, delta, regime)
-    assert max(_row_scaled_residuals(p, state, delta, regime, v)) <= 1e-13
+    v = cm.solve_discounted(p, state, delta, u)
+    assert max(_row_scaled_residuals(p, state, delta, u, v)) <= 1e-13

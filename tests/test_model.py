@@ -166,10 +166,6 @@ def test_population_counts():
 def test_strategy_profile_and_behavior():
     with pytest.raises(ValueError):
         cm.StrategyProfile(2, 0)
-    assert cm.Behavior.CORRUPT.profile() == cm.CORRUPT_PROFILE
-    assert cm.Behavior.HONEST.profile() == cm.HONEST_PROFILE
-    with pytest.raises(ValueError):
-        cm.Behavior.INDIFFERENT.profile()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,11 @@
-"""The one regime solver gives the bits of the two per-regime closed forms it replaced."""
+"""The Bellman solvers against independent oracles.
 
+The regime solver gives the bits of the two per-regime closed forms it
+replaced, and, for each of the four strategy profiles, the values that a
+linear solve of the profile's Poisson and discounted systems gives.
+"""
+
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -34,7 +40,7 @@ def honest_reference(p, x):
     return g_H, g_C, p.r * g_H + p.w_R
 
 
-REFERENCES = {cm.Behavior.CORRUPT: corrupt_reference, cm.Behavior.HONEST: honest_reference}
+REFERENCES = {cm.CORRUPT_PROFILE: corrupt_reference, cm.HONEST_PROFILE: honest_reference}
 
 _DECADES = st.floats(-8.0, 8.0).map(lambda e: 10.0**e)  # 16 decades
 _OR_ZERO = st.one_of(st.just(0.0), _DECADES)
@@ -48,20 +54,22 @@ _STATES = st.one_of(
 )
 
 
+def _params(rates, wages):
+    lam, r, b, f, q_soc, q_inf = rates
+    w_R, gap_h, gap_c = wages
+    return cm.validate_params(make_params(lam=lam, r=r, b=b, f=f, q_soc=q_soc, q_inf=q_inf,
+                                          w_R=w_R, w_H=w_R + gap_h, w_C=w_R + gap_h + gap_c))
+
+
 @settings(max_examples=400, deadline=None)
 @given(rates=st.tuples(_DECADES, _DECADES, _DECADES, _OR_ZERO, _OR_ZERO, _OR_ZERO),
        wages=st.tuples(st.one_of(st.just(0.0), _DECADES), _DECADES, _DECADES),
-       x=_STATES, regime=st.sampled_from(list(REFERENCES)))
-def test_solve_regime_matches_per_regime_formulas_bit_for_bit(rates, wages, x, regime):
-    lam, r, b, f, q_soc, q_inf = rates
-    w_R, gap_h, gap_c = wages
-    w_H = w_R + gap_h
-    w_C = w_H + gap_c
-    p = cm.validate_params(make_params(lam=lam, r=r, b=b, f=f, q_soc=q_soc, q_inf=q_inf,
-                                       w_R=w_R, w_H=w_H, w_C=w_C))
+       x=_STATES, u=st.sampled_from(list(REFERENCES)))
+def test_solve_regime_matches_per_regime_formulas_bit_for_bit(rates, wages, x, u):
+    p = _params(rates, wages)
     x = cm.PopulationState(*x)
-    sol = cm.solve_regime(p, x, regime)
-    g_H, g_C, mu = REFERENCES[regime](p, x)
+    sol = cm.solve_regime(p, x, u)
+    g_H, g_C, mu = REFERENCES[u](p, x)
     # float.hex, not ==: a -0.0 where the reference has 0.0 fails.
     assert sol.g_H.hex() == g_H.hex()
     assert sol.g_C.hex() == g_C.hex()
@@ -69,7 +77,80 @@ def test_solve_regime_matches_per_regime_formulas_bit_for_bit(rates, wages, x, r
     assert sol.g_R == 0.0
 
 
-def test_solve_regime_rejects_indifferent():
-    x = cm.PopulationState(0.2, 0.3, 0.5)
-    with pytest.raises(ValueError, match="indifferent"):
-        cm.solve_regime(make_params(), x, cm.Behavior.INDIFFERENT)
+# The oracles below build the tagged agent's chain from the model's
+# definition, over the states (R, H, C), and use nothing of the package.
+def generator(p, x, u):
+    """The 3x3 generator of an agent with intent ``u`` at background ``x``."""
+    k = p.b + p.q_soc * x.x_H  # C -> R
+    a = p.lam * u.u_H + p.q_inf * x.x_C  # H -> C
+    s = p.lam * u.u_C  # C -> H
+    return np.array([[-p.r, p.r, 0.0], [0.0, -a, a], [k, s, -(k + s)]])
+
+
+def payoff_flows(p, x):
+    """Payoff per unit time in R, H and C; the fine is paid at the detection rate."""
+    return np.array([p.w_R, p.w_H, p.w_C - (p.b + p.q_soc * x.x_H) * p.f])
+
+
+def refined_solve(m, y):
+    """``m z = y`` by ``numpy.linalg.solve`` and one step of iterative
+    refinement, with the componentwise error scale ``|m^-1| (|m| |z| + |y|)``.
+
+    Rates over many decades make ``m`` badly scaled.  The refined ``z`` is
+    then exact to a small multiple of the scale times the float epsilon, and
+    a solution is compared to it relative to that scale: the magnitude of the
+    terms each component is formed from.
+    """
+    z = np.linalg.solve(m, y)
+    z = z + np.linalg.solve(m, y - m @ z)
+    return z, np.abs(np.linalg.inv(m)) @ (np.abs(m) @ np.abs(z) + np.abs(y))
+
+
+def stationary_law(q):
+    """The stationary law of ``q``, by the Markov chain tree theorem: each
+    state's weight is the sum over spanning trees into it of the products of
+    their rates (the chain has no R->C or H->R move).  All terms are
+    positive, so no digit cancels."""
+    r, a, k, s = q[0, 1], q[1, 2], q[2, 0], q[2, 1]
+    weights = np.array([a * k, r * (s + k), r * a])
+    return weights / weights.sum()
+
+
+_TWELVE_DECADES = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
+_RATES = st.tuples(*[_TWELVE_DECADES] * 3, *[st.one_of(st.just(0.0), _TWELVE_DECADES)] * 3)
+_WAGES = st.tuples(st.one_of(st.just(0.0), _TWELVE_DECADES), _TWELVE_DECADES, _TWELVE_DECADES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rates=_RATES, wages=_WAGES, x=_STATES)
+def test_solve_regime_is_the_poisson_pair_of_every_profile(rates, wages, x):
+    # The long-run average payoff mu and the relative values g with g_R = 0
+    # solve w + Q g = mu 1, three linear equations in (g_H, g_C, mu).
+    p = _params(rates, wages)
+    x = cm.PopulationState(*x)
+    w = payoff_flows(p, x)
+    for u in cm.ALL_PROFILES:
+        q = generator(p, x, u)
+        sol = cm.solve_regime(p, x, u)
+        want, scale = refined_solve(np.column_stack([q[:, 1], q[:, 2], -np.ones(3)]), -w)
+        got = np.array([sol.g_H, sol.g_C, sol.mu])
+        assert sol.g_R == 0.0
+        assert np.all(np.abs(got - want) <= 1e-10 * scale), u
+        # mu is the payoff flow averaged over the stationary law.
+        pi = stationary_law(q)
+        assert np.abs(pi @ q).max() <= 1e-13 * np.abs(q).max(), u
+        assert abs(sol.mu - pi @ w) <= 1e-10 * (pi @ np.abs(w)), u
+
+
+@settings(max_examples=300, deadline=None)
+@given(rates=_RATES, wages=_WAGES, x=_STATES, delta=_TWELVE_DECADES)
+def test_solve_discounted_is_the_resolvent_of_every_profile(rates, wages, x, delta):
+    # Discounted values solve (delta I - Q) g = w.
+    p = _params(rates, wages)
+    x = cm.PopulationState(*x)
+    w = payoff_flows(p, x)
+    for u in cm.ALL_PROFILES:
+        v = cm.solve_discounted(p, x, delta, u)
+        want, scale = refined_solve(delta * np.eye(3) - generator(p, x, u), w)
+        got = np.array([v.g_R, v.g_H, v.g_C])
+        assert np.all(np.abs(got - want) <= 1e-10 * scale), u
