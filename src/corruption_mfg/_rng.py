@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # Blocks grow by doubling from the first size to the last, so a short
 # stream (a tagged agent with a few jumps) converts few unused uniforms.
@@ -34,6 +35,21 @@ def _blocks(bits: np.random.Philox):
         size = min(2 * size, _MAX_BLOCK)
 
 
+class _Key(ISeedSequence):
+    """Hands Philox the two key words as its seed state.
+
+    Keyed through ``Philox(key=...)``, numpy first builds a ``SeedSequence``
+    from OS entropy, which the key then overrides; Philox asks this object
+    for its two uint64 key words instead, and draws no entropy.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 class UniformStream:
     """Buffered uniform doubles from one (seed, stream) philox stream.
 
@@ -44,4 +60,4 @@ class UniformStream:
 
     def __init__(self, seed: int, stream: int = 0):
         key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
-        self.uniform = itertools.chain.from_iterable(_blocks(np.random.Philox(key=key))).__next__
+        self.uniform = itertools.chain.from_iterable(_blocks(np.random.Philox(_Key(key)))).__next__

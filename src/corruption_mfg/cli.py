@@ -388,8 +388,11 @@ def cmd_ctmc(cfg: RunConfig, write) -> None:
         cfg.params, cfg.N, cfg.x0, cfg.strategy, cfg.t_end, cfg.replications, cfg.seed, cfg.dt
     )
     write("t,transition,n_R,n_H,n_C\n")
-    _write_table(write, "%.17g,%s,%d,%d,%d",
-                 [path.times, path.transition_codes, *path.counts.T], codes_at=1)
+    # The path holds no counts: each chunk's are derived as it is written.
+    for lo, counts in path.count_blocks(_CHUNK_ROWS):
+        hi = lo + len(counts)
+        _write_table(write, "%.17g,%s,%d,%d,%d",
+                     [path.times[lo:hi], path.transition_codes[lo:hi], *counts.T], codes_at=1)
     write("# lln_distance = %.17g\n" % distance)
 
 

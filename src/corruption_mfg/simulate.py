@@ -6,7 +6,8 @@ Three simulators share the kinetics of :mod:`corruption_mfg.model`:
   flow lands exactly on a floating-point fixed point it stops stepping and
   repeats that row to ``t_end``, which is what further steps would give;
 * :func:`simulate_population`: exact-event (competing exponential clocks)
-  simulation of the finite-N jump chain;
+  simulation of the finite-N jump chain, whose :class:`EventPath` holds
+  9 B per event (time and transition code) and derives the counts;
 * :func:`simulate_tagged_agent`: one agent's jump path against a
   background trajectory, held constant between its samples.
 
@@ -60,13 +61,15 @@ _STEP_GUARD = 0.1
 # is 240 MB.
 MAX_ODE_ROWS = 10**7
 # Largest predicted event count ``simulate_population`` will start on:
-# 10**7 events take about 330 MB of buffers.
+# 10**7 events take about 90 MB of buffers.
 MAX_EVENTS = 10**7
 # Largest population it will start on: its event loop holds the counts as
 # floats, which are exact integers, and exact under +-1.0, only up to 2**53.
 MAX_AGENTS = 2**53
 # Count change of each transition, in TRANSITION_LABELS order, as (n_R, n_H, n_C).
 _MOVES = np.array([[1, 0, -1], [-1, 1, 0], [0, -1, 1], [0, 1, -1]], dtype=np.int64)
+# Events per block of counts that EventPath derives at a time: 96 KiB of int64.
+_COUNT_BLOCK = 4096
 
 
 class StepSizeError(ValueError):
@@ -183,15 +186,16 @@ def integrate_ode(
 class EventPath:
     """One realization of the finite-N jump chain.
 
-    ``times``, ``transition_codes`` (indices into :data:`TRANSITION_LABELS`)
-    and ``counts`` (counts *after* each event) are parallel arrays;
-    ``initial`` holds the counts at time zero.
+    ``times`` (float64) and ``transition_codes`` (uint8 indices into
+    :data:`TRANSITION_LABELS`) are parallel arrays, 9 B per event;
+    ``initial`` holds the counts at time zero.  The counts *after* each
+    event are derived from these: :meth:`count_blocks` yields them a block
+    at a time and :attr:`counts` builds them whole.
     """
 
     initial: PopulationCounts
     times: np.ndarray
     transition_codes: np.ndarray
-    counts: np.ndarray
 
     @property
     def N(self) -> int:
@@ -200,12 +204,39 @@ class EventPath:
     def __len__(self) -> int:
         return len(self.times)
 
+    def count_blocks(self, size: int):
+        """Yield ``(lo, counts[lo:lo + size])`` for ``lo = 0, size, 2 size, ...``.
+
+        Each block is a fresh C-contiguous int64 ``(rows, 3)`` array: the
+        running sum of the codes' count moves, started at ``initial`` and
+        carried exactly from block to block (added to the block's first
+        move before the sum, which integer sums allow).
+        """
+        n0 = self.initial
+        carry = np.array([n0.n_R, n0.n_H, n0.n_C], dtype=np.int64)
+        for lo in range(0, len(self), size):
+            block = np.take(_MOVES, self.transition_codes[lo:lo + size], axis=0)
+            block[0] += carry
+            np.cumsum(block, axis=0, out=block)
+            carry = block[-1].copy()
+            yield lo, block
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Counts after each event, int64 ``(len(self), 3)``, C-contiguous."""
+        counts = np.empty((len(self), 3), dtype=np.int64)
+        for lo, block in self.count_blocks(_COUNT_BLOCK):
+            counts[lo:lo + len(block)] = block
+        return counts
+
     def events(self):
         """Yield ``(time, label, PopulationCounts)`` per event, in order."""
-        for t, code, (n_r, n_h, n_c) in zip(self.times, self.transition_codes, self.counts):
-            yield float(t), TRANSITION_LABELS[code], PopulationCounts(
-                int(n_r), int(n_h), int(n_c)
-            )
+        for lo, block in self.count_blocks(_COUNT_BLOCK):
+            hi = lo + len(block)
+            for t, code, (n_r, n_h, n_c) in zip(self.times[lo:hi].tolist(),
+                                                 self.transition_codes[lo:hi].tolist(),
+                                                 block.tolist()):
+                yield t, TRANSITION_LABELS[code], PopulationCounts(n_r, n_h, n_c)
 
 
 def _check_event_bound(p: ModelParams, N: int, t_end: float) -> None:
@@ -246,9 +277,9 @@ def simulate_population(
     The loop holds the counts, ``N`` and the intents as floats: up to 2**53
     each count and each ``+-1.0`` step is exact, and every rate reads the
     same double an int operand would be converted to, so the draws and the
-    path are those of integer counts.  It records only times and codes;
-    ``counts`` is rebuilt afterwards by an exact int64 cumulative sum of
-    each code's move.
+    path are those of integer counts.  The path holds only the times and
+    codes it records, 9 B per event; its counts are derived on demand
+    (see :class:`EventPath`).
     """
     _check_event_bound(p, n0.N, t_end)
     uniform = UniformStream(seed, stream).uniform
@@ -292,17 +323,12 @@ def simulate_population(
             n_c -= 1.0
             n_h += 1.0
         add_time(t)
-    transition_codes = np.frombuffer(codes, dtype=np.uint8)
-    counts = _MOVES[transition_codes]
-    np.cumsum(counts, axis=0, out=counts)
-    counts += (n0.n_R, n0.n_H, n0.n_C)
     # times and transition_codes are views of the buffers filled above,
     # which nothing else holds.
     return EventPath(
         initial=n0,
         times=np.frombuffer(times, dtype=np.float64),
-        transition_codes=transition_codes,
-        counts=counts,
+        transition_codes=np.frombuffer(codes, dtype=np.uint8),
     )
 
 
@@ -405,7 +431,8 @@ def lln_convergence(
     is computed before any stream is opened.
 
     Memory: replication 0's path, which is returned, plus the path of the
-    replication running; each path is dropped once it is sampled.
+    replication running, 9 B per event each; each path is dropped once it
+    is sampled, and its counts are derived one block at a time, never whole.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
@@ -419,10 +446,14 @@ def lln_convergence(
         path = simulate_population(p, n0, s, t_end, seed, stream=stream)
         if stream == 0:
             first = path
-        # Grid point i reads the counts after the last event at or before it,
-        # or the start counts where no event precedes it.
+        # Grid point i reads the counts after event idx[i] - 1, the last at or
+        # before it, or the start counts where no event precedes it.  idx is
+        # sorted, so the grid points that read one block are one slice.
         idx = np.searchsorted(path.times, grid, side="right")
-        sampled = path.counts[idx - 1] if len(path) else np.empty((len(grid), 3), np.int64)
+        sampled = np.empty((len(grid), 3), np.int64)
+        for lo, block in path.count_blocks(_COUNT_BLOCK):
+            g_lo, g_hi = np.searchsorted(idx, (lo + 1, lo + len(block) + 1))
+            sampled[g_lo:g_hi] = block[idx[g_lo:g_hi] - 1 - lo]
         del path
         sampled[idx == 0] = start
         mean += sampled / N

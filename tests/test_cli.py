@@ -1010,15 +1010,20 @@ def test_simulate_memory_does_not_grow_with_the_text(tmp_path):
     assert peak / 100_001 < 120
 
 
-def test_ctmc_memory_holds_two_paths(tmp_path):
-    # A path takes 33 B per event (8 B time, 1 B code, 24 B counts).  The run
-    # holds replication 0's path while the next one is built and peaks near
-    # 3.1 paths; keeping the previous path as well, a stacked copy of its
-    # counts and the whole text took ~5.2.
-    cfg_text = THREE_CFG + "N = 5000\nreplications = 3\nt_end = 10\n"
-    rc, peak = _traced_peak(tmp_path, cfg_text, "ctmc")
-    assert rc == 0
-    cfg = cli.parse_config(cfg_text)
-    path = simulate.simulate_population(cfg.params, simulate.round_counts(cfg.N, cfg.x0),
-                                        cfg.strategy, cfg.t_end, cfg.seed)
-    assert peak / (33 * len(path)) < 4.0
+def test_ctmc_memory_per_event_of_replication_0(tmp_path):
+    # A path holds 9 B per event (8 B time, 1 B code) and its counts are
+    # derived a block at a time.  The run peaks holding replication 0's path
+    # and the one being built: from N = 5,000 to 20,000 the peak grows by ~19
+    # B per added event of replication 0.  Paths that held their 24 B per
+    # event of counts as well grew by ~59.
+    peaks, events = [], []
+    for N in (5000, 20000):
+        cfg_text = THREE_CFG + f"N = {N}\nreplications = 3\nt_end = 10\n"
+        rc, peak = _traced_peak(tmp_path, cfg_text, "ctmc")
+        assert rc == 0
+        cfg = cli.parse_config(cfg_text)
+        path = simulate.simulate_population(cfg.params, simulate.round_counts(cfg.N, cfg.x0),
+                                            cfg.strategy, cfg.t_end, cfg.seed)
+        peaks.append(peak)
+        events.append(len(path))
+    assert (peaks[1] - peaks[0]) / (events[1] - events[0]) < 25

@@ -1,9 +1,12 @@
 """The Bellman solvers against independent oracles.
 
-The regime solver gives the bits of the two per-regime closed forms it
-replaced, and, for each of the four strategy profiles, the values that a
-linear solve of the profile's Poisson and discounted systems gives.
+The regime solver gives, for each of the four strategy profiles, the exact
+Poisson pair of its float inputs to round-off in the terms its values are
+formed from, and the values that a linear solve of the profile's Poisson
+and discounted systems gives.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,33 +17,6 @@ from hypothesis import strategies as st  # noqa: E402
 
 import corruption_mfg as cm  # noqa: E402
 from support import make_params  # noqa: E402
-
-
-# The two per-regime formulas as they stood before the merge, kept as the
-# reference: (g_H, g_C, mu).
-def corrupt_reference(p, x):
-    k = p.b + p.q_soc * x.x_H
-    a = p.lam + p.q_inf * x.x_C
-    w_h = p.w_H - p.w_R
-    net_c = (p.w_C - p.w_R) - k * p.f
-    den = p.r * (a + k) + a * k
-    g_C = ((p.r + a) * net_c - p.r * w_h) / den
-    g_H = (a * net_c + k * w_h) / den
-    return g_H, g_C, p.r * g_H + p.w_R
-
-
-def honest_reference(p, x):
-    k = p.b + p.q_soc * x.x_H
-    c = p.q_inf * x.x_C
-    w_h = p.w_H - p.w_R
-    net_c = (p.w_C - p.w_R) - k * p.f
-    den = p.r * (p.lam + c + k) + c * k
-    g_C = ((p.r + c) * net_c + (p.lam - p.r) * w_h) / den
-    g_H = (c * net_c + (p.lam + k) * w_h) / den
-    return g_H, g_C, p.r * g_H + p.w_R
-
-
-REFERENCES = {cm.CORRUPT_PROFILE: corrupt_reference, cm.HONEST_PROFILE: honest_reference}
 
 _DECADES = st.floats(-8.0, 8.0).map(lambda e: 10.0**e)  # 16 decades
 _OR_ZERO = st.one_of(st.just(0.0), _DECADES)
@@ -61,20 +37,80 @@ def _params(rates, wages):
                                           w_R=w_R, w_H=w_R + gap_h, w_C=w_R + gap_h + gap_c))
 
 
+def exact_poisson_pair(p, x, u):
+    """``(g_H, g_C, mu)`` of an agent with intent ``u``, as Fractions: the
+    rows R, H, C of ``w + Q g = mu 1`` with ``g_R = 0``, solved exactly in
+    the float inputs by Gauss-Jordan elimination."""
+    F = Fraction
+    k = F(p.b) + F(p.q_soc) * F(x.x_H)  # C -> R
+    a = F(p.lam) * u.u_H + F(p.q_inf) * F(x.x_C)  # H -> C
+    s = F(p.lam) * u.u_C  # C -> H
+    r = F(p.r)
+    # Unknowns (g_H, g_C, mu), then the right-hand side -w.
+    rows = [[r, F(0), F(-1), -F(p.w_R)],
+            [-a, a, F(-1), -F(p.w_H)],
+            [s, -(k + s), F(-1), k * F(p.f) - F(p.w_C)]]
+    for i in range(3):
+        pivot = next(j for j in range(i, 3) if rows[j][i] != 0)
+        rows[i], rows[pivot] = rows[pivot], rows[i]
+        for j in range(3):
+            if j != i and rows[j][i] != 0:
+                m = rows[j][i] / rows[i][i]
+                rows[j] = [v - m * w for v, w in zip(rows[j], rows[i])]
+    return [row[3] / row[i] for i, row in enumerate(rows)]
+
+
+def term_scales(p, x, u):
+    """The size of the terms each of ``(g_H, g_C, mu)`` is exactly the sum of,
+    over the common denominator, with every wage entering as a difference:
+
+        g_H = (a (w_C - w_R - k f) + (s + k) (w_H - w_R)) / den
+        g_C = (r (w_C - w_H - k f) + a (w_C - w_R - k f) + s (w_H - w_R)) / den
+        mu  = r g_H + w_R
+
+    Each input and each operation rounds at most once relative to these."""
+    k = p.b + p.q_soc * x.x_H
+    a = p.lam * u.u_H + p.q_inf * x.x_C
+    s = p.lam * u.u_C
+    den = p.r * (s + a + k) + a * k
+    fine = k * p.f
+    net_c = abs(p.w_C - p.w_R) + fine
+    w_h = abs(p.w_H - p.w_R)
+    g_H = (a * net_c + (s + k) * w_h) / den
+    g_C = (p.r * (abs(p.w_C - p.w_H) + fine) + a * net_c + s * w_h) / den
+    return g_H, g_C, p.r * g_H + abs(p.w_R)
+
+
 @settings(max_examples=400, deadline=None)
 @given(rates=st.tuples(_DECADES, _DECADES, _DECADES, _OR_ZERO, _OR_ZERO, _OR_ZERO),
        wages=st.tuples(st.one_of(st.just(0.0), _DECADES), _DECADES, _DECADES),
-       x=_STATES, u=st.sampled_from(list(REFERENCES)))
-def test_solve_regime_matches_per_regime_formulas_bit_for_bit(rates, wages, x, u):
+       x=_STATES)
+def test_solve_regime_is_the_exact_poisson_pair_to_round_off(rates, wages, x):
+    # Bounded by the terms of formulas in wage differences, so a form that
+    # cancels w_C against w_H through r (w_C - w_R) - r (w_H - w_R) fails
+    # wherever w_C - w_H is small and r large.
     p = _params(rates, wages)
     x = cm.PopulationState(*x)
-    sol = cm.solve_regime(p, x, u)
-    g_H, g_C, mu = REFERENCES[u](p, x)
-    # float.hex, not ==: a -0.0 where the reference has 0.0 fails.
-    assert sol.g_H.hex() == g_H.hex()
-    assert sol.g_C.hex() == g_C.hex()
-    assert sol.mu.hex() == mu.hex()
-    assert sol.g_R == 0.0
+    for u in cm.ALL_PROFILES:
+        sol = cm.solve_regime(p, x, u)
+        assert sol.g_R == 0.0
+        for got, want, scale in zip((sol.g_H, sol.g_C, sol.mu), exact_poisson_pair(p, x, u),
+                                    term_scales(p, x, u)):
+            assert abs(Fraction(got) - want) <= 1e-14 * scale, u
+
+
+@pytest.mark.parametrize("r", [1.0, 1e3, 1e8])
+@pytest.mark.parametrize("gap", [1e-9, 1e-15])
+def test_solve_regime_keeps_a_small_corrupt_wage_gap(r, gap):
+    # Nobody switches from H or C and no one is fined, so g_C = (w_C - w_H) / k
+    # exactly with k = b = 1; it was formed as a difference of two terms of
+    # size r and lost up to r * 2**-53 of it.
+    p = make_params(lam=1.0, r=r, b=1.0, f=0.0, q_soc=0.0, q_inf=0.0, w_R=0.0, w_H=1.0,
+                    w_C=1.0 + gap)
+    x = cm.PopulationState(0.5, 0.5, 0.0)
+    sol = cm.solve_regime(p, x, cm.StrategyProfile(0, 0))
+    want = exact_poisson_pair(p, x, cm.StrategyProfile(0, 0))[1]
+    assert abs(Fraction(sol.g_C) - want) <= 1e-15 * abs(want)
 
 
 # The oracles below build the tagged agent's chain from the model's

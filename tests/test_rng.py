@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from corruption_mfg import _rng
 from corruption_mfg._rng import UniformStream
 
 # (seed, stream, first four uniforms), the leading values recorded before
@@ -28,3 +29,16 @@ def test_uniform_stream_draw_order(seed, stream, leading):
     assert all(type(u) is float for u in draws)
     assert draws == reference.tolist()
     assert tuple(draws[:4]) == leading
+
+
+@pytest.mark.parametrize("seed,stream", [(0, 0), (2**64 - 1, 2**63 + 5), (-3, 9)])
+def test_stream_is_keyed_without_a_seed_sequence(monkeypatch, seed, stream):
+    # The generator a stream opens gives the raw words of philox keyed with
+    # (seed mod 2**64, stream mod 2**64), and builds no SeedSequence.
+    opened = []
+    monkeypatch.setattr(_rng, "_blocks", lambda bits: opened.append(bits) or iter(()))
+    UniformStream(seed, stream)
+    (bits,) = opened
+    assert not isinstance(bits.seed_seq, np.random.SeedSequence)
+    key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
+    assert bits.random_raw(100).tolist() == np.random.Philox(key=key).random_raw(100).tolist()

@@ -412,6 +412,37 @@ def test_event_path_accessors():
     assert counts0.N == 15
 
 
+# Count change of each transition, in TRANSITION_LABELS order.
+MOVES = np.array([[1, 0, -1], [-1, 1, 0], [0, -1, 1], [0, 1, -1]], dtype=np.int64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(codes=st.binary(max_size=3000).map(lambda b: np.frombuffer(b, np.uint8) % 4),
+       start=st.tuples(*[st.integers(3000, 2**50)] * 3),
+       size=st.sampled_from([1, 7, 1024, 3001]))
+@example(codes=np.empty(0, np.uint8), start=(5, 5, 5), size=1)
+@example(codes=np.empty(0, np.uint8), start=(5, 5, 5), size=3001)
+def test_counts_and_count_blocks_are_the_cumulative_sum(codes, start, size):
+    # The counts a path derives from its codes are, bit for bit, the int64
+    # cumulative sum of the codes' moves that paths once stored.
+    want = MOVES[codes]
+    np.cumsum(want, axis=0, out=want)
+    want += start
+    path = simulate.EventPath(initial=cm.PopulationCounts(*start),
+                              times=np.arange(len(codes), dtype=np.float64),
+                              transition_codes=codes)
+    counts = path.counts
+    assert counts.dtype == np.int64 and counts.shape == (len(codes), 3)
+    assert counts.flags.c_contiguous
+    assert counts.tobytes() == want.tobytes()
+    blocks = list(path.count_blocks(size))
+    assert [lo for lo, _ in blocks] == list(range(0, len(codes), size))
+    for lo, block in blocks:
+        assert block.dtype == np.int64 and block.flags.c_contiguous
+        assert block.tobytes() == want[lo:lo + size].tobytes()
+    assert [c for _, _, c in path.events()] == [cm.PopulationCounts(*row) for row in want.tolist()]
+
+
 # ---------------------------------------------------------------------------
 # tagged agent
 
