@@ -146,31 +146,18 @@ def _report(
     warning: str,
 ) -> EquilibriumReport | None:
     # The one place a candidate is admitted and its tie encoded.  regime_at
-    # at the candidate's x_H rejects it where it reads the other profile's
-    # regime; where it reads indifferent the candidate is a tie, reported
-    # with ``warning``.  Otherwise it reads the candidate's own regime, which
-    # is then the report's behavior.
+    # at the candidate's x_H alone decides: it rejects the candidate where it
+    # reads the other profile's regime; where it reads indifferent the
+    # candidate is a tie, reported with ``warning``.  Otherwise it reads the
+    # candidate's own regime, which is then the report's behavior.
     if point is None:
         return None
     x_h, x_c = point
     regime = regime_at(threshold, x_h)
     corrupt = provenance is Provenance.CORRUPT_ROOT
     tie = regime is Behavior.INDIFFERENT
-    if not tie:
-        reads_corrupt = regime is Behavior.CORRUPT
-        if corrupt:
-            # Fault detector: Q(x_bar) >= 0 iff x_H* <= x_bar, so outside the
-            # tie band the sign of Q at the threshold must agree with regime_at.
-            # Q(1) = lam (q_soc + r + b) exactly; alpha + beta + gamma can cancel below 0.
-            x_bar = threshold.value
-            q_at_bar = p.lam * (p.q_soc + p.r + p.b) if x_bar >= 1.0 else _q_at(coefficients, x_bar)
-            if (q_at_bar >= 0.0) != reads_corrupt:
-                raise ArithmeticError(
-                    "admissibility checks disagree: "
-                    f"Q(x_bar)={q_at_bar!r} vs x_H*={x_h!r}, x_bar={x_bar!r}"
-                )
-        if reads_corrupt != corrupt:
-            return None
+    if not tie and (regime is Behavior.CORRUPT) != corrupt:
+        return None
     flag = "classifier_tie"
     if corrupt and threshold.indifferent_everywhere:
         flag = "indifferent_everywhere"

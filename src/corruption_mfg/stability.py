@@ -9,18 +9,22 @@ eigenvalue real parts negative).  :func:`trace_det_verdict` and
 their sign flags from one private helper, so an equilibrium's verdict
 carries exactly those of :func:`trace_det_verdict` at its Jacobian.
 
-Closed-form shortcuts are applied first where available: a sufficient band
-on ``q_soc - q_inf`` for the corrupt root, the explicit boundary eigenvalues
-``{-r, q_inf - q_soc - lam - b}`` for the all-honest point, and positivity
-of both characteristic coefficients for the honest interior point.  There
-the Jacobian entry ``-(b + lam) + (q_inf - q_soc) x_H`` vanishes, so the
+An equilibrium's classification comes from the closed-form rule of its
+type wherever that rule is conclusive: a sufficient band on ``q_soc -
+q_inf`` for the corrupt root, the explicit boundary eigenvalues ``{-r,
+q_inf - q_soc - lam - b}`` for the all-honest point, and positivity of both
+characteristic coefficients for the honest interior point.  There the
+Jacobian entry ``-(b + lam) + (q_inf - q_soc) x_H`` vanishes, so the
 coefficients are explicit: ``-trace = r + q_inf x_C`` and ``det = (q_inf -
-q_soc) x_C (r - lam + q_inf x_H)``.  Every closed-form verdict is
-cross-checked against the eigenvalues and a disagreement outside the margin
-band raises :class:`StabilityContradictionError` (it would signal a bug, not
-a property of the model), unless the eigenvalues are within round-off of
-zero, where they decide the verdict.  That error is an ``ArithmeticError``,
-so the CLI exits 2 on it like on every other numerical failure.
+q_soc) x_C (r - lam + q_inf x_H)``.  Only where the rule is inconclusive
+(the corrupt root outside its band, an interior coefficient within the
+margin) do the eigenvalue real parts decide.
+
+The margin band belongs to the eigenvalue test.  The boundary rule is that
+test on the exact eigenvalues, so a boundary with ``r`` inside the band
+reads marginal, as its float eigenvalues do wherever they are accurate.
+The corrupt and interior rules yield signs, not eigenvalues: where they
+hold the point reads stable, however slow its decay.
 """
 
 from __future__ import annotations
@@ -29,19 +33,16 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .equilibria import EquilibriumReport, Provenance
-from .model import ModelParams, PopulationState, StrategyProfile, rate_scale
+from .model import ModelParams, PopulationState, StrategyProfile
 
 __all__ = [
-    "Classification", "Method", "StabilityContradictionError", "StabilityVerdict",
+    "Classification", "Method", "StabilityVerdict",
     "classify_equilibrium", "corrupt_stability_band", "jacobian", "trace_det_verdict",
 ]
 
 # Half-width of the sign-test band around zero; inside it a verdict is
 # Marginal rather than a round-off coin flip.
 MARGIN = 1e-9
-# Jacobian entries are sums of rates weighted by fractions in [0, 1], so an
-# eigenvalue real part within this fraction of rate_scale(p) is round-off.
-ROUNDOFF = 1e-13
 
 
 class Classification(Enum):
@@ -50,25 +51,12 @@ class Classification(Enum):
     MARGINAL = "marginal"
 
 
-# A closed-form verdict contradicts the eigenvalues when one of these reads
-# stable and the other unstable.
-_DEFINITE = (Classification.STABLE, Classification.UNSTABLE)
-
-
 class Method(Enum):
     """How a verdict was reached."""
 
-    CLOSED_FORM = "closed_form"        # explicit rule applied and confirmed
+    CLOSED_FORM = "closed_form"        # the explicit rule decided
     TRACE_DET = "trace_det"            # direct eigenvalue/trace-det test
-    FALLBACK = "trace_det_fallback"    # closed-form rule inconclusive
-
-
-class StabilityContradictionError(ArithmeticError):
-    """A closed-form verdict contradicted the eigenvalue verdict (bug signal).
-
-    A numerical fault detector, so an :class:`ArithmeticError` like the other
-    numerical failures: the CLI exits 2 on it and a sweep records it per point.
-    """
+    FALLBACK = "trace_det_fallback"    # rule inconclusive; eigenvalues decided
 
 
 @dataclass(frozen=True)
@@ -167,9 +155,10 @@ def _closed_form(p: ModelParams, e: EquilibriumReport):
         verdict = Classification.STABLE if band else None
         return verdict, (("sufficient_band", band),)
     if e.provenance is Provenance.HONEST_BOUNDARY:
-        # Boundary eigenvalues are exactly {-r, q_inf - q_soc - lam - b}.
+        # Boundary eigenvalues are exactly {-r, q_inf - q_soc - lam - b}; both
+        # go through the margin test, like the eigenvalues of trace_det_verdict.
         edge = p.q_inf - p.q_soc - p.lam - p.b
-        return _classify((edge,)), (("boundary_rate_negative", edge < 0.0),)
+        return _classify((-p.r, edge)), (("boundary_rate_negative", edge < 0.0),)
     # Honest interior: stable when both characteristic coefficients are
     # positive, which the existence condition implies.
     neg_trace, det = _interior_coefficients(p, e.state)
@@ -181,25 +170,16 @@ def _closed_form(p: ModelParams, e: EquilibriumReport):
 def classify_equilibrium(p: ModelParams, e: EquilibriumReport) -> StabilityVerdict:
     """Stability verdict for an equilibrium report.
 
-    The matching closed-form rule is evaluated first, then always
-    cross-checked against the eigenvalues of the reduced Jacobian at the
-    report's state under its strategy; a contradiction outside the margin
-    band raises :class:`StabilityContradictionError`, unless the deciding
-    real part is within :data:`ROUNDOFF` of the rate scale, where the
-    eigenvalues cannot confirm the rule and the verdict falls back to them.
-    The verdict's flags are the rule's flag, then ``trace_negative`` and
-    ``det_positive``.
+    The matching closed-form rule decides the classification wherever it is
+    conclusive (method ``closed_form``); elsewhere the eigenvalues of the
+    reduced Jacobian at the report's state under its strategy decide it
+    (method ``trace_det_fallback``).  Trace, determinant and real parts
+    always come from that Jacobian.  The verdict's flags are the rule's
+    flag, then ``trace_negative`` and ``det_positive``.
     """
     trace, det, parts, eig_flags = _trace_det(jacobian(p, e.state, e.strategy))
-    classification = _classify(parts)
-    closed, flags = _closed_form(p, e)
-    # Members compare by identity: Enum.__hash__ is Python code.
-    if closed is not classification and closed in _DEFINITE and classification in _DEFINITE:
-        if abs(max(parts)) > ROUNDOFF * rate_scale(p):
-            raise StabilityContradictionError(
-                f"closed-form verdict {closed.value} contradicts eigenvalues "
-                f"{parts} at {e.provenance.value}"
-            )
-        closed = None
-    method = Method.FALLBACK if closed is None else Method.CLOSED_FORM
+    classification, flags = _closed_form(p, e)
+    method = Method.CLOSED_FORM
+    if classification is None:
+        classification, method = _classify(parts), Method.FALLBACK
     return StabilityVerdict(classification, method, parts, trace, det, flags + eig_flags)

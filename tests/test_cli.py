@@ -437,9 +437,7 @@ def test_sweep_records_per_point_errors(tmp_path):
 SWEEP_CFG = THREE_CFG + "sweep_param = b\nsweep_min = 0.1\nsweep_max = 1\nsweep_points = 3\n"
 
 
-@pytest.mark.parametrize("error", [
-    cm.SimplexError, ArithmeticError, cm.StabilityContradictionError,
-])
+@pytest.mark.parametrize("error", [cm.SimplexError, ArithmeticError])
 def test_sweep_records_model_errors(tmp_path, monkeypatch, error):
     def failing(p, e):
         raise error("model failure")
@@ -581,8 +579,7 @@ def test_help_exits_0(capsys):
     assert "usage:" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("error", [ArithmeticError, cm.StabilityContradictionError,
-                                   cm.SimplexError])
+@pytest.mark.parametrize("error", [ArithmeticError, cm.SimplexError])
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch, error):
     def failing(p):
         raise error("expected one root\nof Q")
@@ -663,8 +660,8 @@ def test_classify_agrees_with_equilibria_just_above_one(tmp_path):
 
 def test_equilibria_with_corrupt_root_at_the_tie_band_edge(tmp_path):
     # x_H* - x_bar = 1.0000000003e-9, just above the tie band: by best_response's
-    # comparisons the root is indifferent, while Q(x_bar) < 0 says honest.  The
-    # cross-check must not fire inside the band, so this exits 0.
+    # comparisons the root is indifferent, while Q(x_bar) < 0 says honest.  It
+    # is listed as a tie and this exits 0.
     cfg = (
         "lambda = 0.24328302554051565\nr = 0.5475697326642243\nb = 0.3147943156030476\n"
         "f = 0\nq_soc = 43.39007952972478\nq_inf = 24.015209055488356\n"
@@ -927,6 +924,28 @@ def test_structured_nonfinite_numbers_are_strict_json(tmp_path, command, name):
     else:
         assert doc[0]["diagnostics"]["q_value"] == "nan"
         assert doc[0]["stability"]["det"] == "+inf"
+
+
+# Rates 480 decades apart: the honest boundary's float eigenvalues overflow
+# to (-inf, +inf), while its exact pair {-r, q_inf - q_soc - lam - b} puts
+# the top at -r = -9.5e-214: marginal.
+EXTREME_BOUNDARY_CFG = (
+    "lambda = 6.717138235719716e220\nr = 9.46041493587484e-214\nb = 81045000631857.34\n"
+    "f = 0\nq_soc = 5.6378526481854664e144\nq_inf = 2.6233904678912265e-262\n"
+    "w_R = 0\nw_H = 1\nw_C = 40409124.227859445\n"
+)
+
+
+def test_extreme_boundary_reads_its_exact_eigenvalues(tmp_path):
+    rc, out = run_cli(tmp_path, EXTREME_BOUNDARY_CFG, "equilibria")
+    assert rc == 0
+    assert "# [1] honest_boundary: x_H=1 x_C=0 behavior=honest stability=marginal (closed_form)" \
+        in out.decode().splitlines()
+    rc, out = run_cli(tmp_path, EXTREME_BOUNDARY_CFG + "format = structured\n", "equilibria")
+    assert rc == 0
+    (rep,) = json.loads(out, parse_constant=_reject_constant)
+    assert (rep["stability"]["classification"], rep["stability"]["method"]) == (
+        "marginal", "closed_form")
 
 
 def _text_of(command, cfg):

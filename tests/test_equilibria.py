@@ -243,8 +243,8 @@ def test_enumerate_admits_interior_point_on_the_threshold():
 def test_enumerate_takes_q_at_one_exactly_above_the_threshold():
     # x_bar = 1.0000000000000877 is inside the tie band above 1.  There Q
     # evaluated as alpha + beta + gamma cancels to -2.6e-9, although Q(1) =
-    # lam (q_soc + r + b) = 1.2e-10 > 0 exactly; the admissibility cross-check
-    # must take the exact value, or it reports a disagreement that is not there.
+    # lam (q_soc + r + b) = 1.2e-10 > 0 exactly; admission compares x_H* with
+    # x_bar, so the cancelled value cannot drop the root.
     p = make_params(
         lam=1.1321089947803766e-11, r=2.356079783654354, b=8.425797874025928,
         q_soc=0.05400138051743457, q_inf=58302076.19514815, w_R=1.1946331665040993e-09,

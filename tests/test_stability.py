@@ -1,12 +1,16 @@
 """Jacobians, trace/determinant verdicts and the closed-form rules."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import corruption_mfg as cm
 from corruption_mfg import stability
+from strategies import spread_params
 from support import (
     BASELINE, THREE_EQ, fd_jacobian, make_params, random_params, random_simplex, report_of,
 )
@@ -161,7 +165,8 @@ def test_classify_no_interaction_both_cases_stable():
 
 def test_classify_carries_the_trace_det_verdict_of_its_jacobian():
     # The equilibrium verdict reports exactly the trace/determinant test of
-    # its Jacobian, behind the closed-form rule's one flag.
+    # its Jacobian, behind the closed-form rule's one flag; at desk scale the
+    # rule and the eigenvalues also agree on the classification.
     rng = np.random.default_rng(37)
     rule_flags = {"sufficient_band", "boundary_rate_negative", "char_coefficients_positive"}
     for _ in range(200):
@@ -230,28 +235,145 @@ def test_honest_interior_always_stable():
         assert -v.trace > 0 and v.det > 0
 
 
-def test_contradiction_beyond_roundoff_raises(monkeypatch):
-    monkeypatch.setattr(stability, "_closed_form", lambda p, e: (cm.Classification.UNSTABLE, ()))
-    rep = cm.enumerate_equilibria(BASELINE)[0]  # eigenvalues -1.5 +- 0.87i
-    with pytest.raises(cm.StabilityContradictionError):
-        cm.classify_equilibrium(BASELINE, rep)
-
-
-def test_roundoff_contradiction_falls_back_to_eigenvalues():
+def test_interior_rule_decides_where_the_trace_is_roundoff():
     # Rates 18 decades apart: the interior's characteristic coefficients are
     # positive (-trace = r + q_inf x_C, about 1e-8), but the numeric trace
     # carries round-off of order 1e-16 * rate_scale, about 1e-6, and reads
-    # positive.  The eigenvalues cannot confirm the rule, so they decide.
+    # positive.  The rule decides: the point is stable.
     p = make_params(lam=0.0027, r=8e-9, b=2e9, q_soc=130.0, q_inf=3e9, w_C=2.0)
     (rep,) = [e for e in cm.enumerate_equilibria(p)
               if e.provenance is cm.Provenance.HONEST_INTERIOR]
     eig = cm.trace_det_verdict(cm.jacobian(p, rep.state, rep.strategy))
     assert eig.classification is cm.Classification.UNSTABLE
-    assert 0.0 < max(eig.eigen_real_parts) <= stability.ROUNDOFF * cm.rate_scale(p)
+    assert 0.0 < max(eig.eigen_real_parts) <= 1e-13 * cm.rate_scale(p)
     v = cm.classify_equilibrium(p, rep)
     assert dict(v.flags)["char_coefficients_positive"]
-    assert v.method is cm.Method.FALLBACK
-    assert v.classification is eig.classification
+    assert v.method is cm.Method.CLOSED_FORM
+    assert v.classification is cm.Classification.STABLE
+    assert (v.trace, v.det, v.eigen_real_parts) == (eig.trace, eig.det, eig.eigen_real_parts)
+
+
+# Rates 480 decades apart.  The honest boundary's exact eigenvalues are
+# {-r, q_inf - q_soc - lam - b}, whose top -r = -9.5e-214 lies in the margin
+# band, while trace^2 overflows and the float real parts read (-inf, +inf).
+EXTREME_BOUNDARY = make_params(
+    lam=6.717138235719716e220, r=9.46041493587484e-214, b=81045000631857.34,
+    q_soc=5.6378526481854664e144, q_inf=2.6233904678912265e-262, w_C=40409124.227859445,
+)
+# Every rate near 1e-9: the corrupt root is in the sufficient band, while its
+# eigenvalue real parts lie inside the absolute margin band.
+NANO_CORRUPT = make_params(lam=4.116489825193569e-10, r=4.863944375996407e-09,
+                           b=5.22072269168021e-10, w_C=5.681595980663214)
+
+
+@pytest.mark.parametrize("p, provenance, want", [
+    (EXTREME_BOUNDARY, cm.Provenance.HONEST_BOUNDARY, cm.Classification.MARGINAL),
+    (NANO_CORRUPT, cm.Provenance.CORRUPT_ROOT, cm.Classification.STABLE),
+], ids=["extreme-boundary", "nano-corrupt"])
+def test_rule_decides_where_the_eigenvalues_read_otherwise(p, provenance, want):
+    rep = report_of(p, provenance)
+    eig = cm.trace_det_verdict(cm.jacobian(p, rep.state, rep.strategy))
+    assert eig.classification is not want
+    v = cm.classify_equilibrium(p, rep)
+    assert (v.classification, v.method) == (want, cm.Method.CLOSED_FORM)
+
+
+# A float rule quantity may err by up to this fraction of the sum of the
+# magnitudes of its terms; the oracle leaves a verdict within it undecided.
+_ROUNDING = Fraction(1, 10**12)
+_MARGIN = Fraction(stability.MARGIN)
+UNDECIDED = "undecided"
+
+
+def _holds(gap, terms, strict=False):
+    """``gap > 0`` (``>= 0`` unless strict), or None where a float evaluation
+    erring by ``_ROUNDING * terms`` could read the other way."""
+    if terms and abs(gap) <= _ROUNDING * terms:
+        return None
+    return gap > 0 if strict else gap >= 0
+
+
+def _stable_where(*conditions):
+    """A sufficient rule: stable where every condition holds, None (the rule
+    is inconclusive) where one fails, else UNDECIDED."""
+    if False in conditions:
+        return None
+    return UNDECIDED if None in conditions else cm.Classification.STABLE
+
+
+def _band_classification(top):
+    if top < -_MARGIN:
+        return cm.Classification.STABLE
+    return cm.Classification.UNSTABLE if top > _MARGIN else cm.Classification.MARGINAL
+
+
+def _exact_verdict(p, rep):
+    """The verdict of each type's exact data, from ``p`` and the report's state
+    in rationals: a classification; None where the rule is inconclusive; or
+    UNDECIDED where float rounding of a rule quantity could flip it.
+
+    Corrupt root: stable inside the paper's band ``-lam q_soc / r <= q_soc -
+    q_inf <= (r q_inf + (r + b)(b r + r lam + b lam)) / r^2``.  Honest
+    boundary: the margin test on its eigenvalues ``{-r, q_inf - q_soc - lam -
+    b}``.  Honest interior: stable where ``-trace = r + q_inf x_C`` and ``det
+    = (q_inf - q_soc) x_C (r - lam + q_inf x_H)`` both exceed the margin.
+    """
+    lam, r, b, q_soc, q_inf = (Fraction(v) for v in (p.lam, p.r, p.b, p.q_soc, p.q_inf))
+    if rep.provenance is cm.Provenance.CORRUPT_ROOT:
+        diff, lower = q_soc - q_inf, -lam * q_soc / r
+        upper = (r * q_inf + (r + b) * (b * r + r * lam + b * lam)) / r**2
+        return _stable_where(_holds(diff - lower, q_soc + q_inf - lower),
+                             _holds(upper - diff, upper + q_soc + q_inf))
+    if rep.provenance is cm.Provenance.HONEST_BOUNDARY:
+        edge = q_inf - q_soc - lam - b
+        slack = _ROUNDING * (q_inf + q_soc + lam + b)
+        low, mid, high = (_band_classification(max(-r, e))
+                          for e in (edge - slack, edge, edge + slack))
+        return mid if low is mid is high else UNDECIDED
+    x_h, x_c = Fraction(rep.state.x_H), Fraction(rep.state.x_C)
+    neg_trace = r + q_inf * x_c
+    det = (q_inf - q_soc) * x_c * (r - lam + q_inf * x_h)
+    det_terms = (q_inf + q_soc) * x_c * (r + lam + q_inf * x_h)
+    return _stable_where(_holds(neg_trace - _MARGIN, neg_trace, strict=True),
+                         _holds(det - _MARGIN, det_terms, strict=True))
+
+
+# The rule's flag where the rule can be inconclusive; the boundary's always decides.
+_RULE_FLAG = {cm.Provenance.CORRUPT_ROOT: "sufficient_band",
+              cm.Provenance.HONEST_INTERIOR: "char_coefficients_positive"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=spread_params())
+@example(p=EXTREME_BOUNDARY)
+@example(p=NANO_CORRUPT)
+def test_verdict_is_the_rule_where_conclusive_and_the_eigenvalues_agree(p):
+    try:
+        reports = cm.enumerate_equilibria(p)
+    except (ArithmeticError, cm.SimplexError):
+        # The corrupt root search fails at some spreads, a defect of its own.
+        reject()
+    for rep in reports:
+        v = cm.classify_equilibrium(p, rep)
+        eig = cm.trace_det_verdict(cm.jacobian(p, rep.state, rep.strategy))
+        assert (v.trace, v.det, v.eigen_real_parts) == (eig.trace, eig.det, eig.eigen_real_parts)
+        flag = _RULE_FLAG.get(rep.provenance)
+        decided = flag is None or dict(v.flags)[flag]
+        if not decided:
+            assert (v.classification, v.method) == (eig.classification, cm.Method.FALLBACK)
+        want = _exact_verdict(p, rep)
+        if want is UNDECIDED:
+            continue
+        if want is None:
+            assert not decided
+            continue
+        assert (v.classification, v.method) == (want, cm.Method.CLOSED_FORM)
+        # The float eigenvalues confirm the rule wherever their top lies
+        # clear of the margin band by more than their round-off; an overflowed
+        # trace^2 confirms nothing.
+        top = max(eig.eigen_real_parts)
+        if math.isfinite(top) and abs(top) > stability.MARGIN + 1e-12 * cm.rate_scale(p):
+            assert eig.classification is want
 
 
 _DECADE = st.floats(-6.0, 6.0)
@@ -282,8 +404,8 @@ def test_interior_coefficients_match_jacobian(lam, r, b, q_soc, excess):
     v = cm.classify_equilibrium(p, rep)
     positive = dict(v.flags)["char_coefficients_positive"]
     assert positive == (neg_trace > stability.MARGIN and det > stability.MARGIN)
-    if v.method is cm.Method.CLOSED_FORM:
-        assert positive and v.classification is cm.Classification.STABLE
+    if positive:
+        assert (v.classification, v.method) == (cm.Classification.STABLE, cm.Method.CLOSED_FORM)
     else:
-        # Falls back only without the flag, or where round-off decides.
-        assert not positive or abs(max(v.eigen_real_parts)) <= stability.ROUNDOFF * scale
+        assert v.method is cm.Method.FALLBACK
+        assert v.classification is cm.trace_det_verdict(j).classification
