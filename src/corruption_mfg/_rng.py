@@ -12,14 +12,19 @@ conforming philox4x64-10 implementation reproduces the same paths.
 The size of the blocks in which outputs are generated is not part of
 ``event-rng v1``: philox output does not depend on how it is chunked, so
 the block size changes only speed and memory, never a draw.
+
+``numpy.random`` is imported when the first stream is opened, not with this
+module.  Only the ``ctmc`` command, ``simulate_population``,
+``simulate_tagged_agent`` and ``deviation_gain`` open streams, so the
+closed-form commands and the ODE ``simulate`` never load it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 # Blocks grow by doubling from the first size to the last, so a short
 # stream (a tagged agent with a few jumps) converts few unused uniforms.
@@ -35,19 +40,32 @@ def _blocks(bits: np.random.Philox):
         size = min(2 * size, _MAX_BLOCK)
 
 
-class _Key(ISeedSequence):
-    """Hands Philox the two key words as its seed state.
+@functools.cache
+def _keyed_philox():
+    """Return the function that makes a Philox keyed with two uint64 words.
 
-    Keyed through ``Philox(key=...)``, numpy first builds a ``SeedSequence``
-    from OS entropy, which the key then overrides; Philox asks this object
-    for its two uint64 key words instead, and draws no entropy.
+    Built at the first stream, so ``numpy.random`` is imported only by a
+    program that draws.
     """
+    from numpy.random import Philox
+    from numpy.random.bit_generator import ISeedSequence
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    class Key(ISeedSequence):
+        """Hands Philox the two key words as its seed state.
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+        Keyed through ``Philox(key=...)``, numpy first builds a
+        ``SeedSequence`` from OS entropy, which the key then overrides;
+        Philox asks this object for its two uint64 key words instead, and
+        draws no entropy.
+        """
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return lambda words: Philox(Key(words))
 
 
 class UniformStream:
@@ -60,4 +78,4 @@ class UniformStream:
 
     def __init__(self, seed: int, stream: int = 0):
         key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
-        self.uniform = itertools.chain.from_iterable(_blocks(np.random.Philox(_Key(key)))).__next__
+        self.uniform = itertools.chain.from_iterable(_blocks(_keyed_philox()(key))).__next__

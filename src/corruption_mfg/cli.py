@@ -349,7 +349,7 @@ def cmd_equilibria(cfg: RunConfig, write) -> None:
 # ``_fmt_threshold`` for their ``+inf``/``-inf`` tokens.  Tables are written
 # as they are formatted, one piece per this many rows: a table from arrays
 # is formatted from the ``ndarray.tolist()`` values of one chunk at a time,
-# so neither its per-row strings nor its whole text ever exist at once.
+# so its whole text never exists at once.
 _CHUNK_ROWS = 1024
 _LABELS = np.array(TRANSITION_LABELS, dtype=object)
 
@@ -360,11 +360,19 @@ def _write_table(write, template: str, columns: list[np.ndarray],
     per :data:`_CHUNK_ROWS` rows.  Column ``codes_at``, if given, holds
     indices into :data:`TRANSITION_LABELS` and is written as the labels."""
     template += "\n"
+    width = len(columns)
     for lo in range(0, len(columns[0]), _CHUNK_ROWS):
         cells = [column[lo:lo + _CHUNK_ROWS] for column in columns]
         if codes_at is not None:
             cells[codes_at] = _LABELS[cells[codes_at]]
-        write("".join([template % row for row in zip(*[cell.tolist() for cell in cells])]))
+        # One ``%`` formats the chunk: each conversion of the repeated
+        # template takes the next argument, so the row-major arguments give
+        # the bytes of one ``template % row`` per row.
+        rows = len(cells[0])
+        flat = [None] * (rows * width)
+        for i, cell in enumerate(cells):
+            flat[i::width] = cell.tolist()
+        write((template * rows) % tuple(flat))
 
 
 def cmd_simulate(cfg: RunConfig, write) -> None:

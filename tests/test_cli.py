@@ -5,6 +5,9 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,6 +15,7 @@ import pytest
 
 import corruption_mfg as cm
 from corruption_mfg import cli, simulate
+from test_rng import PINNED
 
 BASE_CFG = """\
 # interaction-free corrupt baseline
@@ -1046,3 +1050,40 @@ def test_ctmc_memory_per_event_of_replication_0(tmp_path):
         peaks.append(peak)
         events.append(len(path))
     assert (peaks[1] - peaks[0]) / (events[1] - events[0]) < 25
+
+
+# ---------------------------------------------------------------------------
+# import boundary
+
+# Runs in a fresh interpreter, since the tests load ``numpy.random`` in this
+# one: prints which of the commands left ``numpy.random`` loaded, the first
+# four draws of stream (7, -5), and whether the stream loaded it.
+_IMPORT_BOUNDARY = """
+import json, sys
+from corruption_mfg import cli
+cfg, out = sys.argv[1:]
+loaded_by = []
+for command in ("classify", "equilibria", "sweep", "simulate"):
+    assert cli.main([command, "--config", cfg, "--out", out]) == 0, command
+    if "numpy.random" in sys.modules:
+        loaded_by.append(command)
+from corruption_mfg.simulate import UniformStream
+rng = UniformStream(7, -5)
+draws = [rng.uniform() for _ in range(4)]
+print(json.dumps([loaded_by, draws, "numpy.random" in sys.modules]))
+"""
+
+
+def test_numpy_random_loads_with_the_first_stream(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(THREE_CFG + "sweep_param = b\nsweep_min = 0.1\nsweep_max = 0.3\n"
+                   "sweep_points = 3\n")
+    src = os.path.dirname(os.path.dirname(cm.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_BOUNDARY, str(cfg), str(tmp_path / "out")],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+                          check=True)
+    loaded_by, draws, loaded = json.loads(done.stdout)
+    assert loaded_by == []
+    assert (7, -5, tuple(draws)) in PINNED
+    assert loaded
