@@ -184,7 +184,15 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("sweep_points must be >= 1")
         if points > MAX_SWEEP_POINTS:
             raise StepSizeError(f"sweep_points={points} exceeds the cap of {MAX_SWEEP_POINTS}")
-        sweep_grid = tuple(float(v) for v in np.linspace(lo, hi, points))
+        # linspace may overflow only in its last point, which it then sets to
+        # the exact bound.  Where the span itself overflows, the grid of the
+        # halved bounds is doubled: halving and doubling are exact.
+        with np.errstate(over="ignore"):
+            if math.isfinite(hi - lo):
+                grid = np.linspace(lo, hi, points)
+            else:
+                grid = 2.0 * np.linspace(lo / 2, hi / 2, points)
+        sweep_grid = tuple(float(v) for v in grid)
 
     out_format = values.get("format", "csv")
     if out_format not in ("csv", "structured"):
@@ -354,17 +362,13 @@ _CHUNK_ROWS = 1024
 _LABELS = np.array(TRANSITION_LABELS, dtype=object)
 
 
-def _write_table(write, template: str, columns: list[np.ndarray],
-                 codes_at: int | None = None) -> None:
+def _write_table(write, template: str, columns: list[np.ndarray]) -> None:
     """Write ``template % row + "\\n"`` for every row of ``columns``, one chunk
-    per :data:`_CHUNK_ROWS` rows.  Column ``codes_at``, if given, holds
-    indices into :data:`TRANSITION_LABELS` and is written as the labels."""
+    per :data:`_CHUNK_ROWS` rows."""
     template += "\n"
     width = len(columns)
     for lo in range(0, len(columns[0]), _CHUNK_ROWS):
         cells = [column[lo:lo + _CHUNK_ROWS] for column in columns]
-        if codes_at is not None:
-            cells[codes_at] = _LABELS[cells[codes_at]]
         # One ``%`` formats the chunk: each conversion of the repeated
         # template takes the next argument, so the row-major arguments give
         # the bytes of one ``template % row`` per row.
@@ -396,11 +400,11 @@ def cmd_ctmc(cfg: RunConfig, write) -> None:
         cfg.params, cfg.N, cfg.x0, cfg.strategy, cfg.t_end, cfg.replications, cfg.seed, cfg.dt
     )
     write("t,transition,n_R,n_H,n_C\n")
-    # The path holds no counts: each chunk's are derived as it is written.
-    for lo, counts in path.count_blocks(_CHUNK_ROWS):
+    # The path holds no counts: each block's are derived as it is written.
+    for lo, counts in path.count_blocks():
         hi = lo + len(counts)
         _write_table(write, "%.17g,%s,%d,%d,%d",
-                     [path.times[lo:hi], path.transition_codes[lo:hi], *counts.T], codes_at=1)
+                     [path.times[lo:hi], _LABELS[path.transition_codes[lo:hi]], *counts.T])
     write("# lln_distance = %.17g\n" % distance)
 
 

@@ -49,7 +49,7 @@ from .model import (
 
 __all__ = [
     "EquilibriumReport", "Provenance", "corrupt_root",
-    "enumerate_equilibria", "q_coefficients", "q_polynomial",
+    "enumerate_equilibria", "q_coefficients",
 ]
 
 # Relative threshold under which the quadratic's leading coefficient is
@@ -84,20 +84,16 @@ class EquilibriumReport:
 
 
 def q_coefficients(p: ModelParams) -> tuple[float, float, float]:
-    """Coefficients (alpha, beta, gamma) of the corrupt fixed-point quadratic."""
-    alpha = (p.r + p.lam) * p.q_soc - p.r * p.q_inf
-    beta = p.r * (p.q_inf - p.q_soc) + p.lam * p.r + p.lam * p.b + p.r * p.b
-    gamma = -p.r * p.b
-    return alpha, beta, gamma
-
-
-def q_polynomial(p: ModelParams, x_H: float) -> float:
-    """Evaluate the corrupt-branch fixed-point quadratic at ``x_H``.
+    """Coefficients (alpha, beta, gamma) of the corrupt fixed-point quadratic
+    ``Q(x_H) = alpha x_H^2 + beta x_H + gamma``.
 
     ``Q(0) = -r b < 0`` and ``Q(1) = lam (q_soc + r + b) > 0`` for every
     valid parameter set, so Q has exactly one root in (0, 1).
     """
-    return _q_at(q_coefficients(p), x_H)
+    alpha = (p.r + p.lam) * p.q_soc - p.r * p.q_inf
+    beta = p.r * (p.q_inf - p.q_soc) + p.lam * p.r + p.lam * p.b + p.r * p.b
+    gamma = -p.r * p.b
+    return alpha, beta, gamma
 
 
 def _q_at(coefficients: tuple[float, float, float], x_H: float) -> float:

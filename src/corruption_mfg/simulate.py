@@ -204,8 +204,9 @@ class EventPath:
     def __len__(self) -> int:
         return len(self.times)
 
-    def count_blocks(self, size: int):
-        """Yield ``(lo, counts[lo:lo + size])`` for ``lo = 0, size, 2 size, ...``.
+    def count_blocks(self):
+        """Yield ``(lo, counts[lo:lo + size])`` for ``lo = 0, size, 2 size, ...``,
+        where ``size`` is :data:`_COUNT_BLOCK`.
 
         Each block is a fresh C-contiguous int64 ``(rows, 3)`` array: the
         running sum of the codes' count moves, started at ``initial`` and
@@ -214,6 +215,7 @@ class EventPath:
         """
         n0 = self.initial
         carry = np.array([n0.n_R, n0.n_H, n0.n_C], dtype=np.int64)
+        size = _COUNT_BLOCK
         for lo in range(0, len(self), size):
             block = np.take(_MOVES, self.transition_codes[lo:lo + size], axis=0)
             block[0] += carry
@@ -225,13 +227,13 @@ class EventPath:
     def counts(self) -> np.ndarray:
         """Counts after each event, int64 ``(len(self), 3)``, C-contiguous."""
         counts = np.empty((len(self), 3), dtype=np.int64)
-        for lo, block in self.count_blocks(_COUNT_BLOCK):
+        for lo, block in self.count_blocks():
             counts[lo:lo + len(block)] = block
         return counts
 
     def events(self):
         """Yield ``(time, label, PopulationCounts)`` per event, in order."""
-        for lo, block in self.count_blocks(_COUNT_BLOCK):
+        for lo, block in self.count_blocks():
             hi = lo + len(block)
             for t, code, (n_r, n_h, n_c) in zip(self.times[lo:hi].tolist(),
                                                  self.transition_codes[lo:hi].tolist(),
@@ -451,7 +453,7 @@ def lln_convergence(
         # sorted, so the grid points that read one block are one slice.
         idx = np.searchsorted(path.times, grid, side="right")
         sampled = np.empty((len(grid), 3), np.int64)
-        for lo, block in path.count_blocks(_COUNT_BLOCK):
+        for lo, block in path.count_blocks():
             g_lo, g_hi = np.searchsorted(idx, (lo + 1, lo + len(block) + 1))
             sampled[g_lo:g_hi] = block[idx[g_lo:g_hi] - 1 - lo]
         del path

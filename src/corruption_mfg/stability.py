@@ -4,10 +4,7 @@ Mass conservation makes the third direction redundant, so the kinetics are
 reduced to the plane ``(x_H, x_C)`` via ``x_R = 1 - x_H - x_C`` and a fixed
 point is classified through the 2x2 Jacobian there: asymptotically stable
 iff its trace is negative and its determinant positive (equivalently both
-eigenvalue real parts negative).  :func:`trace_det_verdict` and
-:func:`classify_equilibrium` take the trace, determinant, real parts and
-their sign flags from one private helper, so an equilibrium's verdict
-carries exactly those of :func:`trace_det_verdict` at its Jacobian.
+eigenvalue real parts negative).
 
 An equilibrium's classification comes from the closed-form rule of its
 type wherever that rule is conclusive: a sufficient band on ``q_soc -
@@ -37,7 +34,7 @@ from .model import ModelParams, PopulationState, StrategyProfile
 
 __all__ = [
     "Classification", "Method", "StabilityVerdict",
-    "classify_equilibrium", "corrupt_stability_band", "jacobian", "trace_det_verdict",
+    "classify_equilibrium", "corrupt_stability_band", "jacobian",
 ]
 
 # Half-width of the sign-test band around zero; inside it a verdict is
@@ -55,7 +52,6 @@ class Method(Enum):
     """How a verdict was reached."""
 
     CLOSED_FORM = "closed_form"        # the explicit rule decided
-    TRACE_DET = "trace_det"            # direct eigenvalue/trace-det test
     FALLBACK = "trace_det_fallback"    # rule inconclusive; eigenvalues decided
 
 
@@ -108,21 +104,6 @@ def _classify(real_parts: tuple[float, float]) -> Classification:
     return Classification.MARGINAL
 
 
-def _trace_det(m) -> tuple:
-    """``(trace, det, eigenvalue real parts, sign flags)`` of a 2x2 matrix ``((a, b), (c, d))``."""
-    (a, b), (c, d) = m
-    trace = float(a + d)
-    det = float(a * d - b * c)
-    flags = (("trace_negative", trace < 0.0), ("det_positive", det > 0.0))
-    return trace, det, eigen_real_parts(trace, det), flags
-
-
-def trace_det_verdict(m) -> StabilityVerdict:
-    """Planar verdict from the trace/determinant test of a 2x2 matrix ``((a, b), (c, d))``."""
-    trace, det, parts, flags = _trace_det(m)
-    return StabilityVerdict(_classify(parts), Method.TRACE_DET, parts, trace, det, flags)
-
-
 def corrupt_stability_band(p: ModelParams) -> bool:
     """Sufficient condition for stability of the corrupt fixed point.
 
@@ -156,7 +137,7 @@ def _closed_form(p: ModelParams, e: EquilibriumReport):
         return verdict, (("sufficient_band", band),)
     if e.provenance is Provenance.HONEST_BOUNDARY:
         # Boundary eigenvalues are exactly {-r, q_inf - q_soc - lam - b}; both
-        # go through the margin test, like the eigenvalues of trace_det_verdict.
+        # go through the margin test, like the eigenvalues of the Jacobian.
         edge = p.q_inf - p.q_soc - p.lam - p.b
         return _classify((-p.r, edge)), (("boundary_rate_negative", edge < 0.0),)
     # Honest interior: stable when both characteristic coefficients are
@@ -177,9 +158,12 @@ def classify_equilibrium(p: ModelParams, e: EquilibriumReport) -> StabilityVerdi
     always come from that Jacobian.  The verdict's flags are the rule's
     flag, then ``trace_negative`` and ``det_positive``.
     """
-    trace, det, parts, eig_flags = _trace_det(jacobian(p, e.state, e.strategy))
+    (a, b), (c, d) = jacobian(p, e.state, e.strategy)
+    trace, det = float(a + d), float(a * d - b * c)
+    parts = eigen_real_parts(trace, det)
     classification, flags = _closed_form(p, e)
     method = Method.CLOSED_FORM
     if classification is None:
         classification, method = _classify(parts), Method.FALLBACK
-    return StabilityVerdict(classification, method, parts, trace, det, flags + eig_flags)
+    flags += (("trace_negative", trace < 0.0), ("det_positive", det > 0.0))
+    return StabilityVerdict(classification, method, parts, trace, det, flags)

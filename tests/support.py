@@ -3,6 +3,7 @@
 import numpy as np
 
 import corruption_mfg as cm
+from corruption_mfg import stability
 
 
 def make_params(lam=1.0, r=1.0, b=1.0, f=0.0, q_soc=0.0, q_inf=0.0,
@@ -70,6 +71,13 @@ def random_simplex(rng, margin=0.0):
 ALL_STRATEGIES = cm.ALL_PROFILES
 
 
+def q_at(p, x_H):
+    """The corrupt fixed-point quadratic Q at ``x_H``, from ``cm.q_coefficients``
+    in Horner form, the order the enumeration's ``q_value`` is rounded in."""
+    alpha, beta, gamma = cm.q_coefficients(p)
+    return (alpha * x_H + beta) * x_H + gamma
+
+
 def bisect_root(func, lo, hi, tol=1e-12, max_iter=200):
     """Plain bisection; the independent oracle for root locations."""
     f_lo, f_hi = func(lo), func(hi)
@@ -96,6 +104,22 @@ def fd_jacobian(p, x, s, h=1e-6):
     col0 = (f(x_h + h, x_c) - f(x_h - h, x_c)) / (2 * h)
     col1 = (f(x_h, x_c + h) - f(x_h, x_c - h)) / (2 * h)
     return np.column_stack([col0, col1])
+
+
+def eigen_verdict(m):
+    """``(trace, det, eigenvalue real parts, classification)`` of a 2x2 matrix
+    ``((a, b), (c, d))``: trace and determinant rounded in the order
+    ``classify_equilibrium`` rounds them, and the classification from the
+    top real part against the margin band."""
+    (a, b), (c, d) = m
+    trace, det = a + d, a * d - b * c
+    parts = stability.eigen_real_parts(trace, det)
+    top = max(parts)
+    if top < -stability.MARGIN:
+        return trace, det, parts, cm.Classification.STABLE
+    if top > stability.MARGIN:
+        return trace, det, parts, cm.Classification.UNSTABLE
+    return trace, det, parts, cm.Classification.MARGINAL
 
 
 def max_rhs(p, state, strategy):

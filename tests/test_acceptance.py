@@ -17,9 +17,11 @@ from support import (
     BASELINE,
     THREE_EQ,
     bisect_root,
+    eigen_verdict,
     fd_jacobian,
     max_rhs,
     moderate_params,
+    q_at,
     random_params,
     random_simplex,
 )
@@ -98,7 +100,7 @@ def test_criterion_04_three_equilibria_scenario():
     assert len(reports) == 3
     x_bar = cm.classifier_xbar(p).value
     assert x_bar == pytest.approx(0.15, abs=1e-12)
-    root_oracle = bisect_root(lambda t: cm.q_polynomial(p, t), 0.0, 1.0, tol=1e-13)
+    root_oracle = bisect_root(lambda t: q_at(p, t), 0.0, 1.0, tol=1e-13)
     xs = [rep.state.x_H for rep in reports]
     assert abs(xs[0] - root_oracle) <= 1e-10
     assert xs[1] == pytest.approx(0.2, abs=1e-12)
@@ -125,8 +127,8 @@ def test_criterion_05_sufficient_band_implies_stable():
     for p in params:
         x_h, x_c = cm.corrupt_root(p)
         x = cm.PopulationState(1.0 - x_h - x_c, x_h, x_c)
-        v = cm.trace_det_verdict(cm.jacobian(p, x, cm.CORRUPT_PROFILE))
-        stable += v.classification is cm.Classification.STABLE
+        *_, classification = eigen_verdict(cm.jacobian(p, x, cm.CORRUPT_PROFILE))
+        stable += classification is cm.Classification.STABLE
     elapsed = time.perf_counter() - t0
 
     assert stable == len(params)

@@ -27,7 +27,7 @@ def test_each_module_declares_its_public_names():
                 assert obj.__module__ == module.__name__, name
     names = [name for module in modules for name in module.__all__]
     assert cm.__all__ == names
-    assert len(names) == len(set(names)) == 49
+    assert len(names) == len(set(names)) == 47
 
 
 def _load_tracer():

@@ -9,9 +9,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import corruption_mfg as cm
 from corruption_mfg import cli, simulate
@@ -328,6 +331,21 @@ def test_ctmc_seed_override_changes_output(tmp_path):
     assert out1 != out2
 
 
+def test_ctmc_written_in_unaligned_blocks_matches_the_default(tmp_path, monkeypatch):
+    # Counts are derived _COUNT_BLOCK events at a time and written
+    # _CHUNK_ROWS rows at a time.  At 5 and 3 the two boundaries do not
+    # align: each block of 5 rows is written as pieces of 3 and 2.
+    cfg = BASE_CFG + "t_end = 3\nN = 60\nreplications = 2\nseed = 5\n"
+    _, whole = run_cli(tmp_path, cfg, "ctmc")
+    monkeypatch.setattr(simulate, "_COUNT_BLOCK", 5)
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
+    pieces = []
+    cli.cmd_ctmc(cli.parse_config(cfg), pieces.append)
+    rows = [piece.count("\n") for piece in pieces[1:-1]]
+    assert rows[:20] == [3, 2] * 10
+    assert "".join(pieces).encode() == whole
+
+
 def test_ctmc_event_cap_exit_code(tmp_path, capsys):
     # N = 100 at rate_scale 3: both horizons predict more than MAX_EVENTS events.
     for t_end in ("1e300", "40000"):
@@ -525,6 +543,47 @@ def test_sweep_written_in_small_chunks_matches_one_piece(tmp_path, monkeypatch):
     cli.cmd_sweep(cli.parse_config(cfg), pieces.append)
     assert len(pieces) > 3
     assert "".join(pieces).encode() == whole
+
+
+def test_sweep_whose_span_overflows_gets_a_finite_grid(tmp_path, capsys):
+    # sweep_max - sweep_min overflows to inf; the grid of the halved bounds,
+    # doubled, is the exact grid, and no numpy warning is raised on the way.
+    cfg = THREE_CFG + "sweep_param = f\nsweep_min = -1e308\nsweep_max = 1e308\nsweep_points = 5\n"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.parse_config(cfg).sweep_grid == (-1e308, -5e307, 0.0, 5e307, 1e308)
+        rc, out = run_cli(tmp_path, cfg, "sweep")
+    assert caught == []
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    rows = [line.split(",") for line in out.decode().splitlines()[1:]]
+    assert list(dict.fromkeys(row[0] for row in rows)) == [
+        "-1e+308", "-5.0000000000000001e+307", "0", "5.0000000000000001e+307", "1e+308"]
+    assert [row[9] for row in rows if row[9]] == ["f >= 0 violated"] * 2
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=_FINITE, hi=_FINITE, points=st.integers(1, 40))
+@example(lo=-1.7976931348623157e308, hi=1.7976931348623157e308, points=2)
+@example(lo=1e308, hi=-1e308, points=7)
+@example(lo=0.0, hi=1.7976931348623157e308, points=4)
+def test_sweep_grid_is_linspace_wherever_the_span_is_finite(lo, hi, points):
+    cfg = THREE_CFG + (f"sweep_param = b\nsweep_min = {lo!r}\nsweep_max = {hi!r}\n"
+                       f"sweep_points = {points}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = np.array(cli.parse_config(cfg).sweep_grid)
+    assert np.isfinite(grid).all() and grid[0] == lo and grid[-1] == (hi if points > 1 else lo)
+    if math.isfinite(hi - lo):
+        with np.errstate(over="ignore"):
+            assert grid.tobytes() == np.linspace(lo, hi, points).tobytes()
+    else:
+        ascending = lo < hi
+        assert (grid[1:] >= grid[:-1]).all() == ascending
+        assert (grid[1:] <= grid[:-1]).all() != ascending
 
 
 def test_sweep_requires_grid(tmp_path):

@@ -16,7 +16,6 @@ from corruption_mfg.equilibria import (  # noqa: E402
     EquilibriumReport,
     Provenance,
     q_coefficients,
-    q_polynomial,
 )
 from corruption_mfg.hjb import TIE_TOL, classifier_xbar  # noqa: E402
 from corruption_mfg.model import (  # noqa: E402
@@ -29,13 +28,13 @@ from corruption_mfg.model import (  # noqa: E402
     kinetic_rhs,
     validate_params,
 )
-from support import THREE_EQ_CONFIG, make_params  # noqa: E402
+from support import THREE_EQ_CONFIG, make_params, q_at  # noqa: E402
 
 
 # The enumeration as it stood before the merge into one pass, kept as the
 # reference.  The edits are the interior's tie-band admission in
 # honest_interior (it was ``max(x_bar, 0.0) > x_h``); the exact Q(1) for
-# ``x_bar >= 1`` (it was ``q_polynomial(p, min(x_bar, 1.0))``); and the one
+# ``x_bar >= 1`` (it was Q at ``min(x_bar, 1.0)``); and the one
 # threshold rule: every candidate's admission and tie come from
 # ``best_response``'s comparisons, copied as _regime (they were ``abs(x_h -
 # x_bar) <= TIE_TOL``, ``x_h* <= x_bar + TIE_TOL`` and a shortcut for
@@ -99,7 +98,7 @@ def _report(
     warnings: tuple[str, ...] = (),
 ) -> EquilibriumReport:
     residual = max(abs(v) for v in kinetic_rhs(p, state, strategy))
-    return EquilibriumReport(state, behavior, strategy, provenance, q_polynomial(p, state.x_H),
+    return EquilibriumReport(state, behavior, strategy, provenance, q_at(p, state.x_H),
                              x_bar, residual, flags, warnings)
 
 
@@ -146,7 +145,7 @@ def reference_enumeration(p: ModelParams) -> list[EquilibriumReport]:
             )
         )
     elif x_bar > 0.0:
-        q_at_bar = p.lam * (p.q_soc + p.r + p.b) if x_bar >= 1.0 else q_polynomial(p, x_bar)
+        q_at_bar = p.lam * (p.q_soc + p.r + p.b) if x_bar >= 1.0 else q_at(p, x_bar)
         x_h_star, _ = corrupt_root(p)
         regime = _regime(threshold, x_h_star)
         if regime is not Behavior.INDIFFERENT and (q_at_bar >= 0.0) != (

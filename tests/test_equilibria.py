@@ -11,6 +11,7 @@ from support import (
     bisect_root,
     make_params,
     max_rhs,
+    q_at,
     random_params,
     report_of,
 )
@@ -25,7 +26,7 @@ BOUNDARY = cm.Provenance.HONEST_BOUNDARY
 
 def test_q_hand_coefficients():
     assert cm.q_coefficients(BASELINE) == (0.0, 3.0, -1.0)
-    assert cm.q_polynomial(BASELINE, 1 / 3) == pytest.approx(0.0, abs=1e-15)
+    assert q_at(BASELINE, 1 / 3) == pytest.approx(0.0, abs=1e-15)
     p = make_params(q_soc=1.0, q_inf=2.0)
     assert cm.q_coefficients(p) == (0.0, 4.0, -1.0)  # degenerate to linear
     p3 = THREE_EQ
@@ -39,9 +40,9 @@ def test_q_sign_structure():
     rng = np.random.default_rng(20)
     for _ in range(500):
         p = random_params(rng)
-        assert cm.q_polynomial(p, 0.0) == pytest.approx(-p.r * p.b, abs=0)
-        assert cm.q_polynomial(p, 0.0) < 0
-        q1 = cm.q_polynomial(p, 1.0)
+        assert q_at(p, 0.0) == pytest.approx(-p.r * p.b, abs=0)
+        assert q_at(p, 0.0) < 0
+        q1 = q_at(p, 1.0)
         assert q1 > 0
         assert q1 == pytest.approx(p.lam * (p.q_soc + p.r + p.b), rel=1e-12)
 
@@ -63,7 +64,7 @@ def test_corrupt_root_linear_degenerate():
 
 def test_corrupt_root_against_bisection():
     x_h, _ = cm.corrupt_root(THREE_EQ)
-    oracle = bisect_root(lambda t: cm.q_polynomial(THREE_EQ, t), 0.0, 1.0, tol=1e-13)
+    oracle = bisect_root(lambda t: q_at(THREE_EQ, t), 0.0, 1.0, tol=1e-13)
     assert abs(x_h - oracle) <= 1e-10
     assert x_h == pytest.approx(0.12168759, abs=1e-6)
 
@@ -71,7 +72,7 @@ def test_corrupt_root_against_bisection():
     for _ in range(200):
         p = random_params(rng)
         x_h, x_c = cm.corrupt_root(p)
-        oracle = bisect_root(lambda t: cm.q_polynomial(p, t), 0.0, 1.0, tol=1e-13)
+        oracle = bisect_root(lambda t: q_at(p, t), 0.0, 1.0, tol=1e-13)
         assert abs(x_h - oracle) <= 1e-10
 
 
@@ -84,7 +85,7 @@ def test_corrupt_root_bounds_and_residual():
         assert 0.0 < x_c < 1.0
         assert x_h + x_c < 1.0
         coeff_scale = max(abs(c) for c in cm.q_coefficients(p))
-        assert abs(cm.q_polynomial(p, x_h)) <= 1e-12 * coeff_scale
+        assert abs(q_at(p, x_h)) <= 1e-12 * coeff_scale
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +180,8 @@ def test_enumerate_three_equilibria_ordering():
     p = THREE_EQ
     x_bar = (1.0 / 0.5) * (1.0 * 0.275 / 1.0 - 0.2)
     assert x_bar == pytest.approx(0.15, abs=1e-12)
-    assert cm.q_polynomial(p, 0.15) > 0
-    root_oracle = bisect_root(lambda t: cm.q_polynomial(p, t), 0.0, 1.0, tol=1e-13)
+    assert q_at(p, 0.15) > 0
+    root_oracle = bisect_root(lambda t: q_at(p, t), 0.0, 1.0, tol=1e-13)
     interior_oracle = (0.2 + 0.1) / (2.0 - 0.5)
 
     reports = cm.enumerate_equilibria(p)
@@ -252,7 +253,7 @@ def test_enumerate_takes_q_at_one_exactly_above_the_threshold():
     )
     x_bar = cm.classifier_xbar(p).value
     assert 1.0 < x_bar <= 1.0 + cm.TIE_TOL
-    assert cm.q_polynomial(p, 1.0) < 0.0 < p.lam * (p.q_soc + p.r + p.b)
+    assert q_at(p, 1.0) < 0.0 < p.lam * (p.q_soc + p.r + p.b)
     reports = cm.enumerate_equilibria(p)
     assert [rep.provenance for rep in reports] == [cm.Provenance.CORRUPT_ROOT, BOUNDARY]
     assert [rep.behavior for rep in reports] == [cm.Behavior.CORRUPT, cm.Behavior.INDIFFERENT]

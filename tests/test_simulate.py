@@ -419,28 +419,34 @@ MOVES = np.array([[1, 0, -1], [-1, 1, 0], [0, -1, 1], [0, 1, -1]], dtype=np.int6
 @settings(max_examples=100, deadline=None)
 @given(codes=st.binary(max_size=3000).map(lambda b: np.frombuffer(b, np.uint8) % 4),
        start=st.tuples(*[st.integers(3000, 2**50)] * 3),
-       size=st.sampled_from([1, 7, 1024, 3001]))
+       size=st.sampled_from([1, 2, 3, 7, 4096]))
 @example(codes=np.empty(0, np.uint8), start=(5, 5, 5), size=1)
-@example(codes=np.empty(0, np.uint8), start=(5, 5, 5), size=3001)
+@example(codes=np.empty(0, np.uint8), start=(5, 5, 5), size=4096)
+@example(codes=np.arange(4097, dtype=np.uint8) % 4, start=(5000, 5000, 5000), size=4096)
 def test_counts_and_count_blocks_are_the_cumulative_sum(codes, start, size):
     # The counts a path derives from its codes are, bit for bit, the int64
-    # cumulative sum of the codes' moves that paths once stored.
+    # cumulative sum of the codes' moves that paths once stored, at every
+    # block size.  A function-scoped monkeypatch fixture would span all the
+    # examples, so each example sets the size in a context of its own.
     want = MOVES[codes]
     np.cumsum(want, axis=0, out=want)
     want += start
     path = simulate.EventPath(initial=cm.PopulationCounts(*start),
                               times=np.arange(len(codes), dtype=np.float64),
                               transition_codes=codes)
-    counts = path.counts
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_COUNT_BLOCK", size)
+        counts = path.counts
+        blocks = list(path.count_blocks())
+        events = [c for _, _, c in path.events()]
     assert counts.dtype == np.int64 and counts.shape == (len(codes), 3)
     assert counts.flags.c_contiguous
     assert counts.tobytes() == want.tobytes()
-    blocks = list(path.count_blocks(size))
     assert [lo for lo, _ in blocks] == list(range(0, len(codes), size))
     for lo, block in blocks:
         assert block.dtype == np.int64 and block.flags.c_contiguous
         assert block.tobytes() == want[lo:lo + size].tobytes()
-    assert [c for _, _, c in path.events()] == [cm.PopulationCounts(*row) for row in want.tolist()]
+    assert events == [cm.PopulationCounts(*row) for row in want.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Jacobians, trace/determinant verdicts and the closed-form rules."""
+"""Jacobians, eigenvalue real parts and the closed-form rules."""
 
 import math
 from fractions import Fraction
@@ -12,7 +12,8 @@ import corruption_mfg as cm
 from corruption_mfg import stability
 from strategies import spread_params
 from support import (
-    BASELINE, THREE_EQ, fd_jacobian, make_params, random_params, random_simplex, report_of,
+    BASELINE, THREE_EQ, eigen_verdict, fd_jacobian, make_params, random_params, random_simplex,
+    report_of,
 )
 
 
@@ -56,43 +57,47 @@ def test_jacobian_entries_are_python_floats():
 
 
 # ---------------------------------------------------------------------------
-# trace/determinant verdict
+# eigenvalue real parts from the trace and determinant
 
 
 def test_trace_det_hand_case():
-    v = cm.trace_det_verdict(np.array([[-2.0, -1.0], [1.0, -1.0]]))
-    assert v.classification is cm.Classification.STABLE
-    assert v.trace == -3.0 and v.det == 3.0
-    # roots of xi^2 + 3 xi + 3: complex pair with real part -1.5
-    assert v.eigen_real_parts == (-1.5, -1.5)
-    assert dict(v.flags)["trace_negative"] and dict(v.flags)["det_positive"]
+    # [[-2, -1], [1, -1]]: trace -3, det 3.  The roots of xi^2 + 3 xi + 3
+    # are a complex pair with real part -1.5.
+    assert stability.eigen_real_parts(-3.0, 3.0) == (-1.5, -1.5)
+    assert stability._classify((-1.5, -1.5)) is cm.Classification.STABLE
 
 
 def test_trace_det_saddle_and_source():
-    saddle = cm.trace_det_verdict(np.array([[1.0, 0.0], [0.0, -2.0]]))
-    assert saddle.classification is cm.Classification.UNSTABLE
-    assert saddle.det < 0
-    source = cm.trace_det_verdict(np.array([[0.5, 0.0], [0.0, 0.3]]))
-    assert source.classification is cm.Classification.UNSTABLE
-    assert source.trace > 0 and source.det > 0
+    # diag(1, -2): trace -1, det -2, a saddle; diag(0.5, 0.3): trace 0.8,
+    # det 0.15, a source.  Both real eigenvalue pairs are exact.
+    saddle = stability.eigen_real_parts(-1.0, -2.0)
+    assert saddle == (-2.0, 1.0)
+    assert stability._classify(saddle) is cm.Classification.UNSTABLE
+    source = stability.eigen_real_parts(0.8, 0.15)
+    assert source == pytest.approx((0.3, 0.5), abs=1e-15)
+    assert stability._classify(source) is cm.Classification.UNSTABLE
 
 
 def test_trace_det_marginal_center():
-    center = cm.trace_det_verdict(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    assert center.classification is cm.Classification.MARGINAL
+    # [[0, 1], [-1, 0]]: trace 0, det 1, eigenvalues +-i.
+    center = stability.eigen_real_parts(0.0, 1.0)
+    assert center == (0.0, 0.0)
+    assert stability._classify(center) is cm.Classification.MARGINAL
 
 
 def test_eigen_real_parts_match_numpy():
     rng = np.random.default_rng(32)
     for _ in range(300):
         m = rng.normal(size=(2, 2)) * 3.0
-        v = cm.trace_det_verdict(m)
+        parts = stability.eigen_real_parts(float(np.trace(m)), float(np.linalg.det(m)))
+        assert parts[0] <= parts[1]
         expected = sorted(np.linalg.eigvals(m).real)
-        assert np.allclose(sorted(v.eigen_real_parts), expected, atol=1e-9)
-        if v.classification is cm.Classification.STABLE:
+        assert np.allclose(parts, expected, atol=1e-9)
+        classification = stability._classify(parts)
+        if classification is cm.Classification.STABLE:
             assert max(expected) < 0
         if max(expected) > 1e-6:
-            assert v.classification is cm.Classification.UNSTABLE
+            assert classification is cm.Classification.UNSTABLE
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +124,8 @@ def test_band_implies_stable_corrupt_root():
         accepted += 1
         x_h, x_c = cm.corrupt_root(p)
         x = cm.PopulationState(1.0 - x_h - x_c, x_h, x_c)
-        v = cm.trace_det_verdict(cm.jacobian(p, x, cm.CORRUPT_PROFILE))
-        assert v.classification is cm.Classification.STABLE
+        *_, classification = eigen_verdict(cm.jacobian(p, x, cm.CORRUPT_PROFILE))
+        assert classification is cm.Classification.STABLE
 
 
 # ---------------------------------------------------------------------------
@@ -164,21 +169,23 @@ def test_classify_no_interaction_both_cases_stable():
 
 
 def test_classify_carries_the_trace_det_verdict_of_its_jacobian():
-    # The equilibrium verdict reports exactly the trace/determinant test of
-    # its Jacobian, behind the closed-form rule's one flag; at desk scale the
-    # rule and the eigenvalues also agree on the classification.
+    # The equilibrium verdict reports exactly the trace, determinant and
+    # eigenvalue real parts of its Jacobian, and their sign flags behind the
+    # closed-form rule's one flag; at desk scale the rule and the eigenvalues
+    # also agree on the classification.
     rng = np.random.default_rng(37)
     rule_flags = {"sufficient_band", "boundary_rate_negative", "char_coefficients_positive"}
     for _ in range(200):
         p = random_params(rng)
         for rep in cm.enumerate_equilibria(p):
             v = cm.classify_equilibrium(p, rep)
-            eig = cm.trace_det_verdict(cm.jacobian(p, rep.state, rep.strategy))
+            trace, det, parts, classification = eigen_verdict(
+                cm.jacobian(p, rep.state, rep.strategy))
             assert (v.classification, v.trace, v.det, v.eigen_real_parts) == (
-                eig.classification, eig.trace, eig.det, eig.eigen_real_parts)
+                classification, trace, det, parts)
             assert v.eigen_real_parts[0] <= v.eigen_real_parts[1]
-            assert v.flags[0][0] in rule_flags and v.flags[1:] == eig.flags
-            assert [name for name, _ in eig.flags] == ["trace_negative", "det_positive"]
+            assert v.flags[0][0] in rule_flags
+            assert v.flags[1:] == (("trace_negative", trace < 0.0), ("det_positive", det > 0.0))
 
 
 def test_honest_boundary_rule_matches_eigenvalues():
@@ -243,14 +250,14 @@ def test_interior_rule_decides_where_the_trace_is_roundoff():
     p = make_params(lam=0.0027, r=8e-9, b=2e9, q_soc=130.0, q_inf=3e9, w_C=2.0)
     (rep,) = [e for e in cm.enumerate_equilibria(p)
               if e.provenance is cm.Provenance.HONEST_INTERIOR]
-    eig = cm.trace_det_verdict(cm.jacobian(p, rep.state, rep.strategy))
-    assert eig.classification is cm.Classification.UNSTABLE
-    assert 0.0 < max(eig.eigen_real_parts) <= 1e-13 * cm.rate_scale(p)
+    trace, det, parts, classification = eigen_verdict(cm.jacobian(p, rep.state, rep.strategy))
+    assert classification is cm.Classification.UNSTABLE
+    assert 0.0 < max(parts) <= 1e-13 * cm.rate_scale(p)
     v = cm.classify_equilibrium(p, rep)
     assert dict(v.flags)["char_coefficients_positive"]
     assert v.method is cm.Method.CLOSED_FORM
     assert v.classification is cm.Classification.STABLE
-    assert (v.trace, v.det, v.eigen_real_parts) == (eig.trace, eig.det, eig.eigen_real_parts)
+    assert (v.trace, v.det, v.eigen_real_parts) == (trace, det, parts)
 
 
 # Rates 480 decades apart.  The honest boundary's exact eigenvalues are
@@ -272,8 +279,8 @@ NANO_CORRUPT = make_params(lam=4.116489825193569e-10, r=4.863944375996407e-09,
 ], ids=["extreme-boundary", "nano-corrupt"])
 def test_rule_decides_where_the_eigenvalues_read_otherwise(p, provenance, want):
     rep = report_of(p, provenance)
-    eig = cm.trace_det_verdict(cm.jacobian(p, rep.state, rep.strategy))
-    assert eig.classification is not want
+    *_, classification = eigen_verdict(cm.jacobian(p, rep.state, rep.strategy))
+    assert classification is not want
     v = cm.classify_equilibrium(p, rep)
     assert (v.classification, v.method) == (want, cm.Method.CLOSED_FORM)
 
@@ -355,12 +362,13 @@ def test_verdict_is_the_rule_where_conclusive_and_the_eigenvalues_agree(p):
         reject()
     for rep in reports:
         v = cm.classify_equilibrium(p, rep)
-        eig = cm.trace_det_verdict(cm.jacobian(p, rep.state, rep.strategy))
-        assert (v.trace, v.det, v.eigen_real_parts) == (eig.trace, eig.det, eig.eigen_real_parts)
+        trace, det, parts, classification = eigen_verdict(
+            cm.jacobian(p, rep.state, rep.strategy))
+        assert (v.trace, v.det, v.eigen_real_parts) == (trace, det, parts)
         flag = _RULE_FLAG.get(rep.provenance)
         decided = flag is None or dict(v.flags)[flag]
         if not decided:
-            assert (v.classification, v.method) == (eig.classification, cm.Method.FALLBACK)
+            assert (v.classification, v.method) == (classification, cm.Method.FALLBACK)
         want = _exact_verdict(p, rep)
         if want is UNDECIDED:
             continue
@@ -371,9 +379,9 @@ def test_verdict_is_the_rule_where_conclusive_and_the_eigenvalues_agree(p):
         # The float eigenvalues confirm the rule wherever their top lies
         # clear of the margin band by more than their round-off; an overflowed
         # trace^2 confirms nothing.
-        top = max(eig.eigen_real_parts)
+        top = max(parts)
         if math.isfinite(top) and abs(top) > stability.MARGIN + 1e-12 * cm.rate_scale(p):
-            assert eig.classification is want
+            assert classification is want
 
 
 _DECADE = st.floats(-6.0, 6.0)
@@ -408,4 +416,4 @@ def test_interior_coefficients_match_jacobian(lam, r, b, q_soc, excess):
         assert (v.classification, v.method) == (cm.Classification.STABLE, cm.Method.CLOSED_FORM)
     else:
         assert v.method is cm.Method.FALLBACK
-        assert v.classification is cm.trace_det_verdict(j).classification
+        assert v.classification is eigen_verdict(j)[3]
