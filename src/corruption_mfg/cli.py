@@ -31,6 +31,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -355,28 +356,50 @@ def cmd_equilibria(cfg: RunConfig, write) -> None:
 # Every real, in tables and elsewhere, is written as ``"%.17g" % v``, which
 # equals ``format(v, ".17g")`` for every float; only ``x_bar`` cells go through
 # ``_fmt_threshold`` for their ``+inf``/``-inf`` tokens.  Tables are written
-# as they are formatted, one piece per this many rows: a table from arrays
-# is formatted from the ``ndarray.tolist()`` values of one chunk at a time,
-# so its whole text never exists at once.
+# as they are formatted, one piece per this many rows, so a table's whole
+# text never exists at once.
 _CHUNK_ROWS = 1024
-_LABELS = np.array(TRANSITION_LABELS, dtype=object)
+_LABELS = np.array([label.encode() for label in TRANSITION_LABELS])
+_CONVERSIONS = re.compile("%(?:[.]17g|d|s)")
 
 
 def _write_table(write, template: str, columns: list[np.ndarray]) -> None:
     """Write ``template % row + "\\n"`` for every row of ``columns``, one chunk
-    per :data:`_CHUNK_ROWS` rows."""
-    template += "\n"
-    width = len(columns)
+    per :data:`_CHUNK_ROWS` rows.
+
+    ``template`` converts float64 columns with ``%.17g``, int64 counts with
+    ``%d`` and bytes arrays with ``%s``.  Each chunk's cells become the
+    NUL-padded fields of :mod:`._g17`, the floats in one call and the counts
+    in another; with the template's literal bytes they fill one byte row per
+    table row, and dropping the NULs leaves the text.
+    """
+    from . import _g17  # imported here: its tables take ~2 ms, and atlas writes no table
+
+    kinds = _CONVERSIONS.findall(template)
+    literals = [np.frombuffer(text.encode(), dtype=np.uint8)
+                for text in _CONVERSIONS.split(template + "\n")]
+    # The columns of each numeric kind are formatted together, in one call.
+    calls = [(format_cells, [i for i, k in enumerate(kinds) if k == kind])
+             for kind, format_cells in (("%.17g", _g17.g17), ("%d", _g17.d)) if kind in kinds]
     for lo in range(0, len(columns[0]), _CHUNK_ROWS):
         cells = [column[lo:lo + _CHUNK_ROWS] for column in columns]
-        # One ``%`` formats the chunk: each conversion of the repeated
-        # template takes the next argument, so the row-major arguments give
-        # the bytes of one ``template % row`` per row.
         rows = len(cells[0])
-        flat = [None] * (rows * width)
-        for i, cell in enumerate(cells):
-            flat[i::width] = cell.tolist()
-        write((template * rows) % tuple(flat))
+        fields = [cell.view(np.uint8).reshape(rows, -1) if kind == "%s" else None
+                  for kind, cell in zip(kinds, cells)]
+        for format_cells, at in calls:
+            values = np.empty((rows, len(at)), dtype=cells[at[0]].dtype)
+            for j, i in enumerate(at):
+                values[:, j] = cells[i]
+            block = format_cells(values.reshape(-1)).reshape(rows, len(at), -1)
+            for j, i in enumerate(at):
+                fields[i] = block[:, j]
+        pieces = [literals[0], *(p for pair in zip(fields, literals[1:]) for p in pair)]
+        text = np.empty((rows, sum(piece.shape[-1] for piece in pieces)), dtype=np.uint8)
+        end = 0
+        for piece in pieces:
+            start, end = end, end + piece.shape[-1]
+            text[:, start:end] = piece
+        write(text.tobytes().translate(None, b"\0").decode())
 
 
 def cmd_simulate(cfg: RunConfig, write) -> None:

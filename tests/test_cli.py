@@ -938,6 +938,29 @@ for (command, name, fmt), digest in ANSWER_DIGESTS.items():
     GOLDEN_IDS.append(f"{command}-{name}-{fmt}")
 
 
+# Cells no other golden holds, recorded before tables were formatted with
+# numpy: (a) 33,334 rows whose states decay through 55,301 three-digit
+# exponents down to e-323, 31,354 of them below 1e-307; (b) times from
+# 1e+18 to 1e+21; (c) counts of one to five digits.
+WIDE_CFGS = {
+    "simulate-subnormal-states": BASE_CFG.replace("w_C = 10", "w_C = 1.5")
+                                 + "strategy = honest\ndt = 0.03\nt_end = 1000\n",
+    "simulate-times-to-e21": "lambda = 1e-20\nr = 1e-20\nb = 1e-20\nf = 0\nq_soc = 1e-20\n"
+                             "q_inf = 1e-20\nw_R = 0\nw_H = 1\nw_C = 1.275\n"
+                             "dt = 1e18\nt_end = 1e21\n",
+    "ctmc-five-digit-counts": THREE_CFG + "x0_R = 0\nx0_H = 1\nx0_C = 0\nN = 20000\nt_end = 1\n"
+                              "replications = 1\n",
+}
+WIDE_DIGESTS = {
+    "simulate-subnormal-states": "1817e825836f117ff853b487e439740d972155f4bcb474fbee71f4ae003c84c1",
+    "simulate-times-to-e21": "564b6623f945aa65ede89e04a37a0287f79e079c0181273e89dbace25468b7b0",
+    "ctmc-five-digit-counts": "0b43a4a5ddf09da619e035cd70590e7693f3aae1cba34b062fc446e85c2afa65",
+}
+for name, digest in WIDE_DIGESTS.items():
+    GOLDEN.append((name.split("-")[0], WIDE_CFGS[name], digest))
+    GOLDEN_IDS.append(name)
+
+
 @pytest.mark.parametrize("command,cfg,digest", GOLDEN, ids=GOLDEN_IDS)
 def test_output_matches_golden_digest(tmp_path, command, cfg, digest):
     rc, out = run_cli(tmp_path, cfg, command)
@@ -1019,11 +1042,16 @@ def _text_of(command, cfg):
 
 
 def _full_table(traj):
-    """The simulate table with every row formatted in full, as it was rendered
-    before settled tails were formatted from one template."""
-    pieces = ["t,x_R,x_H,x_C\n"]
-    cli._write_table(pieces.append, "%.17g,%.17g,%.17g,%.17g", [traj.times, *traj.states.T])
-    return "".join(pieces)
+    """The simulate table with every cell formatted by its own ``"%.17g" % v``."""
+    rows = ["%.17g,%.17g,%.17g,%.17g\n" % (t, *state)
+            for t, state in zip(traj.times.tolist(), traj.states.tolist())]
+    return "t,x_R,x_H,x_C\n" + "".join(rows)
+
+
+def _event_table(distance, path):
+    """The ctmc text with every cell formatted by its own ``%``."""
+    rows = ["%.17g,%s,%d,%d,%d\n" % (t, label, n.n_R, n.n_H, n.n_C) for t, label, n in path.events()]
+    return "t,transition,n_R,n_H,n_C\n" + "".join(rows) + "# lln_distance = %.17g\n" % distance
 
 
 def _first_difference(got, want):
@@ -1063,6 +1091,44 @@ def test_simulate_settled_tail_keeps_signed_zeros(monkeypatch, states):
     monkeypatch.setattr(cli, "integrate_ode", lambda *args: traj)
     got = _text_of(cli.cmd_simulate, cli.parse_config(BASE_CFG))
     assert _first_difference(got, _full_table(traj)) is None
+
+
+_DECADES = st.floats(-30.0, 30.0).map(lambda e: 10.0**e)
+# x0 components: zeros of both signs, subnormal to tiny, and ordinary shares.
+_SHARES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e-300, 1e-20]),
+                    st.floats(0.0, 0.5))
+
+
+@st.composite
+def _table_configs(draw):
+    """A config whose rates spread over +-30 decades, with a step of 0.5 to 1
+    times the guard and a few steps, agents and replications."""
+    lam, r, b, q_soc, q_inf = draw(st.lists(_DECADES, min_size=5, max_size=5))
+    f = draw(st.sampled_from([0.0, 1e-30, 1.0, 1e30]))
+    x_r, x_h = draw(_SHARES), draw(_SHARES)
+    p = cm.ModelParams(lam=lam, r=r, b=b, f=f, q_soc=q_soc, q_inf=q_inf,
+                       w_R=0.0, w_H=1.0, w_C=2.0)
+    dt = 0.1 / cm.rate_scale(p) * draw(st.floats(0.5, 1.0))
+    steps = draw(st.integers(1, 300))
+    return (f"lambda = {lam!r}\nr = {r!r}\nb = {b!r}\nf = {f!r}\nq_soc = {q_soc!r}\n"
+            f"q_inf = {q_inf!r}\nw_R = 0\nw_H = 1\nw_C = 2\n"
+            f"x0_R = {x_r!r}\nx0_H = {x_h!r}\nx0_C = {1.0 - x_r - x_h!r}\n"
+            f"strategy = {draw(st.sampled_from(['corrupt', 'honest']))}\n"
+            f"dt = {dt!r}\nt_end = {steps * dt!r}\nN = {draw(st.integers(1, 40))}\n"
+            f"replications = {draw(st.integers(1, 2))}\nseed = {draw(st.integers(0, 2**32))}\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(_table_configs())
+def test_tables_are_written_as_percent_writes_each_cell(text):
+    # The tables go through numpy fields; the oracles format each cell with
+    # its own "%".
+    cfg = cli.parse_config(text)
+    traj = simulate.integrate_ode(cfg.params, cfg.x0, cfg.strategy, cfg.t_end, cfg.dt)
+    assert _first_difference(_text_of(cli.cmd_simulate, cfg), _full_table(traj)) is None
+    distance, path = simulate.lln_convergence(cfg.params, cfg.N, cfg.x0, cfg.strategy,
+                                              cfg.t_end, cfg.replications, cfg.seed, cfg.dt)
+    assert _first_difference(_text_of(cli.cmd_ctmc, cfg), _event_table(distance, path)) is None
 
 
 # ---------------------------------------------------------------------------
