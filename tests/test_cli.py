@@ -961,6 +961,81 @@ for name, digest in WIDE_DIGESTS.items():
     GOLDEN_IDS.append(name)
 
 
+# Sweeps recorded while every point was evaluated by the scalar API, on the
+# cases a grid evaluator must hand back to it.  ZERO_CFG has q_soc = 0 and the
+# classifier bracket 1 - b, so each axis on its 33-point dyadic grid from -1
+# to 3 passes through 0 and writes error rows, +inf and -inf thresholds and,
+# at b = 1 and f = 1, the indifferent-everywhere corner.  q_inf = 0.55 is
+# 1.1 q_soc on THREE_CFG, where Q's leading coefficient is exactly 0.  The tie
+# grids cross the band of the honest boundary (x_bar = 1 / q_soc on TIE_CFG)
+# and of the corrupt root (EDGE_CFG).  At rates near 1e150 Q's discriminant
+# overflows at every point; near 1e75 it does once q_inf passes ~1.3e79.
+ZERO_CFG = "lambda = 1\nr = 1\nb = 0.5\nf = 0\nq_soc = 0\nq_inf = 1\nw_R = 0\nw_H = 1\nw_C = 2\n"
+TIE_CFG = "lambda = 1\nr = 1\nb = 1\nf = 0\nq_soc = 1\nq_inf = 0\nw_R = 0\nw_H = 1\nw_C = 3\n"
+EDGE_CFG = (
+    "lambda = 0.24328302554051565\nr = 0.5475697326642243\nb = 0.3147943156030476\n"
+    "f = 0\nq_soc = 43.39007952972478\nq_inf = 24.015209055488356\n"
+    "w_R = 0.01506310918079311\nw_H = 81.54305879793007\nw_C = 3355.3743151454273\n"
+)
+
+
+def _rates_times(scale):
+    """THREE_CFG with every rate multiplied by ``scale``."""
+    return (THREE_CFG.replace("lambda = 0.1\nr = 1\nb = 0.2",
+                              f"lambda = {0.1 * scale!r}\nr = {scale!r}\nb = {0.2 * scale!r}")
+            .replace("q_soc = 0.5\nq_inf = 2", f"q_soc = {0.5 * scale!r}\nq_inf = {2 * scale!r}"))
+
+
+def _sweep(axis, lo, hi, points):
+    return f"sweep_param = {axis}\nsweep_min = {lo}\nsweep_max = {hi}\nsweep_points = {points}\n"
+
+
+SWEEP_CFGS = {
+    **{f"sweep-zero-{axis}": ZERO_CFG + _sweep(axis, -1, 3, 33) for axis in cli._SWEEP_AXES},
+    "sweep-alpha-zero": THREE_CFG + _sweep("q_inf", 0, 4.4, 257),
+    "sweep-boundary-tie": TIE_CFG + _sweep("q_soc", 0.999999997, 1.000000003, 25),
+    "sweep-root-tie": EDGE_CFG + _sweep("q_soc", 43.3900790, 43.3900800, 41),
+    "sweep-rates-1e150": _rates_times(1e150) + _sweep("q_inf", -1e150, 4e150, 41),
+    "sweep-rates-1e75": _rates_times(1e75) + _sweep("q_inf", -1e77, 4e79, 41),
+}
+SWEEP_DIGESTS = {
+    "sweep-zero-b": "a058a11010b5972fb7ca3df1558a861a2b55b734966f06d73e1c5aeba5997c96",
+    "sweep-zero-f": "0658d2f0bc8c41bd9b2d7b727f4c205238cde86af800f09f3e975245d6fcbf12",
+    "sweep-zero-q_soc": "fa00f63132654916388aca5945139ca111736b4610d7fd5cbe4744cdc01e225f",
+    "sweep-zero-q_inf": "46c5b363c89df4eb915dac747d7dee856f8d95fb8eed323bb23da8f384440627",
+    "sweep-zero-lambda": "b0e8806bed2076132c88d9642fc8f72e465ab97815ea510bf2ad182065506af1",
+    "sweep-alpha-zero": "da01fd1ca93a51d28f9435f851641f17edfd13f837a84835b8081d3bb369e42e",
+    "sweep-boundary-tie": "62d6116da7e5bc6db25f0f5410a48d766d278dd481207bca4f2d36d4ca12f4ba",
+    "sweep-root-tie": "e405fe26a9914bdeb11ff7a27eeb6055a78bc0f99d2f7a8d78e5f69923b29257",
+    "sweep-rates-1e150": "c02c3bfd3733a0405b4a621879dccdf56c494c94164129db5d97f1b486aafe22",
+    "sweep-rates-1e75": "589daa69d8eda4afcc134d87e315fcf3e80b852bfafee07d90d358cc0d07ff5c",
+}
+for name, digest in SWEEP_DIGESTS.items():
+    GOLDEN.append(("sweep", SWEEP_CFGS[name], digest))
+    GOLDEN_IDS.append(name)
+
+
+def test_sweep_goldens_hold_the_cases_they_name():
+    # What each grid above was chosen for is really on it.
+    def rows(name):
+        return [line.split(",") for line in _text_of(cli.cmd_sweep, cli.parse_config(
+            SWEEP_CFGS[name])).splitlines()[1:]]
+
+    zero_b = rows("sweep-zero-b")
+    assert {row[1] for row in zero_b if not row[9]} == {"+inf", "-inf"}
+    assert any(row[0] == "1" and row[6] == "indifferent" for row in zero_b)
+    assert any(row[9] == "b > 0 violated" for row in zero_b)
+    alpha = cli.parse_config(SWEEP_CFGS["sweep-alpha-zero"])
+    assert dataclasses.replace(alpha.params, q_inf=alpha.sweep_grid[32]).q_inf == 0.55
+    assert cm.q_coefficients(dataclasses.replace(alpha.params, q_inf=0.55))[0] == 0.0
+    for name, provenance in (("sweep-boundary-tie", "honest_boundary"),
+                             ("sweep-root-tie", "corrupt_root")):
+        assert any(row[2] == provenance and row[6] == "indifferent" for row in rows(name))
+    overflow = "expected one root of Q in (0;1); got []"
+    assert {row[9] for row in rows("sweep-rates-1e150")} == {"q_inf >= 0 violated", overflow}
+    assert {row[9] for row in rows("sweep-rates-1e75")} == {"", "q_inf >= 0 violated", overflow}
+
+
 @pytest.mark.parametrize("command,cfg,digest", GOLDEN, ids=GOLDEN_IDS)
 def test_output_matches_golden_digest(tmp_path, command, cfg, digest):
     rc, out = run_cli(tmp_path, cfg, command)
