@@ -34,12 +34,16 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .equilibria import EquilibriumReport, enumerate_equilibria
-from .hjb import classifier_xbar, classifier_xbar_discounted, regime_at
+from .equilibria import (DEGENERATE_LEADING, EquilibriumReport, Provenance, _corrupt_x_c,
+                         _interior_x_c, _q_at, enumerate_equilibria, q_coefficients)
+from .hjb import TIE_TOL, _bracket, classifier_xbar, classifier_xbar_discounted, regime_at
 from .model import (
+    COMPONENT_FLOOR,
+    SUM_TOL,
     Behavior,
     CORRUPT_PROFILE,
     HONEST_PROFILE,
@@ -49,6 +53,7 @@ from .model import (
     SimplexError,
     StrategyProfile,
     TRANSITION_LABELS,
+    kinetic_rhs,
     validate_params,
 )
 from .simulate import (
@@ -57,7 +62,8 @@ from .simulate import (
     lln_convergence,
     simulate_population,  # unused: perfbench/tracer.py rebinds it, tests/test_api.py checks it
 )
-from .stability import classify_equilibrium
+from .stability import (MARGIN, Classification, _interior_coefficients, _trace_det,
+                        classify_equilibrium, corrupt_stability_band)
 
 class ConfigError(ValueError):
     """A configuration document failed to parse or validate."""
@@ -77,9 +83,10 @@ _SWEEP_AXES = ("b", "f", "q_soc", "q_inf", "lambda")
 
 DEFAULTS = {"dt": 0.01, "t_end": 50.0, "N": 1000, "seed": 42, "replications": 20}
 
-# Largest sweep grid ``parse_config`` will build.  Rows are written as they
-# are made, but the grid is built whole before the first point: at the cap
-# it holds ~32 MB of floats.
+# Largest sweep grid ``parse_config`` will build.  The grid is built whole
+# before the first point: at the cap it holds ~32 MB of floats.  The points
+# are evaluated and written a chunk at a time, so the grid pass's arrays
+# never reach the ~8 MB each of a whole-grid pass.
 MAX_SWEEP_POINTS = 10**6
 
 
@@ -438,33 +445,159 @@ _POINT_ERRORS = (ParameterError, *_NUMERICAL_FAILURES)
 
 
 def cmd_sweep(cfg: RunConfig, write) -> None:
+    """Each grid point's equilibria, with their stability and residual.
+
+    Each chunk of at most :data:`_CHUNK_ROWS` points goes through one numpy
+    pass, :func:`_grid_pass`: the scalar closed forms on arrays, in their
+    order of operations, so the scalar API's bytes.  The points it flags go
+    through :func:`_point_rows`, the scalar path and the specification: a
+    swept value <= 0 (every invalid point of a valid base), q_soc <= 0, x_bar
+    not finite; where x_bar > 0, a degenerate Q or not one candidate root in
+    (0, 1); an interior point on the simplex with x_C not finite; a listed
+    equilibrium off the simplex tolerance or with a residual not finite, or
+    a corrupt root where ``r**2`` underflows; all points of a chunk whose
+    base is invalid or where an operation on scalars raises.
+    """
     if cfg.sweep_param is None or cfg.sweep_grid is None:
         raise ConfigError("sweep requires sweep_param, sweep_min and sweep_max")
     field = "lam" if cfg.sweep_param == "lambda" else cfg.sweep_param
-    # Each point's parameters: the base set's fields with one of them moved.
-    fields = dataclasses.asdict(cfg.params)
-    # After the point's value: one report's cells, its stability and residual.
-    row_template = "," + _REPORT_TEMPLATE + ",%s,%.17g,"
-    lines = [f"param_value,{_REPORT_COLUMNS},stability,residual,error"]
-    for value in cfg.sweep_grid:
-        fields[field] = float(value)
-        cell = "%.17g" % value
+    text = f"param_value,{_REPORT_COLUMNS},stability,residual,error\n"
+    for lo in range(0, len(cfg.sweep_grid), _CHUNK_ROWS):
+        values = cfg.sweep_grid[lo:lo + _CHUNK_ROWS]
         try:
-            # enumerate_equilibria validates the point's parameters first.
-            rows = _equilibrium_rows(ModelParams(**fields))
-        except _POINT_ERRORS as exc:  # per-point failures recorded, sweep continues
-            message = str(exc).replace(",", ";").replace("\n", " ")
-            lines.append(f"{cell},,,,,,,,,{message}")
+            with np.errstate(all="ignore"):
+                flagged, rows, starts = _grid_pass(validate_params(cfg.params), field,
+                                                   np.array(values))
+        except (ParameterError, ArithmeticError):
+            flagged, rows, starts = range(len(values)), [], [0] * len(values)
+        # From the last flagged point back, so that each start still holds.
+        for i in reversed(flagged):
+            rows[starts[i]:starts[i]] = _point_rows(cfg.params, field, values[i])
+        write(text + "\n".join(rows) + "\n")
+        text = ""
+
+
+def _point_rows(base: ModelParams, field: str, value: float) -> list[str]:
+    """The scalar API's rows, or error row, of ``base`` with ``value`` in ``field``."""
+    cell = "%.17g" % value
+    try:
+        # enumerate_equilibria validates the point's parameters first.
+        rows = _equilibrium_rows(ModelParams(**{**vars(base), field: value}))
+    except _POINT_ERRORS as exc:  # per-point failures recorded, sweep continues
+        message = str(exc).replace(",", ";").replace("\n", " ")
+        return [f"{cell},,,,,,,,,{message}"]
+    template = cell + "," + _REPORT_TEMPLATE + ",%s,%.17g,"
+    return [template % (*_report_cells(rep), verdict.classification._value_, rep.residual)
+            for rep, verdict in rows]
+
+
+_GRID_ROW = "%s%s,%.17g,%.17g,%.17g,%s,%s,%.17g,"  # after the value and (finite) x_bar
+# Cell labels by grid pass code; candidates in enumerate_equilibria's order.
+_PROVENANCES = np.array([Provenance.CORRUPT_ROOT.value, Provenance.HONEST_BOUNDARY.value,
+                         Provenance.HONEST_INTERIOR.value], dtype=object)
+_BEHAVIORS = np.array([behavior.value for behavior in Behavior], dtype=object)
+_STABILITIES = np.array([verdict.value for verdict in Classification], dtype=object)
+
+
+def _grid_pass(base: ModelParams, field: str, values: np.ndarray) -> tuple:
+    """The flagged points' indices, the others' rows in grid order, and the
+    index in those rows where each point's rows start.  ``base`` with the
+    array ``values`` in ``field`` goes through the scalar closed forms."""
+    n = len(values)
+    grid = lambda v: np.broadcast_to(v, (n,))  # noqa: E731
+    p = dataclasses.replace(base, **{field: values})
+    x_bar = grid(_bracket(p, p.r) / p.q_soc)
+    flagged = (values <= 0.0) | (p.q_soc <= 0.0) | ~np.isfinite(x_bar)
+    # The corrupt root: the companion root of Q, polished by one Newton step.
+    coefficients = alpha, beta, gamma = q_coefficients(p)
+    disc = beta * beta - 4.0 * alpha * gamma
+    q = -0.5 * (beta + np.where(beta >= 0.0, 1.0, -1.0) * np.sqrt(disc))
+    candidates = q / alpha, gamma / q
+    inside = [(0.0 < c) & (c < 1.0) for c in candidates]
+    root = np.where(inside[0], *candidates)
+    slope = 2.0 * alpha * root + beta
+    polished = root - _q_at(coefficients, root) / slope
+    root = np.where((slope != 0.0) & (0.0 < polished) & (polished < 1.0), polished, root)
+    has_root = x_bar > 0.0
+    degenerate = abs(alpha) <= DEGENERATE_LEADING * abs(beta)
+    flagged |= has_root & (degenerate | (inside[0] == inside[1]))
+    gap = p.q_inf - p.q_soc
+    interior = (p.b + p.lam) / gap
+    on_simplex = grid((gap > 0.0) & np.logical_not(interior >= 1.0))
+    interior_x_c = _interior_x_c(p, gap)
+    flagged |= on_simplex & ~np.isfinite(interior_x_c)
+    # Candidates in enumerate_equilibria's order, listed by regime_at's rule.
+    # table[i, k]: candidate k's x_R, x_H, x_C, residual and the codes of its
+    # behavior and classification (-1 where the eigenvalues decide) at point i.
+    points = ((root, _corrupt_x_c(p, root), has_root, CORRUPT_PROFILE),
+              (1.0, 0.0, True, HONEST_PROFILE),
+              (interior, interior_x_c, on_simplex, HONEST_PROFILE))
+    table = np.empty((n, 3, 6))
+    listed = np.empty((n, 3), dtype=bool)
+    for k, (x_h, x_c, present, profile) in enumerate(points):
+        corrupt, honest = x_h < x_bar - TIE_TOL, x_h > x_bar + TIE_TOL
+        listed[:, k] = present & ~(honest if k == 0 else corrupt)
+        state, off_simplex = _clamped_state(x_h, x_c)
+        first, second, third = (abs(v) for v in kinetic_rhs(p, state, profile))
+        residual = np.maximum(np.maximum(first, second), third)
+        flagged |= listed[:, k] & (off_simplex | ~np.isfinite(residual))
+        if k == 0:  # where r**2 underflows, the band divides by zero
+            closed = np.where(corrupt_stability_band(p), 0, -1)
+            flagged |= listed[:, k] & (p.r**2 == 0.0)
+        elif k == 1:  # the boundary's eigenvalues are exactly {-r, q_inf - q_soc - lam - b}
+            closed = _classify_codes(-p.r, p.q_inf - p.q_soc - p.lam - p.b)
         else:
-            template = cell + row_template
-            for rep, verdict in rows:
-                lines.append(template % (*_report_cells(rep), verdict.classification._value_,
-                                         rep.residual))
-        if len(lines) >= _CHUNK_ROWS:
-            write("\n".join(lines) + "\n")
-            lines.clear()
-    if lines:
-        write("\n".join(lines) + "\n")
+            neg_trace, det = _interior_coefficients(p, state)
+            closed = np.where((neg_trace > MARGIN) & (det > MARGIN), 0, -1)
+        behavior = np.where(corrupt, 0, 2) if k == 0 else np.where(honest, 1, 2)
+        table[:, k] = np.column_stack(np.broadcast_arrays(
+            state.x_R, state.x_H, state.x_C, residual, behavior, closed))
+        undecided = listed[:, k] & (table[:, k, 5] < 0)
+        trace, det = (grid(v)[undecided] for v in _trace_det(p, state, profile))
+        table[undecided, k, 5] = _classify_codes(*_eigen_real_parts(trace, det))
+    # Each point's listed candidates sorted stably by x_H, as
+    # enumerate_equilibria sorts its reports: ``at`` indexes them in ``table``.
+    listed &= ~flagged[:, None]
+    order = np.argsort(np.where(listed, table[:, :, 1], np.inf), axis=1, kind="stable")
+    at = (order + 3 * np.arange(n)[:, None]).ravel()
+    at = at[listed.ravel()[at]]
+    x_r, x_h, x_c, residual, behavior, verdict = table.reshape(3 * n, 6)[at].T
+    counts = listed.sum(axis=1)
+    heads = np.array(["%.17g,%.17g," % pair for pair in zip(values.tolist(), x_bar.tolist())],
+                     dtype=object)
+    rows = [_GRID_ROW % row for row in zip(
+        np.repeat(heads, counts).tolist(), _PROVENANCES[at % 3].tolist(),
+        x_r.tolist(), x_h.tolist(), x_c.tolist(), _BEHAVIORS[behavior.astype(int)].tolist(),
+        _STABILITIES[verdict.astype(int)].tolist(), residual.tolist())]
+    return np.flatnonzero(flagged).tolist(), rows, (np.cumsum(counts) - counts).tolist()
+
+
+def _clamped_state(x_h, x_c) -> tuple[SimpleNamespace, np.ndarray]:
+    """The state ``(1 - x_h - x_c, x_h, x_c)`` clamped into [0, 1] as
+    :class:`PopulationState` clamps it, and where that would raise."""
+    values = (1.0 - x_h - x_c, x_h, x_c)
+    fails = abs(values[0] + values[1] + values[2] - 1.0) > SUM_TOL
+    for v in values:
+        fails = fails | ~np.isfinite(v) | (v < COMPONENT_FLOOR) | (v > 1.0 + SUM_TOL)
+    x_r, x_h, x_c = (np.where(v < 0.0, 0.0, np.where(v > 1.0, 1.0, v)) for v in values)
+    return SimpleNamespace(x_R=x_r, x_H=x_h, x_C=x_c), fails
+
+
+def _eigen_real_parts(trace: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`~.stability.eigen_real_parts` over arrays, its root by Python's ``**`` value
+    by value, as libm's ``pow``: ``np.sqrt`` and ``np.power`` round some values otherwise."""
+    disc = trace * trace - 4.0 * det
+    real = disc >= 0.0
+    root = np.zeros(disc.shape)
+    root[real] = [v**0.5 for v in disc[real].tolist()]
+    half = trace / 2.0
+    return np.where(real, (trace - root) / 2.0, half), np.where(real, (trace + root) / 2.0, half)
+
+
+def _classify_codes(low, high) -> np.ndarray:
+    """:func:`~.stability._classify` of pairs ``(low, high)``, as :data:`_STABILITIES` codes."""
+    top = np.where(high > low, high, low)
+    return np.where(top < -MARGIN, 0, np.where(top > MARGIN, 1, 2))
 
 
 _COMMANDS = {

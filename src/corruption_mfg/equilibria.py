@@ -127,10 +127,14 @@ def _corrupt_root(p: ModelParams, coefficients: tuple[float, float, float]) -> t
         root = candidates[0]
         slope = 2.0 * alpha * root + beta
         if slope != 0.0:
-            polished = root - ((alpha * root + beta) * root + gamma) / slope
+            polished = root - _q_at(coefficients, root) / slope
             if 0.0 < polished < 1.0:
                 root = polished
-    return root, (1.0 - root) * p.r / (p.r + p.b + p.q_soc * root)
+    return root, _corrupt_x_c(p, root)
+
+
+def _corrupt_x_c(p: ModelParams, x_h: float) -> float:
+    return (1.0 - x_h) * p.r / (p.r + p.b + p.q_soc * x_h)
 
 
 def _report(
@@ -172,15 +176,19 @@ def _report(
 
 def _interior_point(p: ModelParams) -> tuple[float, float] | None:
     # x_H** = (b + lam) / (q_inf - q_soc), on the simplex iff q_inf > q_soc and
-    # x_H** < 1; then x_C** = r (q_inf - q_soc - b - lam) / ((r + b) q_inf +
-    # (lam - r) q_soc).
+    # x_H** < 1.
     gap = p.q_inf - p.q_soc
     if gap <= 0.0:
         return None
     x_h = (p.b + p.lam) / gap
     if x_h >= 1.0:
         return None
-    return x_h, p.r * (gap - p.b - p.lam) / ((p.r + p.b) * p.q_inf + (p.lam - p.r) * p.q_soc)
+    return x_h, _interior_x_c(p, gap)
+
+
+def _interior_x_c(p: ModelParams, gap: float) -> float:
+    # x_C** at gap = q_inf - q_soc.
+    return p.r * (gap - p.b - p.lam) / ((p.r + p.b) * p.q_inf + (p.lam - p.r) * p.q_soc)
 
 
 def enumerate_equilibria(p: ModelParams) -> list[EquilibriumReport]:

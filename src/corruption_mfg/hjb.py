@@ -70,8 +70,12 @@ class ClassifierThreshold:
     indifferent_everywhere: bool = False
 
 
+def _bracket(p: ModelParams, rate: float) -> float:
+    return rate * (p.w_C - p.w_H) / (p.w_H - p.w_R + rate * p.f) - p.b
+
+
 def _threshold(p: ModelParams, rate: float) -> ClassifierThreshold:
-    bracket = rate * (p.w_C - p.w_H) / (p.w_H - p.w_R + rate * p.f) - p.b
+    bracket = _bracket(p, rate)
     if not math.isfinite(bracket):
         # rate * f or rate * (w_C - w_H) overflowed: divide through by rate.
         # A zero denominator (f = 0, (w_H - w_R) / rate underflowed) is +inf.

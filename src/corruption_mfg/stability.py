@@ -85,6 +85,11 @@ def jacobian(p: ModelParams, x: PopulationState, s: StrategyProfile) -> tuple:
     )
 
 
+def _trace_det(p: ModelParams, x: PopulationState, s: StrategyProfile) -> tuple:
+    (a, b), (c, d) = jacobian(p, x, s)
+    return a + d, a * d - b * c
+
+
 def eigen_real_parts(trace: float, det: float) -> tuple[float, float]:
     """Real parts of the roots of ``xi^2 - trace xi + det``, ascending."""
     disc = trace * trace - 4.0 * det
@@ -114,7 +119,8 @@ def corrupt_stability_band(p: ModelParams) -> bool:
     diff = p.q_soc - p.q_inf
     lower = -p.lam * p.q_soc / p.r
     upper = (p.r * p.q_inf + (p.r + p.b) * (p.b * p.r + p.r * p.lam + p.b * p.lam)) / p.r**2
-    return lower <= diff <= upper
+    # Not chained, so that fields that are arrays give the band of each value.
+    return (lower <= diff) & (diff <= upper)
 
 
 def _interior_coefficients(p: ModelParams, x: PopulationState) -> tuple[float, float]:
@@ -158,8 +164,7 @@ def classify_equilibrium(p: ModelParams, e: EquilibriumReport) -> StabilityVerdi
     always come from that Jacobian.  The verdict's flags are the rule's
     flag, then ``trace_negative`` and ``det_positive``.
     """
-    (a, b), (c, d) = jacobian(p, e.state, e.strategy)
-    trace, det = float(a + d), float(a * d - b * c)
+    trace, det = (float(v) for v in _trace_det(p, e.state, e.strategy))
     parts = eigen_real_parts(trace, det)
     classification, flags = _closed_form(p, e)
     method = Method.CLOSED_FORM

@@ -7,11 +7,12 @@ from support import make_params
 
 
 @st.composite
-def spread_params(draw):
+def spread_params(draw, max_span=32.0):
     """Hypothesis strategy: a valid set whose nine magnitudes (the five rates,
-    f, w_R and the two wage gaps) are log-uniform over a span of 2 to 32
-    decades around 1; f, q_soc, q_inf and w_R are each zero at times."""
-    span = draw(st.floats(2.0, 32.0))
+    f, w_R and the two wage gaps) are log-uniform over a span of 2 to
+    ``max_span`` decades around 1; f, q_soc, q_inf and w_R are each zero at
+    times."""
+    span = draw(st.floats(2.0, max_span))
     magnitudes = draw(st.lists(st.floats(-span / 2, span / 2).map(lambda e: 10.0**e),
                                min_size=9, max_size=9))
     lam, r, b, f, q_soc, q_inf, w_R, gap_h, gap_c = magnitudes

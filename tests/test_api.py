@@ -75,12 +75,10 @@ def test_traced_ctmc_run_counts_every_stream(tmp_path):
     assert counts["_rng.UniformStream.calls"] == 3
 
 
-def test_traced_sweep_counts_every_layer_call(tmp_path):
-    # A layer function captured out of the tracer's reach reads no calls here,
-    # instead of silently zeroing a benchmark layer.  b <= 0 at three of the
-    # nine points, which write error rows.
+def _traced_sweep(tmp_path, model_lines):
+    """Rows and traced counts of a nine-point sweep of b from -0.1 to 0.3."""
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(THREE_EQ_CONFIG
+    cfg.write_text(model_lines
                    + "sweep_param = b\nsweep_min = -0.1\nsweep_max = 0.3\nsweep_points = 9\n")
     out = tmp_path / "sweep.out"
     module = _load_tracer()
@@ -91,12 +89,27 @@ def test_traced_sweep_counts_every_layer_call(tmp_path):
     finally:
         tracer.uninstall()
     assert rc == 0
-    rows = out.read_text().splitlines()[1:]
+    return out.read_text().splitlines()[1:], tracer.current.exact_counts()
+
+
+def test_traced_sweep_counts_every_layer_call(tmp_path):
+    # A layer function captured out of the tracer's reach reads no calls here,
+    # instead of silently zeroing a benchmark layer.  b <= 0 at three of the
+    # nine points, which write error rows.  q_soc = 0 sends every point through
+    # the scalar API; on THREE_EQ the grid pass evaluates the six valid points
+    # without it.
+    rows, counts = _traced_sweep(tmp_path, THREE_EQ_CONFIG.replace("q_soc = 0.5", "q_soc = 0"))
     report_rows = [row for row in rows if row.endswith(",")]
     assert 0 < len(report_rows) and len(rows) - len(report_rows) == 3
-    counts = tracer.current.exact_counts()
     assert counts["equilibria.enumerate_equilibria.calls"] == 9
     assert counts["equilibria.reports"] == len(report_rows)
     assert counts["stability.classify_equilibrium.calls"] == len(report_rows)
-    # parse_config validates the base set once, then each point is validated.
-    assert counts["model.validate_params.calls"] == 9 + 1
+    # parse_config validates the base set once, the grid pass of the one
+    # chunk once more, then each point is validated.
+    assert counts["model.validate_params.calls"] == 9 + 2
+    rows, counts = _traced_sweep(tmp_path, THREE_EQ_CONFIG)
+    assert len(rows) > 9 and sum(not row.endswith(",") for row in rows) == 3
+    assert counts["equilibria.enumerate_equilibria.calls"] == 3
+    assert counts.get("equilibria.reports", 0) == 0
+    assert counts.get("stability.classify_equilibrium.calls", 0) == 0
+    assert counts["model.validate_params.calls"] == 3 + 2

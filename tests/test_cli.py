@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corruption_mfg as cm
-from corruption_mfg import cli, simulate
+from corruption_mfg import cli, simulate, stability
+from strategies import spread_params
+from support import random_params
 from test_rng import PINNED
 
 BASE_CFG = """\
@@ -456,7 +459,10 @@ def test_sweep_records_per_point_errors(tmp_path):
     assert any(not r[9] for r in rows)  # the valid point still produced rows
 
 
-SWEEP_CFG = THREE_CFG + "sweep_param = b\nsweep_min = 0.1\nsweep_max = 1\nsweep_points = 3\n"
+# q_soc = 0 sends every point through the scalar API, where the model's
+# exceptions surface; the grid pass flags every point where they could.
+SWEEP_CFG = (THREE_CFG.replace("q_soc = 0.5", "q_soc = 0")
+             + "sweep_param = b\nsweep_min = 0.1\nsweep_max = 1\nsweep_points = 3\n")
 
 
 @pytest.mark.parametrize("error", [cm.SimplexError, ArithmeticError])
@@ -543,6 +549,121 @@ def test_sweep_written_in_small_chunks_matches_one_piece(tmp_path, monkeypatch):
     cli.cmd_sweep(cli.parse_config(cfg), pieces.append)
     assert len(pieces) > 3
     assert "".join(pieces).encode() == whole
+
+
+def _sweep_text(cfg):
+    """What ``cmd_sweep`` writes for ``cfg``, and the pieces it writes it in."""
+    pieces = []
+    cli.cmd_sweep(cfg, pieces.append)
+    return "".join(pieces), pieces
+
+
+_SWEEP_HEADER = "param_value,x_bar,provenance,x_R,x_H,x_C,behavior,stability,residual,error"
+
+
+def _near_tie(p, field):
+    """A value of ``field`` at which, for the rest of ``p``, x_bar = 1 (q_soc,
+    b, f), Q's leading coefficient is 0 (q_inf) or the honest interior point
+    sits on x_bar (lam), or None."""
+    gain = p.r * (p.w_C - p.w_H) / (p.w_H - p.w_R + p.r * p.f)  # the bracket plus b
+    if field == "q_soc":
+        return gain - p.b
+    if field == "b":
+        return gain - p.q_soc
+    if field == "f":
+        return (p.r * (p.w_C - p.w_H) / (p.b + p.q_soc) - (p.w_H - p.w_R)) / p.r
+    if field == "q_inf":
+        return (p.r + p.lam) * p.q_soc / p.r
+    if p.q_soc > 0.0 and p.q_inf > p.q_soc:
+        return (gain - p.b) / p.q_soc * (p.q_inf - p.q_soc) - p.b
+    return None
+
+
+@st.composite
+def _sweep_cases(draw):
+    """A base over at most 12 decades, an axis, and a grid of 1 to 40 points
+    that either crosses 0 or spans a narrow window around a near-tie."""
+    p = draw(spread_params(max_span=12.0))
+    axis = draw(st.sampled_from(cli._SWEEP_AXES))
+    field = "lam" if axis == "lambda" else axis
+    centre = _near_tie(p, field)
+    if draw(st.booleans()) and centre is not None and 0.0 < centre < math.inf:
+        width = centre * 10.0 ** draw(st.floats(-13.0, -6.0))
+        lo, hi = centre - width, centre + width
+    else:
+        scale = getattr(p, field) or 1.0
+        lo, hi = -scale * draw(st.floats(0.0, 1.0)), scale * draw(st.floats(0.01, 4.0))
+    text = "".join(f"{key} = {getattr(p, name)!r}\n" for key, name in zip(
+        cli._PARAM_KEYS, ("lam", "r", "b", "f", "q_soc", "q_inf", "w_R", "w_H", "w_C")))
+    return text + _sweep(axis, repr(lo), repr(hi), draw(st.integers(1, 40)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sweep_cases())
+def test_sweep_grid_pass_writes_the_scalar_rows(text):
+    # The grid pass must write the bytes of the per-point scalar rows, built
+    # here, at every point it does not hand back to the scalar path.
+    cfg = cli.parse_config(text)
+    field = "lam" if cfg.sweep_param == "lambda" else cfg.sweep_param
+    got, _ = _sweep_text(cfg)
+    want = "\n".join([_SWEEP_HEADER, *_hand_sweep_rows(cfg.params, field, cfg.sweep_grid)])
+    assert _first_difference(got, want + "\n") is None
+
+
+def test_sweep_grid_longer_than_a_chunk_writes_the_scalar_rows():
+    # 1,100 points go through the grid pass as chunks of 1,024 and 76 points;
+    # the grid crosses lam = 0 and the interior point's entry to the simplex.
+    cfg = cli.parse_config(THREE_CFG + _sweep("lambda", -0.1, 2, 1100))
+    got, pieces = _sweep_text(cfg)
+    assert len(pieces) == 2 and len(pieces[0].splitlines()) > 2 * len(pieces[1].splitlines())
+    want = "\n".join([_SWEEP_HEADER, *_hand_sweep_rows(cfg.params, "lam", cfg.sweep_grid)])
+    assert _first_difference(got, want + "\n") is None
+
+
+def test_sweep_of_an_invalid_base_writes_the_scalar_error_rows():
+    # parse_config validates the base; around a base it would refuse, every
+    # point goes through the scalar API and writes its error row.
+    cfg = cli.parse_config(THREE_CFG + _sweep("b", 0.1, 1, 4))
+    cfg = dataclasses.replace(cfg, params=dataclasses.replace(cfg.params, w_C=0.5))
+    got, _ = _sweep_text(cfg)
+    want = _hand_sweep_rows(cfg.params, "b", cfg.sweep_grid)
+    assert len(want) == 4 and all(row.endswith(",w_C > w_H violated") for row in want)
+    assert got == "\n".join([_SWEEP_HEADER, *want]) + "\n"
+
+
+def test_grid_eigenvalues_are_bit_identical_to_the_scalar_verdicts():
+    # The grid pass's trace, det and eigenvalue real parts, over the reports of
+    # random parameter sets, against classify_equilibrium's.  Python's
+    # ``disc ** 0.5`` is libm's pow, which rounds some values otherwise than
+    # sqrt, so a grid pass that took np.sqrt would fail here on those rows.
+    rng = np.random.default_rng(20261019)
+    params, reports = [], []
+    while len(reports) < 20_000:
+        p = random_params(rng)
+        for rep in cm.enumerate_equilibria(p):
+            params.append(p)
+            reports.append(rep)
+    verdicts = [cm.classify_equilibrium(p, rep) for p, rep in zip(params, reports)]
+    column = lambda values: np.array(list(values), dtype=float)  # noqa: E731
+    grid_params = cm.ModelParams(**{name: column(getattr(p, name) for p in params)
+                                    for name in ("lam", "r", "b", "f", "q_soc", "q_inf",
+                                                 "w_R", "w_H", "w_C")})
+    states = SimpleNamespace(**{name: column(getattr(rep.state, name) for rep in reports)
+                                for name in ("x_R", "x_H", "x_C")})
+    profiles = SimpleNamespace(u_H=column(rep.strategy.u_H for rep in reports),
+                               u_C=column(rep.strategy.u_C for rep in reports))
+    trace, det = stability._trace_det(grid_params, states, profiles)
+    low, high = cli._eigen_real_parts(trace, det)
+    bits = lambda values: column(values).view(np.uint64)  # noqa: E731
+    assert (trace.view(np.uint64) == bits(v.trace for v in verdicts)).all()
+    assert (det.view(np.uint64) == bits(v.det for v in verdicts)).all()
+    assert (low.view(np.uint64) == bits(v.eigen_real_parts[0] for v in verdicts)).all()
+    assert (high.view(np.uint64) == bits(v.eigen_real_parts[1] for v in verdicts)).all()
+    discs = [v.trace * v.trace - 4.0 * v.det for v in verdicts]
+    pow_rows = sum(d >= 0.0 and d**0.5 != math.sqrt(d) for d in discs)
+    samples = np.random.default_rng(0).uniform(0.01, 100.0, 200_000).tolist()
+    if any(v**0.5 != math.sqrt(v) for v in samples):
+        assert pow_rows > 0
 
 
 def test_sweep_whose_span_overflows_gets_a_finite_grid(tmp_path, capsys):
