@@ -461,20 +461,22 @@ def cmd_sweep(cfg: RunConfig, write) -> None:
     if cfg.sweep_param is None or cfg.sweep_grid is None:
         raise ConfigError("sweep requires sweep_param, sweep_min and sweep_max")
     field = "lam" if cfg.sweep_param == "lambda" else cfg.sweep_param
-    text = f"param_value,{_REPORT_COLUMNS},stability,residual,error\n"
-    for lo in range(0, len(cfg.sweep_grid), _CHUNK_ROWS):
-        values = cfg.sweep_grid[lo:lo + _CHUNK_ROWS]
+    rows = [f"param_value,{_REPORT_COLUMNS},stability,residual,error"]
+    # A point has at most three rows, so a piece holds at most _CHUNK_ROWS.
+    points = _CHUNK_ROWS // 3
+    for lo in range(0, len(cfg.sweep_grid), points):
+        values = cfg.sweep_grid[lo:lo + points]
         try:
             with np.errstate(all="ignore"):
-                flagged, rows, starts = _grid_pass(validate_params(cfg.params), field,
-                                                   np.array(values))
+                flagged, chunk, starts = _grid_pass(validate_params(cfg.params), field,
+                                                    np.array(values))
         except (ParameterError, ArithmeticError):
-            flagged, rows, starts = range(len(values)), [], [0] * len(values)
+            flagged, chunk, starts = range(len(values)), [], [0] * len(values)
         # From the last flagged point back, so that each start still holds.
         for i in reversed(flagged):
-            rows[starts[i]:starts[i]] = _point_rows(cfg.params, field, values[i])
-        write(text + "\n".join(rows) + "\n")
-        text = ""
+            chunk[starts[i]:starts[i]] = _point_rows(cfg.params, field, values[i])
+        write("\n".join([*rows, *chunk, ""]))
+        rows = []
 
 
 def _point_rows(base: ModelParams, field: str, value: float) -> list[str]:
@@ -504,9 +506,8 @@ def _grid_pass(base: ModelParams, field: str, values: np.ndarray) -> tuple:
     index in those rows where each point's rows start.  ``base`` with the
     array ``values`` in ``field`` goes through the scalar closed forms."""
     n = len(values)
-    grid = lambda v: np.broadcast_to(v, (n,))  # noqa: E731
     p = dataclasses.replace(base, **{field: values})
-    x_bar = grid(_bracket(p, p.r) / p.q_soc)
+    x_bar = np.broadcast_to(_bracket(p, p.r) / p.q_soc, (n,))
     flagged = (values <= 0.0) | (p.q_soc <= 0.0) | ~np.isfinite(x_bar)
     # The corrupt root: the companion root of Q, polished by one Newton step.
     coefficients = alpha, beta, gamma = q_coefficients(p)
@@ -523,7 +524,7 @@ def _grid_pass(base: ModelParams, field: str, values: np.ndarray) -> tuple:
     flagged |= has_root & (degenerate | (inside[0] == inside[1]))
     gap = p.q_inf - p.q_soc
     interior = (p.b + p.lam) / gap
-    on_simplex = grid((gap > 0.0) & np.logical_not(interior >= 1.0))
+    on_simplex = np.broadcast_to((gap > 0.0) & np.logical_not(interior >= 1.0), (n,))
     interior_x_c = _interior_x_c(p, gap)
     flagged |= on_simplex & ~np.isfinite(interior_x_c)
     # Candidates in enumerate_equilibria's order, listed by regime_at's rule.
@@ -550,16 +551,16 @@ def _grid_pass(base: ModelParams, field: str, values: np.ndarray) -> tuple:
             neg_trace, det = _interior_coefficients(p, state)
             closed = np.where((neg_trace > MARGIN) & (det > MARGIN), 0, -1)
         behavior = np.where(corrupt, 0, 2) if k == 0 else np.where(honest, 1, 2)
-        table[:, k] = np.column_stack(np.broadcast_arrays(
-            state.x_R, state.x_H, state.x_C, residual, behavior, closed))
+        for j, cell in enumerate((state.x_R, state.x_H, state.x_C, residual, behavior, closed)):
+            table[:, k, j] = cell
         undecided = listed[:, k] & (table[:, k, 5] < 0)
-        trace, det = (grid(v)[undecided] for v in _trace_det(p, state, profile))
+        trace, det = (np.broadcast_to(v, (n,))[undecided] for v in _trace_det(p, state, profile))
         table[undecided, k, 5] = _classify_codes(*_eigen_real_parts(trace, det))
-    # Each point's listed candidates sorted stably by x_H, as
-    # enumerate_equilibria sorts its reports: ``at`` indexes them in ``table``.
+    # Listed candidates in enumerate_equilibria's stable order by x_H (the
+    # boundary's 1 is above the others' in (0, 1)); ``at`` indexes ``table``.
     listed &= ~flagged[:, None]
-    order = np.argsort(np.where(listed, table[:, :, 1], np.inf), axis=1, kind="stable")
-    at = (order + 3 * np.arange(n)[:, None]).ravel()
+    swap = table[:, 2, 1] < table[:, 0, 1]
+    at = (np.where(swap[:, None], [2, 0, 1], [0, 2, 1]) + 3 * np.arange(n)[:, None]).ravel()
     at = at[listed.ravel()[at]]
     x_r, x_h, x_c, residual, behavior, verdict = table.reshape(3 * n, 6)[at].T
     counts = listed.sum(axis=1)
@@ -573,8 +574,7 @@ def _grid_pass(base: ModelParams, field: str, values: np.ndarray) -> tuple:
 
 
 def _clamped_state(x_h, x_c) -> tuple[SimpleNamespace, np.ndarray]:
-    """The state ``(1 - x_h - x_c, x_h, x_c)`` clamped into [0, 1] as
-    :class:`PopulationState` clamps it, and where that would raise."""
+    """``PopulationState(1 - x_h - x_c, x_h, x_c)`` as a namespace, and where it would raise."""
     values = (1.0 - x_h - x_c, x_h, x_c)
     fails = abs(values[0] + values[1] + values[2] - 1.0) > SUM_TOL
     for v in values:

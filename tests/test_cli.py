@@ -611,11 +611,13 @@ def test_sweep_grid_pass_writes_the_scalar_rows(text):
 
 
 def test_sweep_grid_longer_than_a_chunk_writes_the_scalar_rows():
-    # 1,100 points go through the grid pass as chunks of 1,024 and 76 points;
-    # the grid crosses lam = 0 and the interior point's entry to the simplex.
+    # 1,100 points go through the grid pass as chunks of 341, 341, 341 and 77
+    # points, each written as a piece of at most _CHUNK_ROWS rows; the grid
+    # crosses lam = 0 and the interior point's entry to the simplex.
     cfg = cli.parse_config(THREE_CFG + _sweep("lambda", -0.1, 2, 1100))
     got, pieces = _sweep_text(cfg)
-    assert len(pieces) == 2 and len(pieces[0].splitlines()) > 2 * len(pieces[1].splitlines())
+    sizes = [len(piece.splitlines()) for piece in pieces]
+    assert len(sizes) == 4 and max(sizes) <= cli._CHUNK_ROWS and sizes[3] < sizes[1] / 2
     want = "\n".join([_SWEEP_HEADER, *_hand_sweep_rows(cfg.params, "lam", cfg.sweep_grid)])
     assert _first_difference(got, want + "\n") is None
 
