@@ -12,8 +12,8 @@ document writes every non-finite number as the CSV's token, ``+inf``,
 
 Each ``cmd_*`` takes the run's config and a ``write`` callable and writes
 its text in pieces as it is formatted: ``simulate``, ``ctmc`` and ``sweep``
-one piece per :data:`_CHUNK_ROWS` rows, ``classify`` and ``equilibria``
-once.  :func:`main` opens ``--out`` (or uses stdout) at the first piece, so
+pieces of at most :data:`_CHUNK_ROWS` rows, ``classify`` and ``equilibria``
+one.  :func:`main` opens ``--out`` (or uses stdout) at the first piece, so
 a run that fails before it writes, as every guard and numerical failure
 does, leaves no output and creates no file.
 

@@ -551,13 +551,6 @@ def test_sweep_written_in_small_chunks_matches_one_piece(tmp_path, monkeypatch):
     assert "".join(pieces).encode() == whole
 
 
-def _sweep_text(cfg):
-    """What ``cmd_sweep`` writes for ``cfg``, and the pieces it writes it in."""
-    pieces = []
-    cli.cmd_sweep(cfg, pieces.append)
-    return "".join(pieces), pieces
-
-
 _SWEEP_HEADER = "param_value,x_bar,provenance,x_R,x_H,x_C,behavior,stability,residual,error"
 
 
@@ -605,9 +598,8 @@ def test_sweep_grid_pass_writes_the_scalar_rows(text):
     # here, at every point it does not hand back to the scalar path.
     cfg = cli.parse_config(text)
     field = "lam" if cfg.sweep_param == "lambda" else cfg.sweep_param
-    got, _ = _sweep_text(cfg)
     want = "\n".join([_SWEEP_HEADER, *_hand_sweep_rows(cfg.params, field, cfg.sweep_grid)])
-    assert _first_difference(got, want + "\n") is None
+    assert _first_difference(_text_of(cli.cmd_sweep, cfg), want + "\n") is None
 
 
 def test_sweep_grid_longer_than_a_chunk_writes_the_scalar_rows():
@@ -615,11 +607,12 @@ def test_sweep_grid_longer_than_a_chunk_writes_the_scalar_rows():
     # points, each written as a piece of at most _CHUNK_ROWS rows; the grid
     # crosses lam = 0 and the interior point's entry to the simplex.
     cfg = cli.parse_config(THREE_CFG + _sweep("lambda", -0.1, 2, 1100))
-    got, pieces = _sweep_text(cfg)
+    pieces = []
+    cli.cmd_sweep(cfg, pieces.append)
     sizes = [len(piece.splitlines()) for piece in pieces]
     assert len(sizes) == 4 and max(sizes) <= cli._CHUNK_ROWS and sizes[3] < sizes[1] / 2
     want = "\n".join([_SWEEP_HEADER, *_hand_sweep_rows(cfg.params, "lam", cfg.sweep_grid)])
-    assert _first_difference(got, want + "\n") is None
+    assert _first_difference("".join(pieces), want + "\n") is None
 
 
 def test_sweep_of_an_invalid_base_writes_the_scalar_error_rows():
@@ -627,10 +620,9 @@ def test_sweep_of_an_invalid_base_writes_the_scalar_error_rows():
     # point goes through the scalar API and writes its error row.
     cfg = cli.parse_config(THREE_CFG + _sweep("b", 0.1, 1, 4))
     cfg = dataclasses.replace(cfg, params=dataclasses.replace(cfg.params, w_C=0.5))
-    got, _ = _sweep_text(cfg)
     want = _hand_sweep_rows(cfg.params, "b", cfg.sweep_grid)
     assert len(want) == 4 and all(row.endswith(",w_C > w_H violated") for row in want)
-    assert got == "\n".join([_SWEEP_HEADER, *want]) + "\n"
+    assert _text_of(cli.cmd_sweep, cfg) == "\n".join([_SWEEP_HEADER, *want]) + "\n"
 
 
 def test_grid_eigenvalues_are_bit_identical_to_the_scalar_verdicts():
@@ -1149,7 +1141,7 @@ def test_sweep_goldens_hold_the_cases_they_name():
     assert any(row[0] == "1" and row[6] == "indifferent" for row in zero_b)
     assert any(row[9] == "b > 0 violated" for row in zero_b)
     alpha = cli.parse_config(SWEEP_CFGS["sweep-alpha-zero"])
-    assert dataclasses.replace(alpha.params, q_inf=alpha.sweep_grid[32]).q_inf == 0.55
+    assert alpha.sweep_grid[32] == 0.55
     assert cm.q_coefficients(dataclasses.replace(alpha.params, q_inf=0.55))[0] == 0.0
     for name, provenance in (("sweep-boundary-tie", "honest_boundary"),
                              ("sweep-root-tie", "corrupt_root")):
