@@ -164,7 +164,7 @@ def classify_equilibrium(p: ModelParams, e: EquilibriumReport) -> StabilityVerdi
     always come from that Jacobian.  The verdict's flags are the rule's
     flag, then ``trace_negative`` and ``det_positive``.
     """
-    trace, det = (float(v) for v in _trace_det(p, e.state, e.strategy))
+    trace, det = map(float, _trace_det(p, e.state, e.strategy))
     parts = eigen_real_parts(trace, det)
     classification, flags = _closed_form(p, e)
     method = Method.CLOSED_FORM
