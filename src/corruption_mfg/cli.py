@@ -463,9 +463,9 @@ def cmd_sweep(cfg: RunConfig, write) -> None:
     field = "lam" if cfg.sweep_param == "lambda" else cfg.sweep_param
     rows = [f"param_value,{_REPORT_COLUMNS},stability,residual,error"]
     # A point has at most three rows, so a piece holds at most _CHUNK_ROWS.
-    points = _CHUNK_ROWS // 3
-    for lo in range(0, len(cfg.sweep_grid), points):
-        values = cfg.sweep_grid[lo:lo + points]
+    per_chunk = _CHUNK_ROWS // 3
+    for lo in range(0, len(cfg.sweep_grid), per_chunk):
+        values = cfg.sweep_grid[lo:lo + per_chunk]
         try:
             with np.errstate(all="ignore"):
                 flagged, chunk, starts = _grid_pass(validate_params(cfg.params), field,
