@@ -38,12 +38,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .equilibria import (DEGENERATE_LEADING, EquilibriumReport, Provenance, _corrupt_x_c,
-                         _interior_x_c, _q_at, enumerate_equilibria, q_coefficients)
-from .hjb import TIE_TOL, _bracket, classifier_xbar, classifier_xbar_discounted, regime_at
+from .equilibria import (EquilibriumReport, Provenance, _companion_roots, _corrupt_x_c,
+                         _degenerate, _interior_x_c, _q_at, enumerate_equilibria,
+                         q_coefficients)
+from .hjb import _bracket, _regime_sides, classifier_xbar, classifier_xbar_discounted, regime_at
 from .model import (
-    COMPONENT_FLOOR,
-    SUM_TOL,
     Behavior,
     CORRUPT_PROFILE,
     HONEST_PROFILE,
@@ -62,7 +61,7 @@ from .simulate import (
     lln_convergence,
     simulate_population,  # unused: perfbench/tracer.py rebinds it, tests/test_api.py checks it
 )
-from .stability import (MARGIN, Classification, _interior_coefficients, _trace_det,
+from .stability import (Classification, _classification_index, _interior_rule, _trace_det,
                         classify_equilibrium, corrupt_stability_band)
 
 class ConfigError(ValueError):
@@ -84,7 +83,7 @@ _SWEEP_AXES = ("b", "f", "q_soc", "q_inf", "lambda")
 DEFAULTS = {"dt": 0.01, "t_end": 50.0, "N": 1000, "seed": 42, "replications": 20}
 
 # Largest sweep grid ``parse_config`` will build.  The grid is built whole
-# before the first point: at the cap it holds ~32 MB of floats.  The points
+# before the first point, one float64 array of ~8 MB at the cap.  The points
 # are evaluated and written a chunk at a time, so the grid pass's arrays
 # never reach the ~8 MB each of a whole-grid pass.
 MAX_SWEEP_POINTS = 10**6
@@ -102,7 +101,7 @@ class RunConfig:
     x0: PopulationState
     strategy: StrategyProfile
     sweep_param: str | None
-    sweep_grid: tuple[float, ...] | None
+    sweep_grid: np.ndarray | None  # float64, read-only
     format: str
     out: str | None
 
@@ -197,10 +196,10 @@ def parse_config(text: str) -> RunConfig:
         # halved bounds is doubled: halving and doubling are exact.
         with np.errstate(over="ignore"):
             if math.isfinite(hi - lo):
-                grid = np.linspace(lo, hi, points)
+                sweep_grid = np.linspace(lo, hi, points)
             else:
-                grid = 2.0 * np.linspace(lo / 2, hi / 2, points)
-        sweep_grid = tuple(float(v) for v in grid)
+                sweep_grid = 2.0 * np.linspace(lo / 2, hi / 2, points)
+        sweep_grid.flags.writeable = False
 
     out_format = values.get("format", "csv")
     if out_format not in ("csv", "structured"):
@@ -451,12 +450,13 @@ def cmd_sweep(cfg: RunConfig, write) -> None:
     pass, :func:`_grid_pass`: the scalar closed forms on arrays, in their
     order of operations, so the scalar API's bytes.  The points it flags go
     through :func:`_point_rows`, the scalar path and the specification: a
-    swept value <= 0 (every invalid point of a valid base), q_soc <= 0, x_bar
-    not finite; where x_bar > 0, a degenerate Q or not one candidate root in
-    (0, 1); an interior point on the simplex with x_C not finite; a listed
-    equilibrium off the simplex tolerance or with a residual not finite, or
-    a corrupt root where ``r**2`` underflows; all points of a chunk whose
-    base is invalid or where an operation on scalars raises.
+    swept value <= 0 (every invalid point of a valid base), x_bar not finite
+    (so every point where q_soc = 0); where x_bar > 0, a degenerate Q or not
+    one candidate root in (0, 1); a listed equilibrium with a component
+    outside [0, 1] (NaN included), which ``PopulationState`` clamps or
+    refuses, or with a residual not finite, or a corrupt root where ``r**2``
+    underflows; all points of a chunk whose base is invalid or where an
+    operation on scalars raises.
     """
     if cfg.sweep_param is None or cfg.sweep_grid is None:
         raise ConfigError("sweep requires sweep_param, sweep_min and sweep_max")
@@ -468,13 +468,13 @@ def cmd_sweep(cfg: RunConfig, write) -> None:
         values = cfg.sweep_grid[lo:lo + per_chunk]
         try:
             with np.errstate(all="ignore"):
-                flagged, chunk, starts = _grid_pass(validate_params(cfg.params), field,
-                                                    np.array(values))
+                flagged, chunk, starts = _grid_pass(validate_params(cfg.params), field, values)
         except (ParameterError, ArithmeticError):
             flagged, chunk, starts = range(len(values)), [], [0] * len(values)
-        # From the last flagged point back, so that each start still holds.
+        # From the last flagged point back, so that each start still holds.  A
+        # Python float, as ``np.float64 ** 0.5`` would round as np.sqrt does.
         for i in reversed(flagged):
-            chunk[starts[i]:starts[i]] = _point_rows(cfg.params, field, values[i])
+            chunk[starts[i]:starts[i]] = _point_rows(cfg.params, field, float(values[i]))
         write("\n".join([*rows, *chunk, ""]))
         rows = []
 
@@ -508,48 +508,46 @@ def _grid_pass(base: ModelParams, field: str, values: np.ndarray) -> tuple:
     n = len(values)
     p = dataclasses.replace(base, **{field: values})
     x_bar = np.broadcast_to(_bracket(p, p.r) / p.q_soc, (n,))
-    flagged = (values <= 0.0) | (p.q_soc <= 0.0) | ~np.isfinite(x_bar)
+    flagged = (values <= 0.0) | ~np.isfinite(x_bar)
     # The corrupt root: the companion root of Q, polished by one Newton step.
-    coefficients = alpha, beta, gamma = q_coefficients(p)
-    disc = beta * beta - 4.0 * alpha * gamma
-    q = -0.5 * (beta + np.where(beta >= 0.0, 1.0, -1.0) * np.sqrt(disc))
-    candidates = q / alpha, gamma / q
+    coefficients = alpha, beta, _ = q_coefficients(p)
+    candidates = _companion_roots(*coefficients, np.sqrt)
     inside = [(0.0 < c) & (c < 1.0) for c in candidates]
     root = np.where(inside[0], *candidates)
     slope = 2.0 * alpha * root + beta
     polished = root - _q_at(coefficients, root) / slope
     root = np.where((slope != 0.0) & (0.0 < polished) & (polished < 1.0), polished, root)
     has_root = x_bar > 0.0
-    degenerate = abs(alpha) <= DEGENERATE_LEADING * abs(beta)
-    flagged |= has_root & (degenerate | (inside[0] == inside[1]))
+    flagged |= has_root & (_degenerate(alpha, beta) | (inside[0] == inside[1]))
     gap = p.q_inf - p.q_soc
     interior = (p.b + p.lam) / gap
     on_simplex = np.broadcast_to((gap > 0.0) & np.logical_not(interior >= 1.0), (n,))
-    interior_x_c = _interior_x_c(p, gap)
-    flagged |= on_simplex & ~np.isfinite(interior_x_c)
     # Candidates in enumerate_equilibria's order, listed by regime_at's rule.
     # table[i, k]: candidate k's x_R, x_H, x_C, residual and the codes of its
     # behavior and classification (-1 where the eigenvalues decide) at point i.
     points = ((root, _corrupt_x_c(p, root), has_root, CORRUPT_PROFILE),
               (1.0, 0.0, True, HONEST_PROFILE),
-              (interior, interior_x_c, on_simplex, HONEST_PROFILE))
+              (interior, _interior_x_c(p, gap), on_simplex, HONEST_PROFILE))
     table = np.empty((n, 3, 6))
     listed = np.empty((n, 3), dtype=bool)
     for k, (x_h, x_c, present, profile) in enumerate(points):
-        corrupt, honest = x_h < x_bar - TIE_TOL, x_h > x_bar + TIE_TOL
+        corrupt, honest = _regime_sides(x_h, x_bar)
         listed[:, k] = present & ~(honest if k == 0 else corrupt)
-        state, off_simplex = _clamped_state(x_h, x_c)
+        # Where a component is outside [0, 1], PopulationState clamps or refuses it.
+        state = SimpleNamespace(x_R=1.0 - x_h - x_c, x_H=x_h, x_C=x_c)
         first, second, third = (abs(v) for v in kinetic_rhs(p, state, profile))
         residual = np.maximum(np.maximum(first, second), third)
-        flagged |= listed[:, k] & (off_simplex | ~np.isfinite(residual))
+        valid = np.isfinite(residual)
+        for v in vars(state).values():
+            valid &= (0.0 <= v) & (v <= 1.0)
+        flagged |= listed[:, k] & ~valid
         if k == 0:  # where r**2 underflows, the band divides by zero
             closed = np.where(corrupt_stability_band(p), 0, -1)
             flagged |= listed[:, k] & (p.r**2 == 0.0)
         elif k == 1:  # the boundary's eigenvalues are exactly {-r, q_inf - q_soc - lam - b}
             closed = _classify_codes(-p.r, p.q_inf - p.q_soc - p.lam - p.b)
         else:
-            neg_trace, det = _interior_coefficients(p, state)
-            closed = np.where((neg_trace > MARGIN) & (det > MARGIN), 0, -1)
+            closed = np.where(_interior_rule(p, state), 0, -1)
         behavior = np.where(corrupt, 0, 2) if k == 0 else np.where(honest, 1, 2)
         for j, cell in enumerate((state.x_R, state.x_H, state.x_C, residual, behavior, closed)):
             table[:, k, j] = cell
@@ -573,16 +571,6 @@ def _grid_pass(base: ModelParams, field: str, values: np.ndarray) -> tuple:
     return np.flatnonzero(flagged).tolist(), rows, (np.cumsum(counts) - counts).tolist()
 
 
-def _clamped_state(x_h, x_c) -> tuple[SimpleNamespace, np.ndarray]:
-    """``PopulationState(1 - x_h - x_c, x_h, x_c)`` as a namespace, and where it would raise."""
-    values = (1.0 - x_h - x_c, x_h, x_c)
-    fails = abs(values[0] + values[1] + values[2] - 1.0) > SUM_TOL
-    for v in values:
-        fails = fails | ~np.isfinite(v) | (v < COMPONENT_FLOOR) | (v > 1.0 + SUM_TOL)
-    x_r, x_h, x_c = (np.where(v < 0.0, 0.0, np.where(v > 1.0, 1.0, v)) for v in values)
-    return SimpleNamespace(x_R=x_r, x_H=x_h, x_C=x_c), fails
-
-
 def _eigen_real_parts(trace: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`~.stability.eigen_real_parts` over arrays, its root by Python's ``**`` value
     by value, as libm's ``pow``: ``np.sqrt`` and ``np.power`` round some values otherwise."""
@@ -596,8 +584,7 @@ def _eigen_real_parts(trace: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, n
 
 def _classify_codes(low, high) -> np.ndarray:
     """:func:`~.stability._classify` of pairs ``(low, high)``, as :data:`_STABILITIES` codes."""
-    top = np.where(high > low, high, low)
-    return np.where(top < -MARGIN, 0, np.where(top > MARGIN, 1, 2))
+    return _classification_index(np.where(high > low, high, low))
 
 
 _COMMANDS = {

@@ -113,13 +113,10 @@ def corrupt_root(p: ModelParams) -> tuple[float, float]:
 
 def _corrupt_root(p: ModelParams, coefficients: tuple[float, float, float]) -> tuple[float, float]:
     alpha, beta, gamma = coefficients
-    if abs(alpha) <= DEGENERATE_LEADING * abs(beta):
+    if _degenerate(alpha, beta):
         root = -gamma / beta
     else:
-        disc = beta * beta - 4.0 * alpha * gamma
-        sign_b = 1.0 if beta >= 0.0 else -1.0
-        q = -0.5 * (beta + sign_b * math.sqrt(disc))
-        candidates = [c for c in (q / alpha, gamma / q) if 0.0 < c < 1.0]
+        candidates = [c for c in _companion_roots(*coefficients, math.sqrt) if 0.0 < c < 1.0]
         if len(candidates) != 1:
             # Sign change Q(0) < 0 < Q(1) guarantees exactly one; reaching
             # here means a parameter invariant was violated upstream.
@@ -131,6 +128,19 @@ def _corrupt_root(p: ModelParams, coefficients: tuple[float, float, float]) -> t
             if 0.0 < polished < 1.0:
                 root = polished
     return root, _corrupt_x_c(p, root)
+
+
+def _degenerate(alpha, beta):
+    # Q is taken as linear where this holds, for floats and arrays alike.
+    return abs(alpha) <= DEGENERATE_LEADING * abs(beta)
+
+
+def _companion_roots(alpha, beta, gamma, sqrt) -> tuple:
+    # Q's two roots, q / alpha and gamma / q, by the product form; ``sqrt`` is
+    # math.sqrt on floats or np.sqrt on arrays, both correctly rounded.
+    disc = beta * beta - 4.0 * alpha * gamma
+    q = -0.5 * (beta + (2.0 * (beta >= 0.0) - 1.0) * sqrt(disc))
+    return q / alpha, gamma / q
 
 
 def _corrupt_x_c(p: ModelParams, x_h: float) -> float:

@@ -9,7 +9,8 @@ of the four profiles, with coefficients from the rate kernel
 The regime boundary is a single threshold ``x_bar`` on the honest fraction,
 and :func:`regime_at` alone applies it: corrupt below ``x_bar - TIE_TOL``,
 honest above ``x_bar + TIE_TOL``, indifferent in the tie band between and,
-in the corner ``q_soc = 0`` with a zero bracket, indifferent everywhere.  A
+in the corner ``q_soc = 0`` with a zero bracket, indifferent everywhere.
+Its band test, :func:`_regime_sides`, is also the sweep's on arrays.  A
 discounted-criterion variant (no normalization, solved by elimination) is
 provided alongside, all in plain floats.
 """
@@ -150,11 +151,14 @@ def regime_at(threshold: ClassifierThreshold, x_H: float) -> Behavior:
     """
     if threshold.indifferent_everywhere:
         return Behavior.INDIFFERENT
-    if x_H < threshold.value - TIE_TOL:
-        return Behavior.CORRUPT
-    if x_H > threshold.value + TIE_TOL:
-        return Behavior.HONEST
-    return Behavior.INDIFFERENT
+    corrupt, honest = _regime_sides(x_H, threshold.value)
+    return Behavior.CORRUPT if corrupt else Behavior.HONEST if honest else Behavior.INDIFFERENT
+
+
+def _regime_sides(x_H, x_bar):
+    """``(corrupt, honest)``: whether ``x_H`` lies below or above the tie band
+    around ``x_bar``.  Comparisons only, so floats and arrays alike."""
+    return x_H < x_bar - TIE_TOL, x_H > x_bar + TIE_TOL
 
 
 def best_response(p: ModelParams, x: PopulationState) -> BestResponse:

@@ -48,6 +48,9 @@ class Classification(Enum):
     MARGINAL = "marginal"
 
 
+_CLASSIFICATIONS = tuple(Classification)  # by the index of _classification_index
+
+
 class Method(Enum):
     """How a verdict was reached."""
 
@@ -101,12 +104,14 @@ def eigen_real_parts(trace: float, det: float) -> tuple[float, float]:
 
 
 def _classify(real_parts: tuple[float, float]) -> Classification:
-    top = max(real_parts)
-    if top < -MARGIN:
-        return Classification.STABLE
-    if top > MARGIN:
-        return Classification.UNSTABLE
-    return Classification.MARGINAL
+    return _CLASSIFICATIONS[_classification_index(max(real_parts))]
+
+
+def _classification_index(top):
+    """The index in ``Classification`` of the verdict on a top real part
+    ``top``: stable below ``-MARGIN``, unstable above ``MARGIN``, marginal
+    between and at NaN.  Arithmetic only, so floats and arrays alike."""
+    return 2 - 2 * (top < -MARGIN) - (top > MARGIN)
 
 
 def corrupt_stability_band(p: ModelParams) -> bool:
@@ -135,6 +140,13 @@ def _interior_coefficients(p: ModelParams, x: PopulationState) -> tuple[float, f
     return neg_trace, det
 
 
+def _interior_rule(p: ModelParams, x: PopulationState):
+    """Whether both characteristic coefficients at the honest interior point
+    ``x`` exceed ``MARGIN``, which makes it stable; floats and arrays alike."""
+    neg_trace, det = _interior_coefficients(p, x)
+    return (neg_trace > MARGIN) & (det > MARGIN)
+
+
 def _closed_form(p: ModelParams, e: EquilibriumReport):
     """(classification-or-None, flags) from the rule matching the provenance."""
     if e.provenance is Provenance.CORRUPT_ROOT:
@@ -148,8 +160,7 @@ def _closed_form(p: ModelParams, e: EquilibriumReport):
         return _classify((-p.r, edge)), (("boundary_rate_negative", edge < 0.0),)
     # Honest interior: stable when both characteristic coefficients are
     # positive, which the existence condition implies.
-    neg_trace, det = _interior_coefficients(p, e.state)
-    positive = neg_trace > MARGIN and det > MARGIN
+    positive = _interior_rule(p, e.state)
     verdict = Classification.STABLE if positive else None
     return verdict, (("char_coefficients_positive", positive),)
 

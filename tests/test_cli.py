@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corruption_mfg as cm
-from corruption_mfg import cli, simulate, stability
+from corruption_mfg import cli, equilibria, hjb, simulate, stability
 from strategies import spread_params
 from support import random_params
 from test_rng import PINNED
@@ -124,7 +124,7 @@ def test_parse_strategy_and_sweep_validation():
     with pytest.raises(cli.ConfigError, match="sweep_min"):
         cli.parse_config(BASE_CFG + "sweep_param = b\n")
     cfg = cli.parse_config(BASE_CFG + "sweep_param = b\nsweep_min = 1\nsweep_max = 2\nsweep_points = 3\n")
-    assert cfg.sweep_grid == (1.0, 1.5, 2.0)
+    assert cfg.sweep_grid.tolist() == [1.0, 1.5, 2.0]
 
 
 # ---------------------------------------------------------------------------
@@ -498,12 +498,17 @@ def test_sweep_lambda_axis_maps_to_rate(tmp_path):
 
 
 def _hand_sweep_rows(base, field, grid):
-    """Sweep rows built point by point, each real cell by format(v, ".17g")."""
+    """Sweep rows built point by point, each real cell by format(v, ".17g").
+
+    The grid's values are taken as Python floats: at a ``np.float64`` value
+    ``** 0.5`` is numpy's power, which rounds as ``np.sqrt``, not as libm's
+    ``pow``.
+    """
     def g17(v):
         return format(v, ".17g")
 
     rows = []
-    for value in grid:
+    for value in np.asarray(grid, dtype=float).tolist():
         p = dataclasses.replace(base, **{field: value})
         try:
             reports = cm.enumerate_equilibria(p)
@@ -625,6 +630,44 @@ def test_sweep_of_an_invalid_base_writes_the_scalar_error_rows():
     assert _text_of(cli.cmd_sweep, cfg) == "\n".join([_SWEEP_HEADER, *want]) + "\n"
 
 
+@pytest.mark.parametrize("owner,name,value,base,axis,hi", [
+    (hjb, "TIE_TOL", 0.05, THREE_CFG, "b", 0.6),
+    (stability, "MARGIN", 0.2, THREE_CFG, "q_inf", 4),
+    (equilibria, "DEGENERATE_LEADING", 0.5, THREE_CFG.replace("w_C = 1.275", "w_C = 3"),
+     "q_inf", 4),
+], ids=["TIE_TOL", "MARGIN", "DEGENERATE_LEADING"])
+def test_sweep_reads_each_tolerance_from_its_owner(monkeypatch, owner, name, value, base,
+                                                   axis, hi):
+    # A tolerance changed in the module that owns it changes the grid pass's
+    # rows as it changes the scalar API's: the pass keeps no copy of its own.
+    cfg = cli.parse_config(base + _sweep(axis, 0, hi, 301))
+    field = cfg.sweep_param
+    before = _hand_sweep_rows(cfg.params, field, cfg.sweep_grid)
+    monkeypatch.setattr(owner, name, value)
+    want = _hand_sweep_rows(cfg.params, field, cfg.sweep_grid)
+    assert want != before
+    assert _first_difference(_text_of(cli.cmd_sweep, cfg),
+                             "\n".join([_SWEEP_HEADER, *want, ""])) is None
+
+
+def test_sweep_hands_a_listed_state_off_the_simplex_to_the_scalar_path(monkeypatch):
+    # The corrupt root's x_C is moved so that its x_R comes out near -1e-13
+    # for b below 0.105, which PopulationState clamps to 0, and near -1e-11
+    # above, which it refuses: an error row.  The grid pass must write the
+    # scalar API's rows at both.
+    def shifted_x_c(p, x_h):
+        return 1.0 - x_h + (1e-13 + (p.b > 0.105) * 9.9e-12)
+
+    monkeypatch.setattr(equilibria, "_corrupt_x_c", shifted_x_c)
+    monkeypatch.setattr(cli, "_corrupt_x_c", shifted_x_c)
+    cfg = cli.parse_config(THREE_CFG + _sweep("b", 0.01, 0.21, 21))
+    want = _hand_sweep_rows(cfg.params, "b", cfg.sweep_grid)
+    roots = [row.split(",") for row in want if ",corrupt_root," in row]
+    assert len(roots) == 10 and all(row[3] == "0" for row in roots)
+    assert sum(",x_R = -1.0000" in row and row.endswith(" outside [0; 1]") for row in want) == 11
+    assert _text_of(cli.cmd_sweep, cfg) == "\n".join([_SWEEP_HEADER, *want, ""])
+
+
 def test_grid_eigenvalues_are_bit_identical_to_the_scalar_verdicts():
     # The grid pass's trace, det and eigenvalue real parts, over the reports of
     # random parameter sets, against classify_equilibrium's.  Python's
@@ -666,7 +709,7 @@ def test_sweep_whose_span_overflows_gets_a_finite_grid(tmp_path, capsys):
     cfg = THREE_CFG + "sweep_param = f\nsweep_min = -1e308\nsweep_max = 1e308\nsweep_points = 5\n"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert cli.parse_config(cfg).sweep_grid == (-1e308, -5e307, 0.0, 5e307, 1e308)
+        assert cli.parse_config(cfg).sweep_grid.tolist() == [-1e308, -5e307, 0.0, 5e307, 1e308]
         rc, out = run_cli(tmp_path, cfg, "sweep")
     assert caught == []
     assert rc == 0
