@@ -369,43 +369,44 @@ _LABELS = np.array([label.encode() for label in TRANSITION_LABELS])
 _CONVERSIONS = re.compile("%(?:[.]17g|d|s)")
 
 
-def _write_table(write, template: str, columns: list[np.ndarray]) -> None:
-    """Write ``template % row + "\\n"`` for every row of ``columns``, one chunk
-    per :data:`_CHUNK_ROWS` rows.
+def _table_text(template: str, cells: list[np.ndarray]) -> str:
+    """``template % row + "\\n"`` for every row of ``cells``, joined.
 
     ``template`` converts float64 columns with ``%.17g``, int64 counts with
-    ``%d`` and bytes arrays with ``%s``.  Each chunk's cells become the
+    ``%d`` and NUL-padded bytes arrays with ``%s``.  The cells become the
     NUL-padded fields of :mod:`._g17`, the floats in one call and the counts
     in another; with the template's literal bytes they fill one byte row per
     table row, and dropping the NULs leaves the text.
     """
-    from . import _g17  # imported here: its tables take ~2 ms, and atlas writes no table
+    from . import _g17  # imported here: classify and equilibria skip its tables, a few ms
 
     kinds = _CONVERSIONS.findall(template)
     literals = [np.frombuffer(text.encode(), dtype=np.uint8)
                 for text in _CONVERSIONS.split(template + "\n")]
+    rows = len(cells[0])
+    fields = [cell.view(np.uint8).reshape(rows, cell.itemsize) if kind == "%s" else None
+              for kind, cell in zip(kinds, cells)]
     # The columns of each numeric kind are formatted together, in one call.
     calls = [(format_cells, [i for i, k in enumerate(kinds) if k == kind])
              for kind, format_cells in (("%.17g", _g17.g17), ("%d", _g17.d)) if kind in kinds]
+    for format_cells, at in calls:
+        # Row r's cell j is at r * len(at) + j of the block.
+        block = format_cells(np.stack([cells[i] for i in at], axis=1).reshape(-1))
+        for j, i in enumerate(at):
+            fields[i] = block[j::len(at)]
+    pieces = [literals[0], *(p for pair in zip(fields, literals[1:]) for p in pair)]
+    text = np.empty((rows, sum(piece.shape[-1] for piece in pieces)), dtype=np.uint8)
+    end = 0
+    for piece in pieces:
+        start, end = end, end + piece.shape[-1]
+        text[:, start:end] = piece
+    return text.tobytes().translate(None, b"\0").decode()
+
+
+def _write_table(write, template: str, columns: list[np.ndarray]) -> None:
+    """Write :func:`_table_text` of ``columns``, one piece per :data:`_CHUNK_ROWS` rows."""
     for lo in range(0, len(columns[0]), _CHUNK_ROWS):
-        cells = [column[lo:lo + _CHUNK_ROWS] for column in columns]
-        rows = len(cells[0])
-        fields = [cell.view(np.uint8).reshape(rows, -1) if kind == "%s" else None
-                  for kind, cell in zip(kinds, cells)]
-        for format_cells, at in calls:
-            values = np.empty((rows, len(at)), dtype=cells[at[0]].dtype)
-            for j, i in enumerate(at):
-                values[:, j] = cells[i]
-            block = format_cells(values.reshape(-1)).reshape(rows, len(at), -1)
-            for j, i in enumerate(at):
-                fields[i] = block[:, j]
-        pieces = [literals[0], *(p for pair in zip(fields, literals[1:]) for p in pair)]
-        text = np.empty((rows, sum(piece.shape[-1] for piece in pieces)), dtype=np.uint8)
-        end = 0
-        for piece in pieces:
-            start, end = end, end + piece.shape[-1]
-            text[:, start:end] = piece
-        write(text.tobytes().translate(None, b"\0").decode())
+        write(_table_text(template, [column[lo:lo + _CHUNK_ROWS] for column in columns]))
 
 
 def cmd_simulate(cfg: RunConfig, write) -> None:
@@ -448,15 +449,16 @@ def cmd_sweep(cfg: RunConfig, write) -> None:
 
     Each chunk of at most :data:`_CHUNK_ROWS` points goes through one numpy
     pass, :func:`_grid_pass`: the scalar closed forms on arrays, in their
-    order of operations, so the scalar API's bytes.  The points it flags go
-    through :func:`_point_rows`, the scalar path and the specification: a
-    swept value <= 0 (every invalid point of a valid base), x_bar not finite
-    (so every point where q_soc = 0); where x_bar > 0, a degenerate Q or not
-    one candidate root in (0, 1); a listed equilibrium with a component
-    outside [0, 1] (NaN included), which ``PopulationState`` clamps or
-    refuses, or with a residual not finite, or a corrupt root where ``r**2``
-    underflows; all points of a chunk whose base is invalid or where an
-    operation on scalars raises.
+    order of operations, so the scalar API's bytes, written by
+    :func:`_table_text`.  The points it flags go through :func:`_point_rows`,
+    the scalar path and the specification, whose ``%`` rows are spliced in
+    grid order: a swept value <= 0 (every invalid point of a valid base),
+    x_bar not finite (so every point where q_soc = 0); where x_bar > 0, a
+    degenerate Q or not one candidate root in (0, 1); a listed equilibrium
+    with a component outside [0, 1] (NaN included), which ``PopulationState``
+    clamps or refuses, or with a residual not finite, or a corrupt root where
+    ``r**2`` underflows; all points of a chunk whose base is invalid or where
+    an operation on scalars raises.
     """
     if cfg.sweep_param is None or cfg.sweep_grid is None:
         raise ConfigError("sweep requires sweep_param, sweep_min and sweep_max")
@@ -493,12 +495,12 @@ def _point_rows(base: ModelParams, field: str, value: float) -> list[str]:
             for rep, verdict in rows]
 
 
-_GRID_ROW = "%s%s,%.17g,%.17g,%.17g,%s,%s,%.17g,"  # after the value and (finite) x_bar
+_GRID_ROW = "%.17g,%.17g,%s,%.17g,%.17g,%.17g,%s,%s,%.17g,"  # x_bar is finite here
 # Cell labels by grid pass code; candidates in enumerate_equilibria's order.
-_PROVENANCES = np.array([Provenance.CORRUPT_ROOT.value, Provenance.HONEST_BOUNDARY.value,
-                         Provenance.HONEST_INTERIOR.value], dtype=object)
-_BEHAVIORS = np.array([behavior.value for behavior in Behavior], dtype=object)
-_STABILITIES = np.array([verdict.value for verdict in Classification], dtype=object)
+_PROVENANCES = np.array([provenance.value.encode() for provenance in (
+    Provenance.CORRUPT_ROOT, Provenance.HONEST_BOUNDARY, Provenance.HONEST_INTERIOR)])
+_BEHAVIORS = np.array([behavior.value.encode() for behavior in Behavior])
+_STABILITIES = np.array([verdict.value.encode() for verdict in Classification])
 
 
 def _grid_pass(base: ModelParams, field: str, values: np.ndarray) -> tuple:
@@ -562,12 +564,10 @@ def _grid_pass(base: ModelParams, field: str, values: np.ndarray) -> tuple:
     at = at[listed.ravel()[at]]
     x_r, x_h, x_c, residual, behavior, verdict = table.reshape(3 * n, 6)[at].T
     counts = listed.sum(axis=1)
-    heads = np.array(["%.17g,%.17g," % pair for pair in zip(values.tolist(), x_bar.tolist())],
-                     dtype=object)
-    rows = [_GRID_ROW % row for row in zip(
-        np.repeat(heads, counts).tolist(), _PROVENANCES[at % 3].tolist(),
-        x_r.tolist(), x_h.tolist(), x_c.tolist(), _BEHAVIORS[behavior.astype(int)].tolist(),
-        _STABILITIES[verdict.astype(int)].tolist(), residual.tolist())]
+    rows = _table_text(_GRID_ROW, [
+        np.repeat(values, counts), np.repeat(x_bar, counts), _PROVENANCES[at % 3], x_r, x_h,
+        x_c, _BEHAVIORS[behavior.astype(np.intp)], _STABILITIES[verdict.astype(np.intp)],
+        residual]).split("\n")[:-1]
     return np.flatnonzero(flagged).tolist(), rows, (np.cumsum(counts) - counts).tolist()
 
 

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corruption_mfg as cm
-from corruption_mfg import cli, equilibria, hjb, simulate, stability
+from corruption_mfg import _g17, cli, equilibria, hjb, simulate, stability
 from strategies import spread_params
 from support import random_params
 from test_rng import PINNED
@@ -666,6 +666,48 @@ def test_sweep_hands_a_listed_state_off_the_simplex_to_the_scalar_path(monkeypat
     assert len(roots) == 10 and all(row[3] == "0" for row in roots)
     assert sum(",x_R = -1.0000" in row and row.endswith(" outside [0; 1]") for row in want) == 11
     assert _text_of(cli.cmd_sweep, cfg) == "\n".join([_SWEEP_HEADER, *want, ""])
+
+
+def test_sweep_grid_rows_with_every_cell_by_percent_match_the_scalar_rows(monkeypatch):
+    # TOL = 0.5 sends every grid cell to _g17's "%" fallback; 700 points are
+    # three chunks of the grid pass.
+    monkeypatch.setattr(_g17, "TOL", 0.5)
+    cfg = cli.parse_config(THREE_CFG + _sweep("q_inf", -0.2, 4, 700))
+    pieces = []
+    cli.cmd_sweep(cfg, pieces.append)
+    assert len(pieces) == 3
+    want = "\n".join([_SWEEP_HEADER, *_hand_sweep_rows(cfg.params, "q_inf", cfg.sweep_grid)])
+    assert _first_difference("".join(pieces), want + "\n") is None
+
+
+def test_sweep_wholly_below_zero_hands_the_writer_no_row(monkeypatch):
+    # Every point is flagged, so the grid pass formats a chunk of zero rows.
+    sizes, table_text = [], cli._table_text
+
+    def counting(template, cells):
+        sizes.append(len(cells[0]))
+        return table_text(template, cells)
+
+    monkeypatch.setattr(cli, "_table_text", counting)
+    cfg = cli.parse_config(THREE_CFG + _sweep("b", -1, -0.5, 7))
+    want = _hand_sweep_rows(cfg.params, "b", cfg.sweep_grid)
+    assert len(want) == 7 and all(row.endswith(",b > 0 violated") for row in want)
+    assert _text_of(cli.cmd_sweep, cfg) == "\n".join([_SWEEP_HEADER, *want, ""])
+    assert sizes == [0]
+
+
+def test_sweep_grid_rows_with_three_digit_exponents_match_the_scalar_rows():
+    # THREE_CFG with every rate and wage times 1e-150: the swept values and
+    # the residuals are written with three-digit exponents.
+    base = _rates_times(1e-150).replace("w_H = 1\nw_C = 1.275",
+                                        f"w_H = {1e-150!r}\nw_C = {1.275e-150!r}")
+    cfg = cli.parse_config(base + _sweep("b", -1e-151, 1e-150, 400))
+    want = _hand_sweep_rows(cfg.params, "b", cfg.sweep_grid)
+    listed = [cells for cells in (row.split(",") for row in want) if cells[2]]
+    assert len(listed) > 500 and all(cells[0][-5:-3] == "e-" for cells in listed)
+    assert sum(cells[8][-5:-3] == "e-" for cells in listed) > 200
+    assert _first_difference(_text_of(cli.cmd_sweep, cfg),
+                             "\n".join([_SWEEP_HEADER, *want, ""])) is None
 
 
 def test_grid_eigenvalues_are_bit_identical_to_the_scalar_verdicts():
