@@ -38,9 +38,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .equilibria import (EquilibriumReport, Provenance, _companion_roots, _corrupt_x_c,
-                         _degenerate, _interior_x_c, _q_at, enumerate_equilibria,
-                         q_coefficients)
+from . import stability
+from .equilibria import (EquilibriumReport, Provenance, _corrupt_x_c, _degenerate,
+                         _interior_x_c, _polished_root, enumerate_equilibria, q_coefficients)
 from .hjb import _bracket, _regime_sides, classifier_xbar, classifier_xbar_discounted, regime_at
 from .model import (
     Behavior,
@@ -61,7 +61,7 @@ from .simulate import (
     lln_convergence,
     simulate_population,  # unused: perfbench/tracer.py rebinds it, tests/test_api.py checks it
 )
-from .stability import (Classification, _classification_index, _interior_rule, _trace_det,
+from .stability import (_CLASSIFICATIONS, _classification_index, _interior_rule, _trace_det,
                         classify_equilibrium, corrupt_stability_band)
 
 class ConfigError(ValueError):
@@ -448,9 +448,12 @@ def cmd_sweep(cfg: RunConfig, write) -> None:
     """Each grid point's equilibria, with their stability and residual.
 
     Each chunk of at most :data:`_CHUNK_ROWS` points goes through one numpy
-    pass, :func:`_grid_pass`: the scalar closed forms on arrays, in their
-    order of operations, so the scalar API's bytes, written by
-    :func:`_table_text`.  The points it flags go through :func:`_point_rows`,
+    pass, :func:`_grid_pass`: the helpers of ``hjb``, ``equilibria`` and
+    ``stability`` that the scalar API calls, on arrays, and where no closed
+    form decides a verdict, ``stability``'s eigenvalue real parts and
+    verdict value by value; so the scalar API's bytes, written by
+    :func:`_table_text`.  The pass writes out only the listing order
+    itself.  The points it flags go through :func:`_point_rows`,
     the scalar path and the specification, whose ``%`` rows are spliced in
     grid order: a swept value <= 0 (every invalid point of a valid base),
     x_bar not finite (so every point where q_soc = 0); where x_bar > 0, a
@@ -500,7 +503,7 @@ _GRID_ROW = "%.17g,%.17g,%s,%.17g,%.17g,%.17g,%s,%s,%.17g,"  # x_bar is finite h
 _PROVENANCES = np.array([provenance.value.encode() for provenance in (
     Provenance.CORRUPT_ROOT, Provenance.HONEST_BOUNDARY, Provenance.HONEST_INTERIOR)])
 _BEHAVIORS = np.array([behavior.value.encode() for behavior in Behavior])
-_STABILITIES = np.array([verdict.value.encode() for verdict in Classification])
+_STABILITIES = np.array([verdict.value.encode() for verdict in _CLASSIFICATIONS])
 
 
 def _grid_pass(base: ModelParams, field: str, values: np.ndarray) -> tuple:
@@ -511,16 +514,10 @@ def _grid_pass(base: ModelParams, field: str, values: np.ndarray) -> tuple:
     p = dataclasses.replace(base, **{field: values})
     x_bar = np.broadcast_to(_bracket(p, p.r) / p.q_soc, (n,))
     flagged = (values <= 0.0) | ~np.isfinite(x_bar)
-    # The corrupt root: the companion root of Q, polished by one Newton step.
     coefficients = alpha, beta, _ = q_coefficients(p)
-    candidates = _companion_roots(*coefficients, np.sqrt)
-    inside = [(0.0 < c) & (c < 1.0) for c in candidates]
-    root = np.where(inside[0], *candidates)
-    slope = 2.0 * alpha * root + beta
-    polished = root - _q_at(coefficients, root) / slope
-    root = np.where((slope != 0.0) & (0.0 < polished) & (polished < 1.0), polished, root)
+    root, single = _polished_root(coefficients, np.sqrt, np.where)
     has_root = x_bar > 0.0
-    flagged |= has_root & (_degenerate(alpha, beta) | (inside[0] == inside[1]))
+    flagged |= has_root & (_degenerate(alpha, beta) | ~single)
     gap = p.q_inf - p.q_soc
     interior = (p.b + p.lam) / gap
     on_simplex = np.broadcast_to((gap > 0.0) & np.logical_not(interior >= 1.0), (n,))
@@ -546,18 +543,23 @@ def _grid_pass(base: ModelParams, field: str, values: np.ndarray) -> tuple:
         if k == 0:  # where r**2 underflows, the band divides by zero
             closed = np.where(corrupt_stability_band(p), 0, -1)
             flagged |= listed[:, k] & (p.r**2 == 0.0)
-        elif k == 1:  # the boundary's eigenvalues are exactly {-r, q_inf - q_soc - lam - b}
-            closed = _classify_codes(-p.r, p.q_inf - p.q_soc - p.lam - p.b)
+        elif k == 1:
+            closed = _classify_codes(*stability._boundary_eigenvalues(p))
         else:
             closed = np.where(_interior_rule(p, state), 0, -1)
         behavior = np.where(corrupt, 0, 2) if k == 0 else np.where(honest, 1, 2)
         for j, cell in enumerate((state.x_R, state.x_H, state.x_C, residual, behavior, closed)):
             table[:, k, j] = cell
+        # Where no closed form decides, the scalar verdict on the scalar real
+        # parts, value by value, read from ``stability`` at each call.
         undecided = listed[:, k] & (table[:, k, 5] < 0)
         trace, det = (np.broadcast_to(v, (n,))[undecided] for v in _trace_det(p, state, profile))
-        table[undecided, k, 5] = _classify_codes(*_eigen_real_parts(trace, det))
+        table[undecided, k, 5] = [
+            _CLASSIFICATIONS.index(stability._classify(stability.eigen_real_parts(t, d)))
+            for t, d in zip(trace.tolist(), det.tolist())]
     # Listed candidates in enumerate_equilibria's stable order by x_H (the
     # boundary's 1 is above the others' in (0, 1)); ``at`` indexes ``table``.
+    # A swap, not a stable np.argsort, which loads numpy's sort code (more peak RSS).
     listed &= ~flagged[:, None]
     swap = table[:, 2, 1] < table[:, 0, 1]
     at = (np.where(swap[:, None], [2, 0, 1], [0, 2, 1]) + 3 * np.arange(n)[:, None]).ravel()
@@ -569,17 +571,6 @@ def _grid_pass(base: ModelParams, field: str, values: np.ndarray) -> tuple:
         x_c, _BEHAVIORS[behavior.astype(np.intp)], _STABILITIES[verdict.astype(np.intp)],
         residual]).split("\n")[:-1]
     return np.flatnonzero(flagged).tolist(), rows, (np.cumsum(counts) - counts).tolist()
-
-
-def _eigen_real_parts(trace: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`~.stability.eigen_real_parts` over arrays, its root by Python's ``**`` value
-    by value, as libm's ``pow``: ``np.sqrt`` and ``np.power`` round some values otherwise."""
-    disc = trace * trace - 4.0 * det
-    real = disc >= 0.0
-    root = np.zeros(disc.shape)
-    root[real] = [v**0.5 for v in disc[real].tolist()]
-    half = trace / 2.0
-    return np.where(real, (trace - root) / 2.0, half), np.where(real, (trace + root) / 2.0, half)
 
 
 def _classify_codes(low, high) -> np.ndarray:

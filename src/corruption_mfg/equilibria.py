@@ -116,18 +116,34 @@ def _corrupt_root(p: ModelParams, coefficients: tuple[float, float, float]) -> t
     if _degenerate(alpha, beta):
         root = -gamma / beta
     else:
-        candidates = [c for c in _companion_roots(*coefficients, math.sqrt) if 0.0 < c < 1.0]
-        if len(candidates) != 1:
+        root, single = _polished_root(coefficients, math.sqrt, _where)
+        if not single:
             # Sign change Q(0) < 0 < Q(1) guarantees exactly one; reaching
             # here means a parameter invariant was violated upstream.
+            candidates = [c for c in _companion_roots(*coefficients, math.sqrt) if 0.0 < c < 1.0]
             raise ArithmeticError(f"expected one root of Q in (0,1), got {candidates}")
-        root = candidates[0]
-        slope = 2.0 * alpha * root + beta
-        if slope != 0.0:
-            polished = root - _q_at(coefficients, root) / slope
-            if 0.0 < polished < 1.0:
-                root = polished
     return root, _corrupt_x_c(p, root)
+
+
+def _where(condition, x, y):
+    return x if condition else y
+
+
+def _polished_root(coefficients, sqrt, where) -> tuple:
+    """Q's companion root in (0, 1), polished by one Newton step where the
+    slope is nonzero and the step stays in (0, 1), and whether it is Q's only
+    companion root in (0, 1).  ``sqrt`` and ``where`` are :func:`math.sqrt`
+    and a conditional on floats, ``np.sqrt`` and ``np.where`` on arrays.
+    The step divides by ``slope + (slope == 0.0)``, which is ``slope``
+    wherever the step is kept, so that no division is by zero."""
+    alpha, beta, _ = coefficients
+    first, second = _companion_roots(*coefficients, sqrt)
+    inside = (0.0 < first) & (first < 1.0)
+    root = where(inside, first, second)
+    slope = 2.0 * alpha * root + beta
+    polished = root - _q_at(coefficients, root) / (slope + (slope == 0.0))
+    root = where((slope != 0.0) & (0.0 < polished) & (polished < 1.0), polished, root)
+    return root, inside != ((0.0 < second) & (second < 1.0))
 
 
 def _degenerate(alpha, beta):

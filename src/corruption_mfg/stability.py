@@ -147,6 +147,12 @@ def _interior_rule(p: ModelParams, x: PopulationState):
     return (neg_trace > MARGIN) & (det > MARGIN)
 
 
+def _boundary_eigenvalues(p: ModelParams) -> tuple:
+    """The honest boundary's exact eigenvalues ``(-r, q_inf - q_soc - lam -
+    b)``; floats and arrays alike."""
+    return -p.r, p.q_inf - p.q_soc - p.lam - p.b
+
+
 def _closed_form(p: ModelParams, e: EquilibriumReport):
     """(classification-or-None, flags) from the rule matching the provenance."""
     if e.provenance is Provenance.CORRUPT_ROOT:
@@ -154,10 +160,10 @@ def _closed_form(p: ModelParams, e: EquilibriumReport):
         verdict = Classification.STABLE if band else None
         return verdict, (("sufficient_band", band),)
     if e.provenance is Provenance.HONEST_BOUNDARY:
-        # Boundary eigenvalues are exactly {-r, q_inf - q_soc - lam - b}; both
-        # go through the margin test, like the eigenvalues of the Jacobian.
-        edge = p.q_inf - p.q_soc - p.lam - p.b
-        return _classify((-p.r, edge)), (("boundary_rate_negative", edge < 0.0),)
+        # Both exact eigenvalues go through the margin test, like the
+        # eigenvalues of the Jacobian.
+        pair = _boundary_eigenvalues(p)
+        return _classify(pair), (("boundary_rate_negative", pair[1] < 0.0),)
     # Honest interior: stable when both characteristic coefficients are
     # positive, which the existence condition implies.
     positive = _interior_rule(p, e.state)

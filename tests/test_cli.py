@@ -650,6 +650,27 @@ def test_sweep_reads_each_tolerance_from_its_owner(monkeypatch, owner, name, val
                              "\n".join([_SWEEP_HEADER, *want, ""])) is None
 
 
+@pytest.mark.parametrize("owner,name,patch,axis,hi", [
+    (equilibria, "_q_at", lambda q_at: lambda c, x_h: q_at(c, x_h) + 1e-9 * c[1], "b", 0.6),
+    (stability, "eigen_real_parts",
+     lambda parts: lambda trace, det: tuple(v + 100.0 for v in parts(trace, det)), "q_inf", 4),
+    (stability, "_boundary_eigenvalues",
+     lambda _: lambda p: (100.0 - p.r, 100.0 + p.q_inf - p.q_soc - p.lam - p.b), "q_inf", 4),
+], ids=["_q_at", "eigen_real_parts", "_boundary_eigenvalues"])
+def test_sweep_reads_each_formula_from_its_owner(monkeypatch, owner, name, patch, axis, hi):
+    # A formula patched in the module that owns it, and there alone, changes
+    # the grid pass's rows as it changes the scalar API's: the pass keeps no
+    # copy of Q, of the eigenvalue real parts or of the boundary's exact pair.
+    # raising=False: where the owner lacks the name, the test fails below.
+    cfg = cli.parse_config(THREE_CFG + _sweep(axis, 0, hi, 301))
+    before = _hand_sweep_rows(cfg.params, axis, cfg.sweep_grid)
+    monkeypatch.setattr(owner, name, patch(getattr(owner, name, None)), raising=False)
+    want = _hand_sweep_rows(cfg.params, axis, cfg.sweep_grid)
+    assert want != before
+    assert _first_difference(_text_of(cli.cmd_sweep, cfg),
+                             "\n".join([_SWEEP_HEADER, *want, ""])) is None
+
+
 def test_sweep_hands_a_listed_state_off_the_simplex_to_the_scalar_path(monkeypatch):
     # The corrupt root's x_C is moved so that its x_R comes out near -1e-13
     # for b below 0.105, which PopulationState clamps to 0, and near -1e-11
@@ -711,10 +732,11 @@ def test_sweep_grid_rows_with_three_digit_exponents_match_the_scalar_rows():
 
 
 def test_grid_eigenvalues_are_bit_identical_to_the_scalar_verdicts():
-    # The grid pass's trace, det and eigenvalue real parts, over the reports of
-    # random parameter sets, against classify_equilibrium's.  Python's
-    # ``disc ** 0.5`` is libm's pow, which rounds some values otherwise than
-    # sqrt, so a grid pass that took np.sqrt would fail here on those rows.
+    # The grid pass's trace and det, over the reports of random parameter
+    # sets, against classify_equilibrium's.  The pass hands them, as Python
+    # floats, to stability.eigen_real_parts, whose ``disc ** 0.5`` is libm's
+    # pow: it rounds some values otherwise than sqrt, so real parts taken on
+    # arrays with np.sqrt would differ on those rows, counted here.
     rng = np.random.default_rng(20261019)
     params, reports = [], []
     while len(reports) < 20_000:
@@ -732,12 +754,9 @@ def test_grid_eigenvalues_are_bit_identical_to_the_scalar_verdicts():
     profiles = SimpleNamespace(u_H=column(rep.strategy.u_H for rep in reports),
                                u_C=column(rep.strategy.u_C for rep in reports))
     trace, det = stability._trace_det(grid_params, states, profiles)
-    low, high = cli._eigen_real_parts(trace, det)
     bits = lambda values: column(values).view(np.uint64)  # noqa: E731
     assert (trace.view(np.uint64) == bits(v.trace for v in verdicts)).all()
     assert (det.view(np.uint64) == bits(v.det for v in verdicts)).all()
-    assert (low.view(np.uint64) == bits(v.eigen_real_parts[0] for v in verdicts)).all()
-    assert (high.view(np.uint64) == bits(v.eigen_real_parts[1] for v in verdicts)).all()
     discs = [v.trace * v.trace - 4.0 * v.det for v in verdicts]
     pow_rows = sum(d >= 0.0 and d**0.5 != math.sqrt(d) for d in discs)
     samples = np.random.default_rng(0).uniform(0.01, 100.0, 200_000).tolist()

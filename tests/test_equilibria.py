@@ -88,6 +88,38 @@ def test_corrupt_root_bounds_and_residual():
         assert abs(q_at(p, x_h)) <= 1e-12 * coeff_scale
 
 
+def test_polished_root_on_arrays_is_the_scalar_root():
+    # 2,000 sets whose five rates are log-uniform over spans of 2 to 64
+    # decades around 1 (q_soc and q_inf zero at times), as one array set
+    # through _polished_root with np.sqrt and np.where, against corrupt_root
+    # on each set: the same bits wherever it returns, and single false
+    # exactly where it raises.  Degenerate sets take the linear root instead.
+    rng = np.random.default_rng(20261020)
+    n = 2000
+    span = rng.uniform(2.0, 64.0, (n, 1))
+    lam, r, b, q_soc, q_inf = 10.0 ** (span * rng.uniform(-0.5, 0.5, (n, 5))).T
+    q_soc[rng.random(n) < 0.15] = 0.0
+    q_inf[rng.random(n) < 0.15] = 0.0
+    grid = make_params(lam=lam, r=r, b=b, q_soc=q_soc, q_inf=q_inf)
+    coefficients = cm.q_coefficients(grid)
+    with np.errstate(all="ignore"):
+        roots, single = equilibria._polished_root(coefficients, np.sqrt, np.where)
+    scalar = []
+    for values in zip(lam.tolist(), r.tolist(), b.tolist(), q_soc.tolist(), q_inf.tolist()):
+        p = make_params(**dict(zip(("lam", "r", "b", "q_soc", "q_inf"), values)))
+        try:
+            scalar.append(cm.corrupt_root(p)[0])
+        except ArithmeticError:
+            scalar.append(None)
+    kept = ~equilibria._degenerate(*coefficients[:2])
+    returned = np.array([root is not None for root in scalar])
+    assert kept.sum() > 1500 and 0 < (kept & ~returned).sum() < 500
+    assert (single[kept] == returned[kept]).all()
+    want = np.array([0.0 if root is None else root for root in scalar])
+    same = want.view(np.uint64) == roots.view(np.uint64)
+    assert same[kept & returned].all()
+
+
 # ---------------------------------------------------------------------------
 # honest interior point, read from the enumeration
 
