@@ -125,11 +125,14 @@ def solve_regime(p: ModelParams, x: PopulationState, u: StrategyProfile) -> Valu
     """
     k, _, a, s = transition_rates(p, x.x_H, x.x_C, u)
     w_h = p.w_H - p.w_R
-    net_c = (p.w_C - p.w_R) - k * p.f
-    den = p.r * (s + a + k) + a * k
-    # r (net_c - w_h) is formed from w_C - w_H, not as r net_c - r w_h,
+    fine = k * p.f
+    # Each wage difference net of the fine is one correctly rounded sum, as
+    # w_C may be close to w_H, w_R or k f and only the sum of all three is
+    # small; r (net_c - w_h) is formed directly, not as r net_c - r w_h,
     # which cancels when w_C is close to w_H and r is large.
-    g_C = (p.r * ((p.w_C - p.w_H) - k * p.f) + a * net_c + s * w_h) / den
+    net_c = math.fsum((p.w_C, -p.w_R, -fine))
+    den = p.r * (s + a + k) + a * k
+    g_C = (p.r * math.fsum((p.w_C, -p.w_H, -fine)) + a * net_c + s * w_h) / den
     g_H = (a * net_c + (s + k) * w_h) / den
     return ValueFunction(0.0, g_H, g_C, mu=p.r * g_H + p.w_R)
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import corruption_mfg as cm  # noqa: E402
@@ -33,8 +33,12 @@ _STATES = st.one_of(
 def _params(rates, wages):
     lam, r, b, f, q_soc, q_inf = rates
     w_R, gap_h, gap_c = wages
+    w_H, w_C = w_R + gap_h, w_R + gap_h + gap_c
+    # A gap under half an ulp of the wage below it rounds away, and equal
+    # wages are invalid parameters, not a case of the solver.
+    assume(w_R < w_H < w_C)
     return cm.validate_params(make_params(lam=lam, r=r, b=b, f=f, q_soc=q_soc, q_inf=q_inf,
-                                          w_R=w_R, w_H=w_R + gap_h, w_C=w_R + gap_h + gap_c))
+                                          w_R=w_R, w_H=w_H, w_C=w_C))
 
 
 def exact_poisson_pair(p, x, u):
