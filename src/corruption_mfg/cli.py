@@ -6,9 +6,10 @@ table plus law-of-large-numbers distance), ``sweep`` (equilibrium atlas
 along one parameter axis).  Configuration is a flat ``key = value`` file
 with ``#`` comments; unknown keys are rejected.  All outputs are
 deterministic given (config, seed): CSV with 17-significant-digit reals, or
-a JSON document for ``--format structured`` where supported.  The JSON
-document writes every non-finite number as the CSV's token, ``+inf``,
-``-inf`` or ``nan`` (a JSON string), since JSON has neither.
+for ``classify`` and ``equilibria`` a JSON document with ``--format
+structured``, which the other commands refuse.  The JSON document writes
+every non-finite number as the CSV's token, ``+inf``, ``-inf`` or ``nan`` (a
+JSON string), since JSON has neither.
 
 Each ``cmd_*`` takes the run's config and a ``write`` callable and writes
 its text in pieces as it is formatted: ``simulate``, ``ctmc`` and ``sweep``
@@ -61,8 +62,7 @@ from .simulate import (
     lln_convergence,
     simulate_population,  # unused: perfbench/tracer.py rebinds it, tests/test_api.py checks it
 )
-from .stability import (_CLASSIFICATIONS, _classification_index, _interior_rule, _trace_det,
-                        classify_equilibrium, corrupt_stability_band)
+from .stability import _CLASSIFICATIONS, classify_equilibrium
 
 class ConfigError(ValueError):
     """A configuration document failed to parse or validate."""
@@ -449,11 +449,10 @@ def cmd_sweep(cfg: RunConfig, write) -> None:
 
     Each chunk of at most :data:`_CHUNK_ROWS` points goes through one numpy
     pass, :func:`_grid_pass`: the helpers of ``hjb``, ``equilibria`` and
-    ``stability`` that the scalar API calls, on arrays, and where no closed
-    form decides a verdict, ``stability``'s eigenvalue real parts and
-    verdict value by value; so the scalar API's bytes, written by
-    :func:`_table_text`.  The pass writes out only the listing order
-    itself.  The points it flags go through :func:`_point_rows`,
+    ``stability`` that the scalar API calls, on arrays, the closed-form
+    rules, eigenvalue real parts and verdicts included; so the scalar API's
+    bytes, written by :func:`_table_text`.  The pass writes out only the
+    listing order itself.  The points it flags go through :func:`_point_rows`,
     the scalar path and the specification, whose ``%`` rows are spliced in
     grid order: a swept value <= 0 (every invalid point of a valid base),
     x_bar not finite (so every point where q_soc = 0); where x_bar > 0, a
@@ -500,8 +499,8 @@ def _point_rows(base: ModelParams, field: str, value: float) -> list[str]:
 
 _GRID_ROW = "%.17g,%.17g,%s,%.17g,%.17g,%.17g,%s,%s,%.17g,"  # x_bar is finite here
 # Cell labels by grid pass code; candidates in enumerate_equilibria's order.
-_PROVENANCES = np.array([provenance.value.encode() for provenance in (
-    Provenance.CORRUPT_ROOT, Provenance.HONEST_BOUNDARY, Provenance.HONEST_INTERIOR)])
+_CANDIDATES = (Provenance.CORRUPT_ROOT, Provenance.HONEST_BOUNDARY, Provenance.HONEST_INTERIOR)
+_PROVENANCES = np.array([provenance.value.encode() for provenance in _CANDIDATES])
 _BEHAVIORS = np.array([behavior.value.encode() for behavior in Behavior])
 _STABILITIES = np.array([verdict.value.encode() for verdict in _CLASSIFICATIONS])
 
@@ -523,13 +522,13 @@ def _grid_pass(base: ModelParams, field: str, values: np.ndarray) -> tuple:
     on_simplex = np.broadcast_to((gap > 0.0) & np.logical_not(interior >= 1.0), (n,))
     # Candidates in enumerate_equilibria's order, listed by regime_at's rule.
     # table[i, k]: candidate k's x_R, x_H, x_C, residual and the codes of its
-    # behavior and classification (-1 where the eigenvalues decide) at point i.
+    # behavior and classification at point i.
     points = ((root, _corrupt_x_c(p, root), has_root, CORRUPT_PROFILE),
               (1.0, 0.0, True, HONEST_PROFILE),
               (interior, _interior_x_c(p, gap), on_simplex, HONEST_PROFILE))
     table = np.empty((n, 3, 6))
     listed = np.empty((n, 3), dtype=bool)
-    for k, (x_h, x_c, present, profile) in enumerate(points):
+    for k, (provenance, (x_h, x_c, present, profile)) in enumerate(zip(_CANDIDATES, points)):
         corrupt, honest = _regime_sides(x_h, x_bar)
         listed[:, k] = present & ~(honest if k == 0 else corrupt)
         # Where a component is outside [0, 1], PopulationState clamps or refuses it.
@@ -541,22 +540,15 @@ def _grid_pass(base: ModelParams, field: str, values: np.ndarray) -> tuple:
             valid &= (0.0 <= v) & (v <= 1.0)
         flagged |= listed[:, k] & ~valid
         if k == 0:  # where r**2 underflows, the band divides by zero
-            closed = np.where(corrupt_stability_band(p), 0, -1)
             flagged |= listed[:, k] & (p.r**2 == 0.0)
-        elif k == 1:
-            closed = _classify_codes(*stability._boundary_eigenvalues(p))
-        else:
-            closed = np.where(_interior_rule(p, state), 0, -1)
+        # classify_equilibrium's verdict, read from ``stability`` at each call.
+        closed, _ = stability._closed_form(p, provenance, state, np.where)
+        parts = stability.eigen_real_parts(*stability._trace_det(p, state, profile),
+                                           np.sqrt, np.where)
+        verdict = stability._verdict_index(closed, parts, np.where)
         behavior = np.where(corrupt, 0, 2) if k == 0 else np.where(honest, 1, 2)
-        for j, cell in enumerate((state.x_R, state.x_H, state.x_C, residual, behavior, closed)):
+        for j, cell in enumerate((state.x_R, state.x_H, state.x_C, residual, behavior, verdict)):
             table[:, k, j] = cell
-        # Where no closed form decides, the scalar verdict on the scalar real
-        # parts, value by value, read from ``stability`` at each call.
-        undecided = listed[:, k] & (table[:, k, 5] < 0)
-        trace, det = (np.broadcast_to(v, (n,))[undecided] for v in _trace_det(p, state, profile))
-        table[undecided, k, 5] = [
-            _CLASSIFICATIONS.index(stability._classify(stability.eigen_real_parts(t, d)))
-            for t, d in zip(trace.tolist(), det.tolist())]
     # Listed candidates in enumerate_equilibria's stable order by x_H (the
     # boundary's 1 is above the others' in (0, 1)); ``at`` indexes ``table``.
     # A swap, not a stable np.argsort, which loads numpy's sort code (more peak RSS).
@@ -571,11 +563,6 @@ def _grid_pass(base: ModelParams, field: str, values: np.ndarray) -> tuple:
         x_c, _BEHAVIORS[behavior.astype(np.intp)], _STABILITIES[verdict.astype(np.intp)],
         residual]).split("\n")[:-1]
     return np.flatnonzero(flagged).tolist(), rows, (np.cumsum(counts) - counts).tolist()
-
-
-def _classify_codes(low, high) -> np.ndarray:
-    """:func:`~.stability._classify` of pairs ``(low, high)``, as :data:`_STABILITIES` codes."""
-    return _classification_index(np.where(high > low, high, low))
 
 
 _COMMANDS = {
@@ -617,6 +604,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_config(args.config, fmt=args.format, out=args.out, seed=args.seed)
+        if cfg.format == "structured" and args.command not in ("classify", "equilibria"):
+            raise ConfigError(f"{args.command} writes CSV only; format = structured is for "
+                              "classify and equilibria")
         try:
             _COMMANDS[args.command](cfg, write)
         finally:

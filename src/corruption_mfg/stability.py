@@ -22,14 +22,21 @@ test on the exact eigenvalues, so a boundary with ``r`` inside the band
 reads marginal, as its float eigenvalues do wherever they are accurate.
 The corrupt and interior rules yield signs, not eigenvalues: where they
 hold the point reads stable, however slow its decay.
+
+Each rule and the real parts take ``where`` and ``sqrt`` (a conditional and
+:func:`math.sqrt` on floats, ``np.where`` and ``np.sqrt`` on arrays), so the
+sweep's grid pass gets the scalar verdicts' bits.  The root is ``sqrt``,
+which IEEE 754 rounds correctly on every platform; ``pow(x, 0.5)`` is not
+(glibc's misrounds about one input in a thousand).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .equilibria import EquilibriumReport, Provenance
+from .equilibria import EquilibriumReport, Provenance, _where
 from .model import ModelParams, PopulationState, StrategyProfile
 
 __all__ = [
@@ -48,7 +55,7 @@ class Classification(Enum):
     MARGINAL = "marginal"
 
 
-_CLASSIFICATIONS = tuple(Classification)  # by the index of _classification_index
+_CLASSIFICATIONS = tuple(Classification)  # by the index of _verdict_index
 
 
 class Method(Enum):
@@ -93,25 +100,31 @@ def _trace_det(p: ModelParams, x: PopulationState, s: StrategyProfile) -> tuple:
     return a + d, a * d - b * c
 
 
-def eigen_real_parts(trace: float, det: float) -> tuple[float, float]:
-    """Real parts of the roots of ``xi^2 - trace xi + det``, ascending."""
+def eigen_real_parts(trace, det, sqrt, where) -> tuple:
+    """Real parts of the roots of ``xi^2 - trace xi + det``, ascending.
+
+    The discriminant, clamped at 0, is rooted by ``sqrt``, correctly rounded
+    on every IEEE platform unlike ``pow(disc, 0.5)``, so floats and arrays
+    give the same bits; a negative or NaN discriminant gives ``trace / 2``
+    twice.
+    """
     disc = trace * trace - 4.0 * det
-    if disc >= 0.0:
-        # root >= 0, so the first part never exceeds the second.
-        root = disc**0.5
-        return ((trace - root) / 2.0, (trace + root) / 2.0)
-    return (trace / 2.0, trace / 2.0)
+    real = disc >= 0.0
+    # root >= 0, so the first part never exceeds the second.  trace - 0.0 is
+    # trace, -0.0 included; trace + 0.0 is not, so a complex pair keeps trace.
+    root = sqrt(where(real, disc, 0.0))
+    return ((trace - root) / 2.0, where(real, trace + root, trace) / 2.0)
 
 
-def _classify(real_parts: tuple[float, float]) -> Classification:
-    return _CLASSIFICATIONS[_classification_index(max(real_parts))]
-
-
-def _classification_index(top):
-    """The index in ``Classification`` of the verdict on a top real part
-    ``top``: stable below ``-MARGIN``, unstable above ``MARGIN``, marginal
-    between and at NaN.  Arithmetic only, so floats and arrays alike."""
-    return 2 - 2 * (top < -MARGIN) - (top > MARGIN)
+def _verdict_index(closed, parts, where):
+    """The index in ``Classification`` of a verdict: ``closed`` where it is
+    not negative, else the margin test on the top of the real parts
+    ``parts``, taken as Python's ``max`` takes it (the first unless the
+    second is greater): stable below ``-MARGIN``, unstable above ``MARGIN``,
+    marginal between and at NaN.  Floats and arrays alike."""
+    low, high = parts
+    top = where(high > low, high, low)
+    return where(closed >= 0, closed, 2 - 2 * (top < -MARGIN) - (top > MARGIN))
 
 
 def corrupt_stability_band(p: ModelParams) -> bool:
@@ -140,35 +153,29 @@ def _interior_coefficients(p: ModelParams, x: PopulationState) -> tuple[float, f
     return neg_trace, det
 
 
-def _interior_rule(p: ModelParams, x: PopulationState):
-    """Whether both characteristic coefficients at the honest interior point
-    ``x`` exceed ``MARGIN``, which makes it stable; floats and arrays alike."""
-    neg_trace, det = _interior_coefficients(p, x)
-    return (neg_trace > MARGIN) & (det > MARGIN)
-
-
 def _boundary_eigenvalues(p: ModelParams) -> tuple:
     """The honest boundary's exact eigenvalues ``(-r, q_inf - q_soc - lam -
     b)``; floats and arrays alike."""
     return -p.r, p.q_inf - p.q_soc - p.lam - p.b
 
 
-def _closed_form(p: ModelParams, e: EquilibriumReport):
-    """(classification-or-None, flags) from the rule matching the provenance."""
-    if e.provenance is Provenance.CORRUPT_ROOT:
+def _closed_form(p: ModelParams, provenance: Provenance, x, where) -> tuple:
+    """The rule of ``provenance`` at its state ``x``: the index in
+    ``Classification`` of its verdict (-1 where it does not decide) and its
+    flag; floats and arrays alike."""
+    if provenance is Provenance.CORRUPT_ROOT:
         band = corrupt_stability_band(p)
-        verdict = Classification.STABLE if band else None
-        return verdict, (("sufficient_band", band),)
-    if e.provenance is Provenance.HONEST_BOUNDARY:
+        return where(band, 0, -1), ("sufficient_band", band)  # 0: STABLE
+    if provenance is Provenance.HONEST_BOUNDARY:
         # Both exact eigenvalues go through the margin test, like the
         # eigenvalues of the Jacobian.
         pair = _boundary_eigenvalues(p)
-        return _classify(pair), (("boundary_rate_negative", pair[1] < 0.0),)
-    # Honest interior: stable when both characteristic coefficients are
-    # positive, which the existence condition implies.
-    positive = _interior_rule(p, e.state)
-    verdict = Classification.STABLE if positive else None
-    return verdict, (("char_coefficients_positive", positive),)
+        return _verdict_index(-1, pair, where), ("boundary_rate_negative", pair[1] < 0.0)
+    # Honest interior: stable when both characteristic coefficients exceed
+    # the margin, which the existence condition implies.
+    neg_trace, det = _interior_coefficients(p, x)
+    positive = (neg_trace > MARGIN) & (det > MARGIN)
+    return where(positive, 0, -1), ("char_coefficients_positive", positive)
 
 
 def classify_equilibrium(p: ModelParams, e: EquilibriumReport) -> StabilityVerdict:
@@ -182,10 +189,9 @@ def classify_equilibrium(p: ModelParams, e: EquilibriumReport) -> StabilityVerdi
     flag, then ``trace_negative`` and ``det_positive``.
     """
     trace, det = map(float, _trace_det(p, e.state, e.strategy))
-    parts = eigen_real_parts(trace, det)
-    classification, flags = _closed_form(p, e)
-    method = Method.CLOSED_FORM
-    if classification is None:
-        classification, method = _classify(parts), Method.FALLBACK
-    flags += (("trace_negative", trace < 0.0), ("det_positive", det > 0.0))
+    parts = eigen_real_parts(trace, det, math.sqrt, _where)
+    closed, flag = _closed_form(p, e.provenance, e.state, _where)
+    method = Method.CLOSED_FORM if closed >= 0 else Method.FALLBACK
+    flags = (flag, ("trace_negative", trace < 0.0), ("det_positive", det > 0.0))
+    classification = _CLASSIFICATIONS[_verdict_index(closed, parts, _where)]
     return StabilityVerdict(classification, method, parts, trace, det, flags)

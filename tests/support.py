@@ -1,9 +1,12 @@
 """Shared helpers for the test suite: parameter factories and independent oracles."""
 
+import math
+
 import numpy as np
 
 import corruption_mfg as cm
 from corruption_mfg import stability
+from corruption_mfg.equilibria import _where
 
 
 def make_params(lam=1.0, r=1.0, b=1.0, f=0.0, q_soc=0.0, q_inf=0.0,
@@ -113,7 +116,7 @@ def eigen_verdict(m):
     top real part against the margin band."""
     (a, b), (c, d) = m
     trace, det = a + d, a * d - b * c
-    parts = stability.eigen_real_parts(trace, det)
+    parts = stability.eigen_real_parts(trace, det, math.sqrt, _where)
     top = max(parts)
     if top < -stability.MARGIN:
         return trace, det, parts, cm.Classification.STABLE

@@ -650,17 +650,28 @@ def test_sweep_reads_each_tolerance_from_its_owner(monkeypatch, owner, name, val
                              "\n".join([_SWEEP_HEADER, *want, ""])) is None
 
 
+def _unstable_where_decided(closed_form):
+    """``closed_form`` with every verdict it decides read as unstable."""
+    def patched(p, provenance, x, where):
+        index, flag = closed_form(p, provenance, x, where)
+        return where(index >= 0, 1, -1), flag
+    return patched
+
+
 @pytest.mark.parametrize("owner,name,patch,axis,hi", [
     (equilibria, "_q_at", lambda q_at: lambda c, x_h: q_at(c, x_h) + 1e-9 * c[1], "b", 0.6),
     (stability, "eigen_real_parts",
-     lambda parts: lambda trace, det: tuple(v + 100.0 for v in parts(trace, det)), "q_inf", 4),
+     lambda parts: lambda trace, det, sqrt, where: tuple(
+         v + 100.0 for v in parts(trace, det, sqrt, where)), "q_inf", 4),
     (stability, "_boundary_eigenvalues",
      lambda _: lambda p: (100.0 - p.r, 100.0 + p.q_inf - p.q_soc - p.lam - p.b), "q_inf", 4),
-], ids=["_q_at", "eigen_real_parts", "_boundary_eigenvalues"])
+    (stability, "_closed_form", _unstable_where_decided, "q_inf", 4),
+], ids=["_q_at", "eigen_real_parts", "_boundary_eigenvalues", "_closed_form"])
 def test_sweep_reads_each_formula_from_its_owner(monkeypatch, owner, name, patch, axis, hi):
     # A formula patched in the module that owns it, and there alone, changes
     # the grid pass's rows as it changes the scalar API's: the pass keeps no
-    # copy of Q, of the eigenvalue real parts or of the boundary's exact pair.
+    # copy of Q, of the eigenvalue real parts, of the boundary's exact pair or
+    # of the closed-form rules.
     # raising=False: where the owner lacks the name, the test fails below.
     cfg = cli.parse_config(THREE_CFG + _sweep(axis, 0, hi, 301))
     before = _hand_sweep_rows(cfg.params, axis, cfg.sweep_grid)
@@ -732,11 +743,9 @@ def test_sweep_grid_rows_with_three_digit_exponents_match_the_scalar_rows():
 
 
 def test_grid_eigenvalues_are_bit_identical_to_the_scalar_verdicts():
-    # The grid pass's trace and det, over the reports of random parameter
-    # sets, against classify_equilibrium's.  The pass hands them, as Python
-    # floats, to stability.eigen_real_parts, whose ``disc ** 0.5`` is libm's
-    # pow: it rounds some values otherwise than sqrt, so real parts taken on
-    # arrays with np.sqrt would differ on those rows, counted here.
+    # The grid pass's trace, det, real parts and verdict index, taken on
+    # arrays over the reports of random parameter sets, one array per
+    # provenance, against classify_equilibrium's bits and verdicts.
     rng = np.random.default_rng(20261019)
     params, reports = [], []
     while len(reports) < 20_000:
@@ -746,17 +755,30 @@ def test_grid_eigenvalues_are_bit_identical_to_the_scalar_verdicts():
             reports.append(rep)
     verdicts = [cm.classify_equilibrium(p, rep) for p, rep in zip(params, reports)]
     column = lambda values: np.array(list(values), dtype=float)  # noqa: E731
-    grid_params = cm.ModelParams(**{name: column(getattr(p, name) for p in params)
-                                    for name in ("lam", "r", "b", "f", "q_soc", "q_inf",
-                                                 "w_R", "w_H", "w_C")})
-    states = SimpleNamespace(**{name: column(getattr(rep.state, name) for rep in reports)
-                                for name in ("x_R", "x_H", "x_C")})
-    profiles = SimpleNamespace(u_H=column(rep.strategy.u_H for rep in reports),
-                               u_C=column(rep.strategy.u_C for rep in reports))
-    trace, det = stability._trace_det(grid_params, states, profiles)
     bits = lambda values: column(values).view(np.uint64)  # noqa: E731
-    assert (trace.view(np.uint64) == bits(v.trace for v in verdicts)).all()
-    assert (det.view(np.uint64) == bits(v.det for v in verdicts)).all()
+    for provenance in cm.Provenance:
+        at = [i for i, rep in enumerate(reports) if rep.provenance is provenance]
+        assert len(at) > 1000
+        grid_params = cm.ModelParams(**{name: column(getattr(params[i], name) for i in at)
+                                        for name in ("lam", "r", "b", "f", "q_soc", "q_inf",
+                                                     "w_R", "w_H", "w_C")})
+        states = SimpleNamespace(**{name: column(getattr(reports[i].state, name) for i in at)
+                                    for name in ("x_R", "x_H", "x_C")})
+        profiles = SimpleNamespace(u_H=column(reports[i].strategy.u_H for i in at),
+                                   u_C=column(reports[i].strategy.u_C for i in at))
+        trace, det = stability._trace_det(grid_params, states, profiles)
+        assert (trace.view(np.uint64) == bits(verdicts[i].trace for i in at)).all()
+        assert (det.view(np.uint64) == bits(verdicts[i].det for i in at)).all()
+        parts = stability.eigen_real_parts(trace, det, np.sqrt, np.where)
+        for j in range(2):
+            assert (parts[j].view(np.uint64)
+                    == bits(verdicts[i].eigen_real_parts[j] for i in at)).all()
+        closed, _ = stability._closed_form(grid_params, provenance, states, np.where)
+        index = stability._verdict_index(closed, parts, np.where)
+        assert index.tolist() == [stability._CLASSIFICATIONS.index(verdicts[i].classification)
+                                  for i in at]
+    # Wherever this platform's pow(x, 0.5) misrounds at all, the reports hold
+    # discriminants where it does, so the bits above are checked there too.
     discs = [v.trace * v.trace - 4.0 * v.det for v in verdicts]
     pow_rows = sum(d >= 0.0 and d**0.5 != math.sqrt(d) for d in discs)
     samples = np.random.default_rng(0).uniform(0.01, 100.0, 200_000).tolist()
@@ -844,6 +866,29 @@ def test_missing_config_is_validation_error(tmp_path, capsys):
     rc = cli.main(["classify", "--config", str(tmp_path / "absent.cfg")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("simulate", "t_end = 1\n"),
+    ("ctmc", "N = 50\nt_end = 1\nreplications = 1\n"),
+    ("sweep", "sweep_param = b\nsweep_min = 0.1\nsweep_max = 1\nsweep_points = 3\n"),
+])
+def test_structured_format_of_a_csv_command_is_refused(tmp_path, capsys, command, extra):
+    # Only classify and equilibria write a JSON document; the CSV commands
+    # refuse format = structured, from the config or the flag, before any
+    # output: exit 1, one error line, no stdout and no --out file.
+    for cfg_text, flags in ((THREE_CFG + extra + "format = structured\n", ()),
+                            (THREE_CFG + extra, ("--format", "structured"))):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(cfg_text)
+        out = tmp_path / "refused.out"
+        for argv in (["--out", str(out)], []):
+            assert cli.main([command, "--config", str(cfg), *argv, *flags]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert "structured" in captured.err
+            assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

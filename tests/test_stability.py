@@ -1,6 +1,7 @@
 """Jacobians, eigenvalue real parts and the closed-form rules."""
 
 import math
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import corruption_mfg as cm
 from corruption_mfg import stability
+from corruption_mfg.equilibria import _where
 from strategies import spread_params
 from support import (
     BASELINE, THREE_EQ, eigen_verdict, fd_jacobian, make_params, random_params, random_simplex,
@@ -60,40 +62,104 @@ def test_jacobian_entries_are_python_floats():
 # eigenvalue real parts from the trace and determinant
 
 
+def _real_parts(trace, det):
+    return stability.eigen_real_parts(trace, det, math.sqrt, _where)
+
+
+def _margin_test(parts):
+    """The verdict of the margin test on the real parts ``parts``."""
+    return stability._CLASSIFICATIONS[stability._verdict_index(-1, parts, _where)]
+
+
 def test_trace_det_hand_case():
     # [[-2, -1], [1, -1]]: trace -3, det 3.  The roots of xi^2 + 3 xi + 3
     # are a complex pair with real part -1.5.
-    assert stability.eigen_real_parts(-3.0, 3.0) == (-1.5, -1.5)
-    assert stability._classify((-1.5, -1.5)) is cm.Classification.STABLE
+    assert _real_parts(-3.0, 3.0) == (-1.5, -1.5)
+    assert _margin_test((-1.5, -1.5)) is cm.Classification.STABLE
 
 
 def test_trace_det_saddle_and_source():
     # diag(1, -2): trace -1, det -2, a saddle; diag(0.5, 0.3): trace 0.8,
     # det 0.15, a source.  Both real eigenvalue pairs are exact.
-    saddle = stability.eigen_real_parts(-1.0, -2.0)
+    saddle = _real_parts(-1.0, -2.0)
     assert saddle == (-2.0, 1.0)
-    assert stability._classify(saddle) is cm.Classification.UNSTABLE
-    source = stability.eigen_real_parts(0.8, 0.15)
+    assert _margin_test(saddle) is cm.Classification.UNSTABLE
+    source = _real_parts(0.8, 0.15)
     assert source == pytest.approx((0.3, 0.5), abs=1e-15)
-    assert stability._classify(source) is cm.Classification.UNSTABLE
+    assert _margin_test(source) is cm.Classification.UNSTABLE
 
 
 def test_trace_det_marginal_center():
     # [[0, 1], [-1, 0]]: trace 0, det 1, eigenvalues +-i.
-    center = stability.eigen_real_parts(0.0, 1.0)
+    center = _real_parts(0.0, 1.0)
     assert center == (0.0, 0.0)
-    assert stability._classify(center) is cm.Classification.MARGINAL
+    assert _margin_test(center) is cm.Classification.MARGINAL
+
+
+# glibc 2.36's pow(disc, 0.5) gives 0.1507620566335782 and 1.3653051585108866.
+@pytest.mark.parametrize("disc,root", [
+    (0.022729197720386243, 0.15076205663357822),
+    (1.864058175856437, 1.3653051585108864),
+])
+def test_eigen_real_parts_root_is_the_correctly_rounded_root(disc, root):
+    assert float(Decimal(disc).sqrt(Context(prec=60))) == root
+    # Trace 0 and det -disc / 4 give the discriminant disc exactly.
+    assert _real_parts(0.0, -disc / 4.0) == (-root / 2.0, root / 2.0)
+
+
+def test_eigen_real_parts_root_is_correctly_rounded_over_six_hundred_decades():
+    context = Context(prec=60)
+    for disc in (10.0 ** np.random.default_rng(30).uniform(-300.0, 300.0, 20_000)).tolist():
+        root = float(Decimal(disc).sqrt(context))
+        assert _real_parts(0.0, -disc / 4.0) == (-root / 2.0, root / 2.0), disc
+
+
+def test_eigen_real_parts_on_arrays_have_the_bits_of_the_floats():
+    # Real and complex pairs over many decades, zero discriminants, signed
+    # zeros and non-finite values.  NaNs match as NaNs, whatever their bits.
+    rng = np.random.default_rng(31)
+    trace = rng.normal(size=20_000) * 10.0 ** rng.uniform(-150.0, 150.0, 20_000)
+    det = rng.normal(size=20_000) * 10.0 ** rng.uniform(-300.0, 300.0, 20_000)
+    det[::4] = trace[::4] * trace[::4] / 4.0
+    specials = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 1e300, -5e-324]
+    pairs = np.array([(t, d) for t in specials for d in specials])
+    trace, det = np.concatenate([trace, pairs[:, 0]]), np.concatenate([det, pairs[:, 1]])
+    with np.errstate(all="ignore"):  # trace * trace and 4 * det may overflow, inf - inf
+        arrays = stability.eigen_real_parts(trace, det, np.sqrt, np.where)
+    floats = np.array([_real_parts(t, d) for t, d in zip(trace.tolist(), det.tolist())])
+    for j in range(2):
+        same = arrays[j].view(np.uint64) == floats[:, j].view(np.uint64)
+        assert (same | (np.isnan(arrays[j]) & np.isnan(floats[:, j]))).all()
+    assert (floats[:, 0] <= floats[:, 1]).sum() > 20_000
+
+
+@pytest.mark.parametrize("trace,det,want", [
+    (-3.0, 3.0, (-1.5, -1.5)),
+    (0.0, 1.0, (0.0, 0.0)),
+    (-0.0, 1.0, (-0.0, -0.0)),
+    (2.5, math.nan, (1.25, 1.25)),
+    (-0.0, math.nan, (-0.0, -0.0)),
+    (math.inf, math.inf, (math.inf, math.inf)),
+    (-0.0, 0.0, (-0.0, 0.0)),  # a zero discriminant: -0.0 + 0.0 is 0.0
+])
+def test_eigen_real_parts_of_a_complex_or_nan_discriminant_are_half_the_trace(trace, det, want):
+    # A negative or NaN discriminant gives trace / 2 twice, signed zero kept.
+    bits = lambda parts: np.array(parts, dtype=float).view(np.uint64).tolist()  # noqa: E731
+    assert bits(_real_parts(trace, det)) == bits(want)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        arrays = stability.eigen_real_parts(np.array([trace]), np.array([det]), np.sqrt, np.where)
+    assert bits([v[0] for v in arrays]) == bits(want)
 
 
 def test_eigen_real_parts_match_numpy():
     rng = np.random.default_rng(32)
     for _ in range(300):
         m = rng.normal(size=(2, 2)) * 3.0
-        parts = stability.eigen_real_parts(float(np.trace(m)), float(np.linalg.det(m)))
+        parts = _real_parts(float(np.trace(m)), float(np.linalg.det(m)))
         assert parts[0] <= parts[1]
         expected = sorted(np.linalg.eigvals(m).real)
         assert np.allclose(parts, expected, atol=1e-9)
-        classification = stability._classify(parts)
+        classification = _margin_test(parts)
         if classification is cm.Classification.STABLE:
             assert max(expected) < 0
         if max(expected) > 1e-6:
