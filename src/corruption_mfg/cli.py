@@ -39,10 +39,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import stability
-from .equilibria import (EquilibriumReport, Provenance, _corrupt_x_c, _degenerate,
-                         _interior_x_c, _polished_root, enumerate_equilibria, q_coefficients)
-from .hjb import _bracket, _regime_sides, classifier_xbar, classifier_xbar_discounted, regime_at
+from . import equilibria, stability
+from .equilibria import EquilibriumReport, enumerate_equilibria
+from .hjb import _bracket, classifier_xbar, classifier_xbar_discounted, regime_at
 from .model import (
     Behavior,
     CORRUPT_PROFILE,
@@ -53,7 +52,6 @@ from .model import (
     SimplexError,
     StrategyProfile,
     TRANSITION_LABELS,
-    kinetic_rhs,
     validate_params,
 )
 from .simulate import (
@@ -449,18 +447,19 @@ def cmd_sweep(cfg: RunConfig, write) -> None:
 
     Each chunk of at most :data:`_CHUNK_ROWS` points goes through one numpy
     pass, :func:`_grid_pass`: the helpers of ``hjb``, ``equilibria`` and
-    ``stability`` that the scalar API calls, on arrays, the closed-form
-    rules, eigenvalue real parts and verdicts included; so the scalar API's
-    bytes, written by :func:`_table_text`.  The pass writes out only the
-    listing order itself.  The points it flags go through :func:`_point_rows`,
-    the scalar path and the specification, whose ``%`` rows are spliced in
-    grid order: a swept value <= 0 (every invalid point of a valid base),
-    x_bar not finite (so every point where q_soc = 0); where x_bar > 0, a
-    degenerate Q or not one candidate root in (0, 1); a listed equilibrium
-    with a component outside [0, 1] (NaN included), which ``PopulationState``
-    clamps or refuses, or with a residual not finite, or a corrupt root where
-    ``r**2`` underflows; all points of a chunk whose base is invalid or where
-    an operation on scalars raises.
+    ``stability`` that the scalar API calls, on arrays, the candidates, their
+    admission, the closed-form rules, eigenvalue real parts and verdicts
+    included; so the scalar API's bytes, written by :func:`_table_text`.  The
+    pass states no rule of its own but the listing order, a swap, and its
+    hand-offs.  The points it flags go through :func:`_point_rows`, the
+    scalar path and the specification, whose ``%`` rows are spliced in grid
+    order: a swept value <= 0 (every invalid point of a valid base), x_bar
+    not finite (so every point where q_soc = 0); where the corrupt root
+    exists, a degenerate Q or not one candidate root in (0, 1); a listed
+    equilibrium with a component outside [0, 1] (NaN included), which
+    ``PopulationState`` clamps or refuses, or with a residual not finite, or
+    a corrupt root where ``r**2`` underflows; all points of a chunk whose base
+    is invalid or where an operation on scalars raises.
     """
     if cfg.sweep_param is None or cfg.sweep_grid is None:
         raise ConfigError("sweep requires sweep_param, sweep_min and sweep_max")
@@ -498,9 +497,8 @@ def _point_rows(base: ModelParams, field: str, value: float) -> list[str]:
 
 
 _GRID_ROW = "%.17g,%.17g,%s,%.17g,%.17g,%.17g,%s,%s,%.17g,"  # x_bar is finite here
-# Cell labels by grid pass code; candidates in enumerate_equilibria's order.
-_CANDIDATES = (Provenance.CORRUPT_ROOT, Provenance.HONEST_BOUNDARY, Provenance.HONEST_INTERIOR)
-_PROVENANCES = np.array([provenance.value.encode() for provenance in _CANDIDATES])
+# Cell labels by grid pass code.
+_PROVENANCES = np.array([candidate[0].value.encode() for candidate in equilibria._CANDIDATES])
 _BEHAVIORS = np.array([behavior.value.encode() for behavior in Behavior])
 _STABILITIES = np.array([verdict.value.encode() for verdict in _CLASSIFICATIONS])
 
@@ -513,28 +511,21 @@ def _grid_pass(base: ModelParams, field: str, values: np.ndarray) -> tuple:
     p = dataclasses.replace(base, **{field: values})
     x_bar = np.broadcast_to(_bracket(p, p.r) / p.q_soc, (n,))
     flagged = (values <= 0.0) | ~np.isfinite(x_bar)
-    coefficients = alpha, beta, _ = q_coefficients(p)
-    root, single = _polished_root(coefficients, np.sqrt, np.where)
-    has_root = x_bar > 0.0
-    flagged |= has_root & (_degenerate(alpha, beta) | ~single)
-    gap = p.q_inf - p.q_soc
-    interior = (p.b + p.lam) / gap
-    on_simplex = np.broadcast_to((gap > 0.0) & np.logical_not(interior >= 1.0), (n,))
-    # Candidates in enumerate_equilibria's order, listed by regime_at's rule.
+    coefficients = alpha, beta, _ = equilibria.q_coefficients(p)
+    root, single = equilibria._polished_root(coefficients, np.sqrt, np.where)
+    present = equilibria._candidates(p, x_bar)
+    flagged |= present[0] & (equilibria._degenerate(alpha, beta) | ~single)
+    points = ((root, equilibria._corrupt_x_c(p, root)), equilibria._BOUNDARY,
+              equilibria._interior_point(p))
     # table[i, k]: candidate k's x_R, x_H, x_C, residual and the codes of its
-    # behavior and classification at point i.
-    points = ((root, _corrupt_x_c(p, root), has_root, CORRUPT_PROFILE),
-              (1.0, 0.0, True, HONEST_PROFILE),
-              (interior, _interior_x_c(p, gap), on_simplex, HONEST_PROFILE))
+    # behavior and classification at point i, in enumerate_equilibria's order.
     table = np.empty((n, 3, 6))
     listed = np.empty((n, 3), dtype=bool)
-    for k, (provenance, (x_h, x_c, present, profile)) in enumerate(zip(_CANDIDATES, points)):
-        corrupt, honest = _regime_sides(x_h, x_bar)
-        listed[:, k] = present & ~(honest if k == 0 else corrupt)
+    for k, ((provenance, profile, drop, _), (x_h, x_c)) in enumerate(
+            zip(equilibria._CANDIDATES, points)):
+        behavior, listed[:, k] = equilibria._admission(present[k], x_h, x_bar, drop)
         # Where a component is outside [0, 1], PopulationState clamps or refuses it.
-        state = SimpleNamespace(x_R=1.0 - x_h - x_c, x_H=x_h, x_C=x_c)
-        first, second, third = (abs(v) for v in kinetic_rhs(p, state, profile))
-        residual = np.maximum(np.maximum(first, second), third)
+        state, residual = equilibria._state(p, x_h, x_c, profile, SimpleNamespace, np.where)
         valid = np.isfinite(residual)
         for v in vars(state).values():
             valid &= (0.0 <= v) & (v <= 1.0)
@@ -546,7 +537,6 @@ def _grid_pass(base: ModelParams, field: str, values: np.ndarray) -> tuple:
         parts = stability.eigen_real_parts(*stability._trace_det(p, state, profile),
                                            np.sqrt, np.where)
         verdict = stability._verdict_index(closed, parts, np.where)
-        behavior = np.where(corrupt, 0, 2) if k == 0 else np.where(honest, 1, 2)
         for j, cell in enumerate((state.x_R, state.x_H, state.x_C, residual, behavior, verdict)):
             table[:, k, j] = cell
     # Listed candidates in enumerate_equilibria's stable order by x_H (the

@@ -12,15 +12,23 @@ threshold ``x_bar`` once and builds at most three candidate points:
   ``x_H** < 1``;
 * the *honest boundary* ``x = (0, 1, 0)``.
 
-One rule, :func:`~corruption_mfg.hjb.regime_at` at the candidate's ``x_H``,
-admits each of them.  A candidate is dropped where it reads the other
-profile's regime: honest at the corrupt root, corrupt at an honest point.
-Where it reads indifferent, within :data:`~corruption_mfg.hjb.TIE_TOL` of
-``x_bar``, the candidate is a tie: it is reported indifferent, with a
-warning and its tie flag set.  In the corner ``q_soc = 0`` with a zero
-classifier bracket the regimes tie at every ``x``, so every candidate on
-the simplex is a tie, and the corrupt root's flag is
-``indifferent_everywhere``.
+One rule, :func:`~corruption_mfg.hjb._regime_index` at the candidate's
+``x_H``, admits each of them.  A candidate is dropped where it reads the
+other profile's regime: honest at the corrupt root, corrupt at an honest
+point.  Where it reads indifferent, within
+:data:`~corruption_mfg.hjb.TIE_TOL` of ``x_bar``, the candidate is a tie:
+it is reported indifferent, with a warning and its tie flag set.  In the
+corner ``q_soc = 0`` with a zero classifier bracket the regimes tie at every
+``x`` (a NaN ``x_bar`` to the rule), so every candidate on the simplex is a
+tie, and the corrupt root's flag is ``indifferent_everywhere``.
+
+Each piece of the enumeration is stated once and takes floats and arrays
+alike, so the sweep's grid pass calls the same functions on arrays: the
+candidates' table and order (``_CANDIDATES``), which of them exist
+(:func:`_candidates`), the boundary and interior points, the admission and
+the behavior it reads (:func:`_admission`), and each candidate's state and
+residual (:func:`_state`).  On floats nothing is formed where it does not
+exist: no root where ``x_bar <= 0`` and no interior point off the simplex.
 
 The interaction-free case ``q_soc = q_inf = 0`` needs no case of its own:
 ``Q`` is then linear with root ``x_H* = r b / (lam r + lam b + r b)``,
@@ -35,9 +43,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .hjb import ClassifierThreshold, classifier_xbar, regime_at
+from . import hjb
+from .hjb import _BEHAVIORS, ClassifierThreshold, classifier_xbar
 from .model import (
-    Behavior,
     CORRUPT_PROFILE,
     HONEST_PROFILE,
     ModelParams,
@@ -163,79 +171,104 @@ def _corrupt_x_c(p: ModelParams, x_h: float) -> float:
     return (1.0 - x_h) * p.r / (p.r + p.b + p.q_soc * x_h)
 
 
-def _report(
-    p: ModelParams,
-    coefficients: tuple[float, float, float],
-    threshold: ClassifierThreshold,
-    provenance: Provenance,
-    point: tuple[float, float] | None,
-    warning: str,
-) -> EquilibriumReport | None:
-    # The one place a candidate is admitted and its tie encoded.  regime_at
-    # at the candidate's x_H alone decides: it rejects the candidate where it
-    # reads the other profile's regime; where it reads indifferent the
-    # candidate is a tie, reported with ``warning``.  Otherwise it reads the
-    # candidate's own regime, which is then the report's behavior.
-    if point is None:
+# The candidates in enumerate_equilibria's order: provenance, profile, the
+# regime (its index in Behavior) that drops it, and the warning of its tie.
+_CANDIDATES = (
+    (Provenance.CORRUPT_ROOT, CORRUPT_PROFILE, 1,
+     "corrupt root sits on the classifier boundary; both regimes are optimal here"),
+    (Provenance.HONEST_BOUNDARY, HONEST_PROFILE, 0,
+     "classifier threshold ties with x_H = 1; both regimes are optimal here"),
+    (Provenance.HONEST_INTERIOR, HONEST_PROFILE, 0,
+     "interior honest point sits on the classifier boundary"),
+)
+_BOUNDARY = (1.0, 0.0)  # the honest boundary's (x_H, x_C)
+
+
+def _candidates(p: ModelParams, x_bar) -> tuple:
+    """Whether each candidate exists, in ``_CANDIDATES``' order; comparisons
+    only, so floats and arrays alike.
+
+    The corrupt root exists unless ``x_bar <= 0``, the boundary always, and
+    the interior point iff
+    ``q_inf > q_soc`` and ``x_H** < 1``, that is iff ``b + lam < q_inf -
+    q_soc``.  For positive floats ``a / g < 1`` exactly where ``a < g``, so
+    this is ``x_H** < 1`` to the bit, and nothing is divided.
+    """
+    return x_bar > 0.0, True, p.b + p.lam < p.q_inf - p.q_soc
+
+
+def _interior_point(p: ModelParams) -> tuple:
+    # (x_H**, x_C**) with x_H** = (b + lam) / (q_inf - q_soc), where it exists.
+    gap = p.q_inf - p.q_soc
+    x_c = p.r * (gap - p.b - p.lam) / ((p.r + p.b) * p.q_inf + (p.lam - p.r) * p.q_soc)
+    return (p.b + p.lam) / gap, x_c
+
+
+def _admission(present, x_h, x_bar, drop) -> tuple:
+    """The regime index that :func:`~corruption_mfg.hjb._regime_index` reads
+    at a candidate's ``x_h``, and whether the candidate is listed: it is
+    ``present`` and does not read ``drop``, the other profile's regime.
+    Floats and arrays alike."""
+    regime = hjb._regime_index(x_h, x_bar)
+    return regime, present & (regime != drop)
+
+
+def _state(p: ModelParams, x_h, x_c, profile: StrategyProfile, make, where) -> tuple:
+    """A candidate's state, ``x_R = 1 - x_H - x_C`` with ``x_H``, ``x_C``
+    built by ``make``, and its residual there: the largest ``|kinetic_rhs|``
+    under ``profile``, as Python's ``max`` takes it.  Floats and arrays
+    alike."""
+    x = make(x_R=1.0 - x_h - x_c, x_H=x_h, x_C=x_c)
+    first, second, third = map(abs, kinetic_rhs(p, x, profile))
+    top = where(second > first, second, first)
+    return x, where(third > top, third, top)
+
+
+def _report(p: ModelParams, coefficients: tuple[float, float, float],
+            threshold: ClassifierThreshold, x_bar: float, candidate: tuple,
+            point) -> EquilibriumReport | None:
+    # A candidate of ``_CANDIDATES`` at ``point`` (False where it does not
+    # exist), admitted by _admission at ``x_bar``, the threshold as
+    # _regime_index reads it; where its regime reads indifferent it is a tie,
+    # reported with its warning.
+    if not point:
         return None
-    x_h, x_c = point
-    regime = regime_at(threshold, x_h)
-    corrupt = provenance is Provenance.CORRUPT_ROOT
-    tie = regime is Behavior.INDIFFERENT
-    if not tie and (regime is Behavior.CORRUPT) != corrupt:
+    provenance, strategy, drop, warning = candidate
+    regime, listed = _admission(True, point[0], x_bar, drop)
+    if not listed:
         return None
+    tie = regime == 2
     flag = "classifier_tie"
-    if corrupt and threshold.indifferent_everywhere:
+    if provenance is Provenance.CORRUPT_ROOT and threshold.indifferent_everywhere:
         flag = "indifferent_everywhere"
         warning = "regimes tie at every x (q_soc = 0 with zero bracket)"
-    state = PopulationState(1.0 - x_h - x_c, x_h, x_c)
-    strategy = CORRUPT_PROFILE if corrupt else HONEST_PROFILE
+    state, residual = _state(p, *point, strategy, PopulationState, _where)
     return EquilibriumReport(
-        state, regime, strategy, provenance,
+        state, _BEHAVIORS[regime], strategy, provenance,
         q_value=_q_at(coefficients, state.x_H),
         x_bar=threshold.value,
-        residual=max(map(abs, kinetic_rhs(p, state, strategy))),
+        residual=residual,
         flags=((flag, tie),) if tie or provenance is not Provenance.HONEST_BOUNDARY else (),
         warnings=(warning,) if tie else (),
     )
 
 
-def _interior_point(p: ModelParams) -> tuple[float, float] | None:
-    # x_H** = (b + lam) / (q_inf - q_soc), on the simplex iff q_inf > q_soc and
-    # x_H** < 1.
-    gap = p.q_inf - p.q_soc
-    if gap <= 0.0:
-        return None
-    x_h = (p.b + p.lam) / gap
-    if x_h >= 1.0:
-        return None
-    return x_h, _interior_x_c(p, gap)
-
-
-def _interior_x_c(p: ModelParams, gap: float) -> float:
-    # x_C** at gap = q_inf - q_soc.
-    return p.r * (gap - p.b - p.lam) / ((p.r + p.b) * p.q_inf + (p.lam - p.r) * p.q_soc)
-
-
 def enumerate_equilibria(p: ModelParams) -> list[EquilibriumReport]:
     """All stationary equilibria for ``p``, sorted by ``x_H`` (1 to 3 of them).
 
-    :func:`~corruption_mfg.hjb.regime_at` at each candidate's ``x_H`` admits
-    it: the corrupt root, the honest boundary and the honest interior point.
+    :func:`_candidates` says which of the corrupt root, the honest boundary
+    and the honest interior point exist, and :func:`_admission`, the tie
+    band of :func:`~corruption_mfg.hjb._regime_index` at each one's ``x_H``,
+    admits it.
     """
     validate_params(p)
     threshold = classifier_xbar(p)
     coefficients = q_coefficients(p)
-    # No corrupt root where x_bar <= 0, and the root is not computed there.
-    root = _corrupt_root(p, coefficients) if threshold.value > 0.0 else None
-    candidates = (
-        _report(p, coefficients, threshold, Provenance.CORRUPT_ROOT, root,
-                "corrupt root sits on the classifier boundary; both regimes are optimal here"),
-        _report(p, coefficients, threshold, Provenance.HONEST_BOUNDARY, (1.0, 0.0),
-                "classifier threshold ties with x_H = 1; both regimes are optimal here"),
-        _report(p, coefficients, threshold, Provenance.HONEST_INTERIOR, _interior_point(p),
-                "interior honest point sits on the classifier boundary"),
-    )
-    reports = [rep for rep in candidates if rep is not None]
+    # The root and the interior point are formed only where they exist.
+    root, _, interior = _candidates(p, threshold.value)
+    points = (root and _corrupt_root(p, coefficients), _BOUNDARY, interior and _interior_point(p))
+    x_bar = threshold._x_bar
+    reports = [rep for candidate, point in zip(_CANDIDATES, points)
+               if (rep := _report(p, coefficients, threshold, x_bar, candidate, point))]
     reports.sort(key=lambda rep: rep.state.x_H)
     return reports

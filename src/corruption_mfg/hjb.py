@@ -7,12 +7,14 @@ per strategy profile; :func:`solve_regime` solves it in closed form for any
 of the four profiles, with coefficients from the rate kernel
 :func:`~corruption_mfg.model.transition_rates`, and returns the values.
 The regime boundary is a single threshold ``x_bar`` on the honest fraction,
-and :func:`regime_at` alone applies it: corrupt below ``x_bar - TIE_TOL``,
-honest above ``x_bar + TIE_TOL``, indifferent in the tie band between and,
-in the corner ``q_soc = 0`` with a zero bracket, indifferent everywhere.
-Its band test, :func:`_regime_sides`, is also the sweep's on arrays.  A
-discounted-criterion variant (no normalization, solved by elimination) is
-provided alongside, all in plain floats.
+and one rule applies it, :func:`_regime_index`: corrupt below ``x_bar -
+TIE_TOL``, honest above ``x_bar + TIE_TOL``, indifferent in the tie band
+between and, at a NaN ``x_bar``, everywhere.  It takes floats and arrays
+alike; :func:`regime_at`, the enumeration's admission and the sweep's grid
+pass all read it.  At ``q_soc = 0`` the threshold is infinite, or the
+regimes tie everywhere, by the exact sign of the classifier bracket, taken
+in integers.  A discounted-criterion variant (no normalization, solved by
+elimination) is provided alongside, all in plain floats.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ __all__ = [
     "solve_regime",
 ]
 
-# Absolute tolerance of the x_H vs x_bar comparisons in ``regime_at``.
+# Absolute tolerance of the x_H vs x_bar comparisons in ``_regime_index``.
 # Inside the band the agent is reported indifferent rather than letting
 # round-off pick a regime.
 TIE_TOL = 1e-9
@@ -70,25 +72,47 @@ class ClassifierThreshold:
     value: float
     indifferent_everywhere: bool = False
 
+    @property
+    def _x_bar(self) -> float:
+        """``value`` as :func:`_regime_index` reads it: NaN, indifferent at
+        every ``x``, where the regimes tie everywhere."""
+        return math.nan if self.indifferent_everywhere else self.value
+
 
 def _bracket(p: ModelParams, rate: float) -> float:
     return rate * (p.w_C - p.w_H) / (p.w_H - p.w_R + rate * p.f) - p.b
 
 
+def _bracket_numerator(p: ModelParams, rate: float) -> int:
+    """The classifier bracket times its positive denominator, ``rate (w_C -
+    w_H) - b (w_H - w_R + rate f)``, times ``2**3222``, in integers: each
+    float times ``2**1074`` is one.  At ``rate = inf`` (``r + delta``
+    overflowed) it is ``w_C - w_H - b f``, the limit over ``rate``, times
+    ``2**2148``.  Only its sign is read, which is exact."""
+    finite = rate < math.inf
+    scaled = []
+    for v in (p.w_C, p.w_H, p.w_R, p.b, p.f, rate if finite else 1.0):
+        numerator, denominator = v.as_integer_ratio()
+        scaled.append(numerator << (1075 - denominator.bit_length()))
+    w_c, w_h, w_r, b, f, rate = scaled
+    margin = ((w_c - w_h) << 1074) - b * f
+    return rate * margin - (b * (w_h - w_r) << 1074) if finite else margin
+
+
 def _threshold(p: ModelParams, rate: float) -> ClassifierThreshold:
+    if not p.q_soc > 0.0:
+        # x_bar is the bracket over 0: its exact sign picks +inf or -inf, or at
+        # 0 a tie everywhere, so that the bracket's rounding flips no regime.
+        numerator = _bracket_numerator(p, rate)
+        return ClassifierThreshold(-math.inf if numerator < 0 else math.inf,
+                                   indifferent_everywhere=numerator == 0)
     bracket = _bracket(p, rate)
     if not math.isfinite(bracket):
         # rate * f or rate * (w_C - w_H) overflowed: divide through by rate.
         # A zero denominator (f = 0, (w_H - w_R) / rate underflowed) is +inf.
         den = (p.w_H - p.w_R) / rate + p.f
         bracket = math.inf if den == 0.0 else (p.w_C - p.w_H) / den - p.b
-    if p.q_soc > 0.0:
-        return ClassifierThreshold(bracket / p.q_soc)
-    if bracket > 0.0:
-        return ClassifierThreshold(math.inf)
-    if bracket < 0.0:
-        return ClassifierThreshold(-math.inf)
-    return ClassifierThreshold(math.inf, indifferent_everywhere=True)
+    return ClassifierThreshold(bracket / p.q_soc)
 
 
 def classifier_xbar(p: ModelParams) -> ClassifierThreshold:
@@ -146,22 +170,23 @@ class BestResponse:
 
 
 def regime_at(threshold: ClassifierThreshold, x_H: float) -> Behavior:
-    """The optimal regime at honest fraction ``x_H``: the one threshold rule.
+    """The optimal regime at honest fraction ``x_H``: :func:`_regime_index`'s.
 
     Corrupt when ``x_H < x_bar - TIE_TOL``, honest when ``x_H > x_bar +
     TIE_TOL``, indifferent inside the tie band and wherever
     ``threshold.indifferent_everywhere``.
     """
-    if threshold.indifferent_everywhere:
-        return Behavior.INDIFFERENT
-    corrupt, honest = _regime_sides(x_H, threshold.value)
-    return Behavior.CORRUPT if corrupt else Behavior.HONEST if honest else Behavior.INDIFFERENT
+    return _BEHAVIORS[_regime_index(x_H, threshold._x_bar)]
 
 
-def _regime_sides(x_H, x_bar):
-    """``(corrupt, honest)``: whether ``x_H`` lies below or above the tie band
-    around ``x_bar``.  Comparisons only, so floats and arrays alike."""
-    return x_H < x_bar - TIE_TOL, x_H > x_bar + TIE_TOL
+_BEHAVIORS = tuple(Behavior)  # by the index of _regime_index
+
+
+def _regime_index(x_H, x_bar):
+    """The index in ``Behavior`` of the regime at ``x_H``: corrupt (0) below
+    ``x_bar - TIE_TOL``, honest (1) above ``x_bar + TIE_TOL``, indifferent (2)
+    between, and everywhere at a NaN ``x_bar``.  Floats and arrays alike."""
+    return 2 - 2 * (x_H < x_bar - TIE_TOL) - (x_H > x_bar + TIE_TOL)
 
 
 def best_response(p: ModelParams, x: PopulationState) -> BestResponse:

@@ -658,20 +658,37 @@ def _unstable_where_decided(closed_form):
     return patched
 
 
+def _root_gate_at(least):
+    """``_candidates`` with the corrupt root existing only where x_bar > ``least``."""
+    def patch(candidates):
+        def patched(p, x_bar):
+            root, boundary, interior = candidates(p, x_bar)
+            return root & (x_bar > least), boundary, interior
+        return patched
+    return patch
+
+
 @pytest.mark.parametrize("owner,name,patch,axis,hi", [
     (equilibria, "_q_at", lambda q_at: lambda c, x_h: q_at(c, x_h) + 1e-9 * c[1], "b", 0.6),
+    (equilibria, "_candidates", _root_gate_at(0.3), "b", 0.6),
+    (equilibria, "_candidates", lambda candidates: lambda p, x_bar: (
+        *candidates(p, x_bar)[:2], 2.0 * (p.b + p.lam) < p.q_inf - p.q_soc), "q_inf", 4),
+    (hjb, "_regime_index", lambda index: lambda x_H, x_bar: index(x_H, x_bar - 0.1), "b", 0.6),
     (stability, "eigen_real_parts",
      lambda parts: lambda trace, det, sqrt, where: tuple(
          v + 100.0 for v in parts(trace, det, sqrt, where)), "q_inf", 4),
     (stability, "_boundary_eigenvalues",
      lambda _: lambda p: (100.0 - p.r, 100.0 + p.q_inf - p.q_soc - p.lam - p.b), "q_inf", 4),
     (stability, "_closed_form", _unstable_where_decided, "q_inf", 4),
-], ids=["_q_at", "eigen_real_parts", "_boundary_eigenvalues", "_closed_form"])
+], ids=["_q_at", "root_gate", "interior_exists", "_regime_index", "eigen_real_parts",
+        "_boundary_eigenvalues", "_closed_form"])
 def test_sweep_reads_each_formula_from_its_owner(monkeypatch, owner, name, patch, axis, hi):
     # A formula patched in the module that owns it, and there alone, changes
     # the grid pass's rows as it changes the scalar API's: the pass keeps no
-    # copy of Q, of the eigenvalue real parts, of the boundary's exact pair or
-    # of the closed-form rules.
+    # copy of Q, of the corrupt root's x_bar > 0 gate, of the interior point's
+    # existence test, of the regime index that admits each candidate, of the
+    # eigenvalue real parts, of the boundary's exact pair or of the
+    # closed-form rules.
     # raising=False: where the owner lacks the name, the test fails below.
     cfg = cli.parse_config(THREE_CFG + _sweep(axis, 0, hi, 301))
     before = _hand_sweep_rows(cfg.params, axis, cfg.sweep_grid)
@@ -686,17 +703,31 @@ def test_sweep_hands_a_listed_state_off_the_simplex_to_the_scalar_path(monkeypat
     # The corrupt root's x_C is moved so that its x_R comes out near -1e-13
     # for b below 0.105, which PopulationState clamps to 0, and near -1e-11
     # above, which it refuses: an error row.  The grid pass must write the
-    # scalar API's rows at both.
+    # scalar API's rows at both, with x_C patched in ``equilibria`` alone.
     def shifted_x_c(p, x_h):
         return 1.0 - x_h + (1e-13 + (p.b > 0.105) * 9.9e-12)
 
     monkeypatch.setattr(equilibria, "_corrupt_x_c", shifted_x_c)
-    monkeypatch.setattr(cli, "_corrupt_x_c", shifted_x_c)
     cfg = cli.parse_config(THREE_CFG + _sweep("b", 0.01, 0.21, 21))
     want = _hand_sweep_rows(cfg.params, "b", cfg.sweep_grid)
     roots = [row.split(",") for row in want if ",corrupt_root," in row]
     assert len(roots) == 10 and all(row[3] == "0" for row in roots)
     assert sum(",x_R = -1.0000" in row and row.endswith(" outside [0; 1]") for row in want) == 11
+    assert _text_of(cli.cmd_sweep, cfg) == "\n".join([_SWEEP_HEADER, *want, ""])
+
+
+def test_sweep_where_the_interior_x_c_divides_by_zero_writes_the_scalar_rows():
+    # At rates near 1e-165, x_C**'s denominator (r + b) q_inf + (lam - r) q_soc
+    # underflows to 0 wherever the interior point exists.  The scalar path
+    # raises ZeroDivisionError there, an error row of the sweep; the grid pass,
+    # whose arrays divide without raising, must hand those points off.
+    values = (5e-166, 1e-165, 5e-166, 0.0, 1e-165, 3e-165, 0.0, 1e-165, 3e-165)
+    base = "".join(f"{key} = {value!r}\n" for key, value in zip(cli._PARAM_KEYS, values))
+    cfg = cli.parse_config(base + _sweep("q_inf", 2e-165, 4e-165, 9))
+    with pytest.raises(ZeroDivisionError):
+        cm.enumerate_equilibria(cfg.params)
+    want = _hand_sweep_rows(cfg.params, "q_inf", cfg.sweep_grid)
+    assert sum(row.endswith(",float division by zero") for row in want) == 8
     assert _text_of(cli.cmd_sweep, cfg) == "\n".join([_SWEEP_HEADER, *want, ""])
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corruption_mfg as cm
 from corruption_mfg import equilibria
@@ -350,6 +352,37 @@ def test_no_interaction_honest_case():
     assert len(reports) == 1
     assert reports[0].behavior is cm.Behavior.HONEST
     assert reports[0].state.as_tuple() == (0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("p", [
+    BASELINE,  # q_inf = q_soc: x_H** and x_C** would divide by zero
+    make_params(lam=1e-30, r=1e-30, b=1e-30, q_inf=1e-300, w_C=3.0),
+], ids=["no_gap", "x_h_above_one"])
+def test_enumeration_forms_no_interior_point_that_does_not_exist(p):
+    # On floats the interior point is formed only where it exists.  In the
+    # second set x_H** >= 1, and x_C**'s denominator (r + b) q_inf underflows
+    # to 0, so forming it would raise ZeroDivisionError.
+    reports = cm.enumerate_equilibria(p)
+    assert [rep.provenance for rep in reports] == [cm.Provenance.CORRUPT_ROOT]
+
+
+def test_enumeration_forms_no_corrupt_root_where_x_bar_is_not_positive(monkeypatch):
+    def no_root(*args):
+        raise AssertionError("corrupt root formed where x_bar <= 0")
+
+    monkeypatch.setattr(equilibria, "_corrupt_root", no_root)
+    p = make_params(q_soc=1.0, f=1.0, w_H=5.0)  # x_bar = -1/6
+    assert [rep.provenance for rep in cm.enumerate_equilibria(p)] == [BOUNDARY]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(0.0, allow_infinity=False, exclude_min=True),
+       st.floats(0.0, allow_infinity=False, exclude_min=True))
+def test_numerator_below_denominator_is_quotient_below_one(a, g):
+    # _candidates tests x_H** = (b + lam) / (q_inf - q_soc) < 1 as b + lam <
+    # q_inf - q_soc: for positive floats the rounded quotient is below 1
+    # exactly where the numerator is below the denominator.
+    assert (a / g < 1.0) == (a < g)
 
 
 def test_no_interaction_tie():

@@ -46,6 +46,11 @@ def test_classifier_overflowing_bracket_takes_its_limit():
     # ZeroDivisionError.
     p = make_params(w_H=1e-20, q_soc=1.0)
     assert cm.classifier_xbar_discounted(p, 1e308).value == math.inf
+    # At q_soc = 0 with r + delta = inf the sign is the limit's over the rate,
+    # that of w_C - w_H - b f = 9 - f.
+    for f, value, tie in ((0.0, math.inf, False), (9.0, math.inf, True), (10.0, -math.inf, False)):
+        limit = cm.classifier_xbar_discounted(make_params(r=1e308, f=f), 1e308)
+        assert (limit.value, limit.indifferent_everywhere) == (value, tie)
 
 
 def test_discounted_classifier_hand_value_and_delta_zero():
