@@ -39,7 +39,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import equilibria, stability
+from . import equilibria, model, stability
 from .equilibria import EquilibriumReport, enumerate_equilibria
 from .hjb import _bracket, classifier_xbar, classifier_xbar_discounted, regime_at
 from .model import (
@@ -82,7 +82,7 @@ DEFAULTS = {"dt": 0.01, "t_end": 50.0, "N": 1000, "seed": 42, "replications": 20
 
 # Largest sweep grid ``parse_config`` will build.  The grid is built whole
 # before the first point, one float64 array of ~8 MB at the cap.  The points
-# are evaluated and written a chunk at a time, so the grid pass's arrays
+# are evaluated and written a block at a time, so the grid pass's arrays
 # never reach the ~8 MB each of a whole-grid pass.
 MAX_SWEEP_POINTS = 10**6
 
@@ -367,8 +367,9 @@ _LABELS = np.array([label.encode() for label in TRANSITION_LABELS])
 _CONVERSIONS = re.compile("%(?:[.]17g|d|s)")
 
 
-def _table_text(template: str, cells: list[np.ndarray]) -> str:
-    """``template % row + "\\n"`` for every row of ``cells``, joined.
+def _table_rows(template: str, cells: list[np.ndarray]) -> np.ndarray:
+    """One NUL-padded byte row per row of ``cells``, which :func:`_text` of
+    any run of them turns into ``template % row + "\\n"`` for each, joined.
 
     ``template`` converts float64 columns with ``%.17g``, int64 counts with
     ``%d`` and NUL-padded bytes arrays with ``%s``.  The cells become the
@@ -398,13 +399,18 @@ def _table_text(template: str, cells: list[np.ndarray]) -> str:
     for piece in pieces:
         start, end = end, end + piece.shape[-1]
         text[:, start:end] = piece
-    return text.tobytes().translate(None, b"\0").decode()
+    return text
+
+
+def _text(rows: np.ndarray) -> str:
+    """The text of byte rows of :func:`_table_rows`: their NULs dropped."""
+    return rows.tobytes().translate(None, b"\0").decode()
 
 
 def _write_table(write, template: str, columns: list[np.ndarray]) -> None:
-    """Write :func:`_table_text` of ``columns``, one piece per :data:`_CHUNK_ROWS` rows."""
+    """Write the text of ``columns``, one piece per :data:`_CHUNK_ROWS` rows."""
     for lo in range(0, len(columns[0]), _CHUNK_ROWS):
-        write(_table_text(template, [column[lo:lo + _CHUNK_ROWS] for column in columns]))
+        write(_text(_table_rows(template, [column[lo:lo + _CHUNK_ROWS] for column in columns])))
 
 
 def cmd_simulate(cfg: RunConfig, write) -> None:
@@ -445,53 +451,81 @@ _POINT_ERRORS = (ParameterError, *_NUMERICAL_FAILURES)
 def cmd_sweep(cfg: RunConfig, write) -> None:
     """Each grid point's equilibria, with their stability and residual.
 
-    Each chunk of at most :data:`_CHUNK_ROWS` points goes through one numpy
-    pass, :func:`_grid_pass`: the helpers of ``hjb``, ``equilibria`` and
-    ``stability`` that the scalar API calls, on arrays, the candidates, their
-    admission, the closed-form rules, eigenvalue real parts and verdicts
-    included; so the scalar API's bytes, written by :func:`_table_text`.  The
-    pass states no rule of its own but the listing order, a swap, and its
-    hand-offs.  The points it flags go through :func:`_point_rows`, the
-    scalar path and the specification, whose ``%`` rows are spliced in grid
-    order: a swept value <= 0 (every invalid point of a valid base), x_bar
-    not finite (so every point where q_soc = 0); where the corrupt root
-    exists, a degenerate Q or not one candidate root in (0, 1); a listed
-    equilibrium with a component outside [0, 1] (NaN included), which
-    ``PopulationState`` clamps or refuses, or with a residual not finite, or
-    a corrupt root where ``r**2`` underflows; all points of a chunk whose base
-    is invalid or where an operation on scalars raises.
+    Each block of at most :data:`_CHUNK_ROWS` points goes through one numpy
+    pass, :func:`_grid_pass`: the helpers of ``model``, ``hjb``,
+    ``equilibria`` and ``stability`` that the scalar API calls, on arrays,
+    the validity rules, the candidates, their admission, the closed-form
+    rules, eigenvalue real parts and verdicts included; so the scalar API's
+    bytes.  The pass states no rule of its own but the listing order, a
+    swap, and its hand-offs.  It writes the error row of each swept value
+    that ``validate_params`` refuses, with its message, and the columns of
+    the other points' rows, which :func:`_table_rows` formats as pieces of
+    at most :data:`_CHUNK_ROWS` rows.  The points it hands off go through
+    :func:`_point_rows`, the scalar path and the specification, whose ``%``
+    rows are written between the rows on either side of them: a valid swept
+    value of 0, x_bar not finite (so every point where q_soc = 0); where
+    the corrupt root exists, a degenerate Q or not one candidate root in
+    (0, 1); a listed equilibrium with a component outside [0, 1] (NaN
+    included), which ``PopulationState`` clamps or refuses, or with a
+    residual not finite, or a corrupt root where ``r**2`` underflows; all
+    points of a block whose base is invalid or where an operation on
+    scalars raises.
     """
     if cfg.sweep_param is None or cfg.sweep_grid is None:
         raise ConfigError("sweep requires sweep_param, sweep_min and sweep_max")
     field = "lam" if cfg.sweep_param == "lambda" else cfg.sweep_param
-    rows = [f"param_value,{_REPORT_COLUMNS},stability,residual,error"]
-    # A point has at most three rows, so a piece holds at most _CHUNK_ROWS.
-    per_chunk = _CHUNK_ROWS // 3
-    for lo in range(0, len(cfg.sweep_grid), per_chunk):
-        values = cfg.sweep_grid[lo:lo + per_chunk]
+    # Rows not yet written, the header first: the pass's error rows and the
+    # handed-off points' rows, written as pieces of at most _CHUNK_ROWS rows.
+    pending = [f"param_value,{_REPORT_COLUMNS},stability,residual,error"]
+
+    def flush():
+        if pending:
+            write("\n".join([*pending, ""]))
+            pending.clear()
+
+    for lo in range(0, len(cfg.sweep_grid), _CHUNK_ROWS):
+        values = cfg.sweep_grid[lo:lo + _CHUNK_ROWS]
         try:
             with np.errstate(all="ignore"):
-                flagged, chunk, starts = _grid_pass(validate_params(cfg.params), field, values)
-        except (ParameterError, ArithmeticError):
-            flagged, chunk, starts = range(len(values)), [], [0] * len(values)
-        # From the last flagged point back, so that each start still holds.  A
-        # Python float, as ``np.float64 ** 0.5`` would round as np.sqrt does.
-        for i in reversed(flagged):
-            chunk[starts[i]:starts[i]] = _point_rows(cfg.params, field, float(values[i]))
-        write("\n".join([*rows, *chunk, ""]))
-        rows = []
+                columns, points = _grid_pass(validate_params(cfg.params), field, values)
+        except (ParameterError, ArithmeticError):  # no listed rows, every point handed off
+            columns, points = [values[:0]], [(0, i, None) for i in range(len(values))]
+        done = 0  # rows of ``columns`` written
+        # The last entry, past the last point, writes the rows after it.
+        for row, i, rows in [*points, (len(columns[0]), None, [])]:
+            while done < row:
+                # Rows are formatted a piece at a time; a point's text cuts
+                # the piece's byte rows, not its text.
+                start = done - done % _CHUNK_ROWS
+                if done == start:
+                    table = _table_rows(_GRID_ROW, [column[start:start + _CHUNK_ROWS]
+                                                    for column in columns])
+                end = min(row, start + _CHUNK_ROWS)
+                flush()
+                write(_text(table[done - start:end - start]))
+                done = end
+            if rows is None:
+                # A Python float, as ``np.float64 ** 0.5`` would round as np.sqrt does.
+                rows = _point_rows(cfg.params, field, float(values[i]))
+            if len(pending) + len(rows) > _CHUNK_ROWS:
+                flush()
+            pending += rows
+    flush()
+
+
+def _error_row(value: float, message: str) -> str:
+    # The row of a point where the model fails: its value and the message.
+    return "%.17g,,,,,,,,,%s" % (value, message.replace(",", ";").replace("\n", " "))
 
 
 def _point_rows(base: ModelParams, field: str, value: float) -> list[str]:
     """The scalar API's rows, or error row, of ``base`` with ``value`` in ``field``."""
-    cell = "%.17g" % value
     try:
         # enumerate_equilibria validates the point's parameters first.
         rows = _equilibrium_rows(ModelParams(**{**vars(base), field: value}))
     except _POINT_ERRORS as exc:  # per-point failures recorded, sweep continues
-        message = str(exc).replace(",", ";").replace("\n", " ")
-        return [f"{cell},,,,,,,,,{message}"]
-    template = cell + "," + _REPORT_TEMPLATE + ",%s,%.17g,"
+        return [_error_row(value, str(exc))]
+    template = "%.17g," % value + _REPORT_TEMPLATE + ",%s,%.17g,"
     return [template % (*_report_cells(rep), verdict.classification._value_, rep.residual)
             for rep, verdict in rows]
 
@@ -504,12 +538,18 @@ _STABILITIES = np.array([verdict.value.encode() for verdict in _CLASSIFICATIONS]
 
 
 def _grid_pass(base: ModelParams, field: str, values: np.ndarray) -> tuple:
-    """The flagged points' indices, the others' rows in grid order, and the
-    index in those rows where each point's rows start.  ``base`` with the
-    array ``values`` in ``field`` goes through the scalar closed forms."""
+    """The columns of the rows it lists, in grid order, for :data:`_GRID_ROW`,
+    and ``(row, i, rows)`` for each other point ``i``, in grid order: the
+    row of the columns before which its text goes, and ``[error row]``, or
+    None where it is handed off.  ``base`` with the array ``values`` in
+    ``field`` goes through the scalar closed forms."""
     n = len(values)
     p = dataclasses.replace(base, **{field: values})
+    # Each value's first violated inequality, read from validate_params's table.
+    violation = model._first_violation(p, np.where)
+    invalid = violation < len(model._RULES)
     x_bar = np.broadcast_to(_bracket(p, p.r) / p.q_soc, (n,))
+    # Of the swept values <= 0, the valid ones, 0 on a >= axis, are handed off.
     flagged = (values <= 0.0) | ~np.isfinite(x_bar)
     coefficients = alpha, beta, _ = equilibria.q_coefficients(p)
     root, single = equilibria._polished_root(coefficients, np.sqrt, np.where)
@@ -539,20 +579,26 @@ def _grid_pass(base: ModelParams, field: str, values: np.ndarray) -> tuple:
         verdict = stability._verdict_index(closed, parts, np.where)
         for j, cell in enumerate((state.x_R, state.x_H, state.x_C, residual, behavior, verdict)):
             table[:, k, j] = cell
+    # An invalid point has its error row only, a handed-off one the scalar rows.
+    flagged |= invalid
+    listed &= ~flagged[:, None]
     # Listed candidates in enumerate_equilibria's stable order by x_H (the
     # boundary's 1 is above the others' in (0, 1)); ``at`` indexes ``table``.
     # A swap, not a stable np.argsort, which loads numpy's sort code (more peak RSS).
-    listed &= ~flagged[:, None]
     swap = table[:, 2, 1] < table[:, 0, 1]
     at = (np.where(swap[:, None], [2, 0, 1], [0, 2, 1]) + 3 * np.arange(n)[:, None]).ravel()
     at = at[listed.ravel()[at]]
     x_r, x_h, x_c, residual, behavior, verdict = table.reshape(3 * n, 6)[at].T
     counts = listed.sum(axis=1)
-    rows = _table_text(_GRID_ROW, [
-        np.repeat(values, counts), np.repeat(x_bar, counts), _PROVENANCES[at % 3], x_r, x_h,
-        x_c, _BEHAVIORS[behavior.astype(np.intp)], _STABILITIES[verdict.astype(np.intp)],
-        residual]).split("\n")[:-1]
-    return np.flatnonzero(flagged).tolist(), rows, (np.cumsum(counts) - counts).tolist()
+    columns = [np.repeat(values, counts), np.repeat(x_bar, counts), _PROVENANCES[at % 3], x_r,
+               x_h, x_c, _BEHAVIORS[behavior.astype(np.intp)],
+               _STABILITIES[verdict.astype(np.intp)], residual]
+    # A point with no listed rows goes where its rows would start: at the
+    # count of the rows before it.
+    others = np.flatnonzero(flagged)
+    texts = [None if k == len(model._RULES) else [_error_row(value, model._RULES[k])]
+             for k, value in zip(violation[others].tolist(), values[others].tolist())]
+    return columns, list(zip(np.cumsum(counts)[others].tolist(), others.tolist(), texts))
 
 
 _COMMANDS = {

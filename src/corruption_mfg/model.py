@@ -69,33 +69,50 @@ class ModelParams:
 
 _PARAM_FIELDS = ("lam", "r", "b", "f", "q_soc", "q_inf", "w_R", "w_H", "w_C")
 
+# The admissibility inequalities in the order they are checked, by the
+# message of each one's violation; ``_rules_hold`` tests them in this order.
+_RULES = (
+    "lambda > 0 violated", "r > 0 violated", "b > 0 violated", "f >= 0 violated",
+    "q_soc >= 0 violated", "q_inf >= 0 violated", "w_C > w_H violated",
+    "w_H > w_R violated", "w_R >= 0 violated",
+)
+
+
+def _rules_hold(p: ModelParams) -> tuple:
+    """Whether each inequality of :data:`_RULES` holds at ``p``.  Comparisons
+    only, so floats and arrays alike: the sweep's grid pass reads them on
+    arrays."""
+    return (p.lam > 0, p.r > 0, p.b > 0, p.f >= 0, p.q_soc >= 0, p.q_inf >= 0,
+            p.w_C > p.w_H, p.w_H > p.w_R, p.w_R >= 0)
+
+
+def _first_violation(p: ModelParams, where):
+    """The index in :data:`_RULES` of the first inequality that ``p``
+    violates, ``len(_RULES)`` where it violates none; ``where`` is
+    ``np.where`` where a field is an array.  A rule that holds outright, a
+    comparison of floats, takes no ``where``."""
+    first = len(_RULES)
+    for k, holds in reversed(list(enumerate(_rules_hold(p)))):
+        if holds is not True:
+            first = where(holds, first, k)
+    return first
+
 
 def validate_params(p: ModelParams) -> ModelParams:
     """Return ``p`` unchanged iff every admissibility inequality holds.
 
     Raises :class:`ParameterError` naming the first field that is not a
     finite number, in field order, else the first violated inequality, in
-    the order: lam > 0, r > 0, b > 0, f >= 0, q_soc >= 0, q_inf >= 0,
-    w_C > w_H, w_H > w_R, w_R >= 0.
+    the order of :data:`_RULES`: lam > 0, r > 0, b > 0, f >= 0, q_soc >= 0,
+    q_inf >= 0, w_C > w_H, w_H > w_R, w_R >= 0.
     """
     values = (p.lam, p.r, p.b, p.f, p.q_soc, p.q_inf, p.w_R, p.w_H, p.w_C)
     for name, v in zip(_PARAM_FIELDS, values):
         if not isinstance(v, (int, float)) or not math.isfinite(v):
             raise ParameterError(f"{name} must be a finite number, got {v!r}")
-    violated = (
-        "lambda > 0" if not p.lam > 0
-        else "r > 0" if not p.r > 0
-        else "b > 0" if not p.b > 0
-        else "f >= 0" if not p.f >= 0
-        else "q_soc >= 0" if not p.q_soc >= 0
-        else "q_inf >= 0" if not p.q_inf >= 0
-        else "w_C > w_H" if not p.w_C > p.w_H
-        else "w_H > w_R" if not p.w_H > p.w_R
-        else "w_R >= 0" if not p.w_R >= 0
-        else None
-    )
-    if violated is not None:
-        raise ParameterError(f"{violated} violated")
+    holds = _rules_hold(p)
+    if False in holds:
+        raise ParameterError(_RULES[holds.index(False)])
     return p
 
 

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corruption_mfg as cm
-from corruption_mfg import _g17, cli, equilibria, hjb, simulate, stability
+from corruption_mfg import _g17, cli, equilibria, hjb, model, simulate, stability
 from strategies import spread_params
 from support import random_params
 from test_rng import PINNED
@@ -543,6 +543,38 @@ def test_sweep_matches_rows_built_per_point(tmp_path, axis):
     assert out.decode() == "\n".join([header, *rows]) + "\n"
 
 
+@pytest.mark.parametrize("axis,lo,hi,message", [
+    ("b", 0.3, -0.1, "b > 0 violated"),
+    ("f", 0.2, -0.2, "f >= 0 violated"),
+], ids=["b", "f"])
+def test_descending_sweep_writes_its_error_rows_last(axis, lo, hi, message):
+    # From sweep_min down to sweep_max, the invalid values come last.  b > 0
+    # refuses the grid's rounded zero, -5.6e-17, and -0.1; f >= 0 takes its
+    # exact 0.0 and refuses -0.1 and -0.2.
+    cfg = cli.parse_config(THREE_CFG + _sweep(axis, lo, hi, 5))
+    want = _hand_sweep_rows(cfg.params, axis, cfg.sweep_grid)
+    assert [row for row in want if row.endswith(" violated")] == want[-2:]
+    assert all(row.endswith("," + message) for row in want[-2:])
+    assert _text_of(cli.cmd_sweep, cfg) == "\n".join([_SWEEP_HEADER, *want, ""])
+
+
+def test_sweep_hands_only_a_valid_zero_to_the_scalar_path(monkeypatch):
+    # The grid pass writes the error row of q_inf = -0.2 itself.  The next
+    # point is exactly 0.0, valid, and goes through the scalar path.
+    calls, point_rows = [], cli._point_rows
+
+    def counting(base, field, value):
+        calls.append(value)
+        return point_rows(base, field, value)
+
+    monkeypatch.setattr(cli, "_point_rows", counting)
+    cfg = cli.parse_config(THREE_CFG + _sweep("q_inf", -0.2, 3, 17))
+    want = _hand_sweep_rows(cfg.params, "q_inf", cfg.sweep_grid)
+    assert want[0].endswith(",q_inf >= 0 violated")
+    assert _text_of(cli.cmd_sweep, cfg) == "\n".join([_SWEEP_HEADER, *want, ""])
+    assert cfg.sweep_grid[1] == 0.0 and calls == [0.0]
+
+
 def test_sweep_written_in_small_chunks_matches_one_piece(tmp_path, monkeypatch):
     # Rows are written every _CHUNK_ROWS rows; at 5 the 17 points' rows
     # (error rows and 1 to 3 equilibria per point) split across several
@@ -579,8 +611,9 @@ def _near_tie(p, field):
 
 @st.composite
 def _sweep_cases(draw):
-    """A base over at most 12 decades, an axis, and a grid of 1 to 40 points
-    that either crosses 0 or spans a narrow window around a near-tie."""
+    """A base over at most 12 decades, an axis, and a grid of 1 to 40 points,
+    ascending or descending, that either crosses 0 or spans a narrow window
+    around a near-tie."""
     p = draw(spread_params(max_span=12.0))
     axis = draw(st.sampled_from(cli._SWEEP_AXES))
     field = "lam" if axis == "lambda" else axis
@@ -591,6 +624,8 @@ def _sweep_cases(draw):
     else:
         scale = getattr(p, field) or 1.0
         lo, hi = -scale * draw(st.floats(0.0, 1.0)), scale * draw(st.floats(0.01, 4.0))
+    if draw(st.booleans()):
+        lo, hi = hi, lo
     text = "".join(f"{key} = {getattr(p, name)!r}\n" for key, name in zip(
         cli._PARAM_KEYS, ("lam", "r", "b", "f", "q_soc", "q_inf", "w_R", "w_H", "w_C")))
     return text + _sweep(axis, repr(lo), repr(hi), draw(st.integers(1, 40)))
@@ -608,14 +643,18 @@ def test_sweep_grid_pass_writes_the_scalar_rows(text):
 
 
 def test_sweep_grid_longer_than_a_chunk_writes_the_scalar_rows():
-    # 1,100 points go through the grid pass as chunks of 341, 341, 341 and 77
-    # points, each written as a piece of at most _CHUNK_ROWS rows; the grid
-    # crosses lam = 0 and the interior point's entry to the simplex.
+    # 1,100 points go through the grid pass as blocks of 1,024 and 76 points.
+    # The header and the error rows of lam <= 0 are one piece; the first
+    # block's ~2,600 rows are three pieces of at most _CHUNK_ROWS rows, the
+    # second block's one.  The grid crosses lam = 0 and the interior point's
+    # entry to the simplex.
     cfg = cli.parse_config(THREE_CFG + _sweep("lambda", -0.1, 2, 1100))
     pieces = []
     cli.cmd_sweep(cfg, pieces.append)
     sizes = [len(piece.splitlines()) for piece in pieces]
-    assert len(sizes) == 4 and max(sizes) <= cli._CHUNK_ROWS and sizes[3] < sizes[1] / 2
+    assert len(sizes) == 5 and max(sizes) <= cli._CHUNK_ROWS and min(sizes) > 0
+    assert sizes[1] == sizes[2] == cli._CHUNK_ROWS and sizes[4] < sizes[3] / 2
+    assert all(row.endswith(",lambda > 0 violated") for row in pieces[0].splitlines()[1:])
     want = "\n".join([_SWEEP_HEADER, *_hand_sweep_rows(cfg.params, "lam", cfg.sweep_grid)])
     assert _first_difference("".join(pieces), want + "\n") is None
 
@@ -668,7 +707,25 @@ def _root_gate_at(least):
     return patch
 
 
+def _b_rule_at(least):
+    """``model._rules_hold`` with b's inequality moved to b > ``least``."""
+    def patch(rules_hold):
+        def patched(p):
+            holds = rules_hold(p)
+            return (*holds[:2], p.b > least, *holds[3:])
+        return patched
+    return patch
+
+
+def _b_message(rules):
+    """``model._RULES`` with the message of b's inequality reworded."""
+    return tuple("b must be positive" if message == "b > 0 violated" else message
+                 for message in rules)
+
+
 @pytest.mark.parametrize("owner,name,patch,axis,hi", [
+    (model, "_rules_hold", _b_rule_at(0.1), "b", 0.6),
+    (model, "_RULES", _b_message, "b", 0.6),
     (equilibria, "_q_at", lambda q_at: lambda c, x_h: q_at(c, x_h) + 1e-9 * c[1], "b", 0.6),
     (equilibria, "_candidates", _root_gate_at(0.3), "b", 0.6),
     (equilibria, "_candidates", lambda candidates: lambda p, x_bar: (
@@ -680,15 +737,15 @@ def _root_gate_at(least):
     (stability, "_boundary_eigenvalues",
      lambda _: lambda p: (100.0 - p.r, 100.0 + p.q_inf - p.q_soc - p.lam - p.b), "q_inf", 4),
     (stability, "_closed_form", _unstable_where_decided, "q_inf", 4),
-], ids=["_q_at", "root_gate", "interior_exists", "_regime_index", "eigen_real_parts",
-        "_boundary_eigenvalues", "_closed_form"])
+], ids=["validity_rule", "validity_message", "_q_at", "root_gate", "interior_exists",
+        "_regime_index", "eigen_real_parts", "_boundary_eigenvalues", "_closed_form"])
 def test_sweep_reads_each_formula_from_its_owner(monkeypatch, owner, name, patch, axis, hi):
     # A formula patched in the module that owns it, and there alone, changes
     # the grid pass's rows as it changes the scalar API's: the pass keeps no
-    # copy of Q, of the corrupt root's x_bar > 0 gate, of the interior point's
-    # existence test, of the regime index that admits each candidate, of the
-    # eigenvalue real parts, of the boundary's exact pair or of the
-    # closed-form rules.
+    # copy of validate_params's inequalities or messages, of Q, of the corrupt
+    # root's x_bar > 0 gate, of the interior point's existence test, of the
+    # regime index that admits each candidate, of the eigenvalue real parts,
+    # of the boundary's exact pair or of the closed-form rules.
     # raising=False: where the owner lacks the name, the test fails below.
     cfg = cli.parse_config(THREE_CFG + _sweep(axis, 0, hi, 301))
     before = _hand_sweep_rows(cfg.params, axis, cfg.sweep_grid)
@@ -733,30 +790,33 @@ def test_sweep_where_the_interior_x_c_divides_by_zero_writes_the_scalar_rows():
 
 def test_sweep_grid_rows_with_every_cell_by_percent_match_the_scalar_rows(monkeypatch):
     # TOL = 0.5 sends every grid cell to _g17's "%" fallback; 700 points are
-    # three chunks of the grid pass.
+    # one block of the grid pass, written as the header with the error rows
+    # of q_inf < 0, then the table rows as pieces of at most _CHUNK_ROWS rows.
     monkeypatch.setattr(_g17, "TOL", 0.5)
     cfg = cli.parse_config(THREE_CFG + _sweep("q_inf", -0.2, 4, 700))
     pieces = []
     cli.cmd_sweep(cfg, pieces.append)
-    assert len(pieces) == 3
+    sizes = [len(piece.splitlines()) for piece in pieces]
+    assert len(sizes) == 3 and sizes[1] == cli._CHUNK_ROWS and max(sizes) <= cli._CHUNK_ROWS
     want = "\n".join([_SWEEP_HEADER, *_hand_sweep_rows(cfg.params, "q_inf", cfg.sweep_grid)])
     assert _first_difference("".join(pieces), want + "\n") is None
 
 
 def test_sweep_wholly_below_zero_hands_the_writer_no_row(monkeypatch):
-    # Every point is flagged, so the grid pass formats a chunk of zero rows.
-    sizes, table_text = [], cli._table_text
+    # Every point is invalid, so the grid pass writes every row as an error
+    # row and hands the table writer no run of rows, not even an empty one.
+    sizes, table_rows = [], cli._table_rows
 
     def counting(template, cells):
         sizes.append(len(cells[0]))
-        return table_text(template, cells)
+        return table_rows(template, cells)
 
-    monkeypatch.setattr(cli, "_table_text", counting)
+    monkeypatch.setattr(cli, "_table_rows", counting)
     cfg = cli.parse_config(THREE_CFG + _sweep("b", -1, -0.5, 7))
     want = _hand_sweep_rows(cfg.params, "b", cfg.sweep_grid)
     assert len(want) == 7 and all(row.endswith(",b > 0 violated") for row in want)
     assert _text_of(cli.cmd_sweep, cfg) == "\n".join([_SWEEP_HEADER, *want, ""])
-    assert sizes == [0]
+    assert sizes == []
 
 
 def test_sweep_grid_rows_with_three_digit_exponents_match_the_scalar_rows():
@@ -1329,6 +1389,32 @@ def test_sweep_goldens_hold_the_cases_they_name():
     overflow = "expected one root of Q in (0;1); got []"
     assert {row[9] for row in rows("sweep-rates-1e150")} == {"q_inf >= 0 violated", overflow}
     assert {row[9] for row in rows("sweep-rates-1e75")} == {"", "q_inf >= 0 violated", overflow}
+
+
+@pytest.mark.parametrize("name,sizes", [
+    *((f"sweep-zero-{axis}", []) for axis in ("b", "f", "q_inf", "lambda")),
+    ("sweep-alpha-zero", [513]),
+])
+def test_sweep_formats_its_listed_rows_once_around_hand_offs(monkeypatch, name, sizes):
+    # A base with q_soc = 0 hands every valid point of these four axes to the
+    # scalar path: no rows are formatted, not once per point nor as an empty
+    # piece, and the 33 points are one piece of text.  On sweep-alpha-zero the
+    # degenerate point q_inf = 0.55 is handed off between listed rows; its
+    # scalar rows cut the formatted piece, which still takes one call.
+    calls, table_rows = [], cli._table_rows
+
+    def counting(template, cells):
+        calls.append(len(cells[0]))
+        return table_rows(template, cells)
+
+    monkeypatch.setattr(cli, "_table_rows", counting)
+    pieces = []
+    cli.cmd_sweep(cli.parse_config(SWEEP_CFGS[name]), pieces.append)
+    assert calls == sizes
+    if sizes:
+        assert any(piece.startswith("0.55000000000000004,") for piece in pieces[1:])
+    else:
+        assert len(pieces) == 1
 
 
 @pytest.mark.parametrize("command,cfg,digest", GOLDEN, ids=GOLDEN_IDS)
