@@ -455,21 +455,20 @@ def cmd_sweep(cfg: RunConfig, write) -> None:
     pass, :func:`_grid_pass`: the helpers of ``model``, ``hjb``,
     ``equilibria`` and ``stability`` that the scalar API calls, on arrays,
     the validity rules, the candidates, their admission, the closed-form
-    rules, eigenvalue real parts and verdicts included; so the scalar API's
-    bytes.  The pass states no rule of its own but the listing order, a
-    swap, and its hand-offs.  It writes the error row of each swept value
-    that ``validate_params`` refuses, with its message, and the columns of
-    the other points' rows, which :func:`_table_rows` formats as pieces of
-    at most :data:`_CHUNK_ROWS` rows.  The points it hands off go through
+    rules, eigenvalue real parts, verdicts and listing order included; so
+    the scalar API's bytes.  The pass states no rule of its own but its
+    hand-offs.  It writes the error row of each swept value that
+    ``validate_params`` refuses, with its message, and the columns of the
+    other points' rows, which :func:`_table_rows` formats as pieces of at
+    most :data:`_CHUNK_ROWS` rows.  The points it hands off go through
     :func:`_point_rows`, the scalar path and the specification, whose ``%``
-    rows are written between the rows on either side of them: a valid swept
-    value of 0, x_bar not finite (so every point where q_soc = 0); where
-    the corrupt root exists, a degenerate Q or not one candidate root in
-    (0, 1); a listed equilibrium with a component outside [0, 1] (NaN
-    included), which ``PopulationState`` clamps or refuses, or with a
-    residual not finite, or a corrupt root where ``r**2`` underflows; all
-    points of a block whose base is invalid or where an operation on
-    scalars raises.
+    rows are written between the rows on either side of them: x_bar not
+    finite (so every point where q_soc = 0); where the corrupt root exists,
+    a degenerate Q or not one candidate root in (0, 1); a listed equilibrium
+    with a component outside [0, 1] (NaN included), which
+    ``PopulationState`` clamps or refuses, or with a residual not finite,
+    or a corrupt root where ``r**2`` underflows; all points of a block whose
+    base is invalid or where an operation on scalars raises.
     """
     if cfg.sweep_param is None or cfg.sweep_grid is None:
         raise ConfigError("sweep requires sweep_param, sweep_min and sweep_max")
@@ -549,14 +548,13 @@ def _grid_pass(base: ModelParams, field: str, values: np.ndarray) -> tuple:
     violation = model._first_violation(p, np.where)
     invalid = violation < len(model._RULES)
     x_bar = np.broadcast_to(_bracket(p, p.r) / p.q_soc, (n,))
-    # Of the swept values <= 0, the valid ones, 0 on a >= axis, are handed off.
-    flagged = (values <= 0.0) | ~np.isfinite(x_bar)
+    flagged = ~np.isfinite(x_bar)
     coefficients = alpha, beta, _ = equilibria.q_coefficients(p)
     root, single = equilibria._polished_root(coefficients, np.sqrt, np.where)
     present = equilibria._candidates(p, x_bar)
     flagged |= present[0] & (equilibria._degenerate(alpha, beta) | ~single)
-    points = ((root, equilibria._corrupt_x_c(p, root)), equilibria._BOUNDARY,
-              equilibria._interior_point(p))
+    points = ((root, equilibria._corrupt_x_c(p, root)), equilibria._interior_point(p),
+              equilibria._BOUNDARY)
     # table[i, k]: candidate k's x_R, x_H, x_C, residual and the codes of its
     # behavior and classification at point i, in enumerate_equilibria's order.
     table = np.empty((n, 3, 6))
@@ -582,12 +580,9 @@ def _grid_pass(base: ModelParams, field: str, values: np.ndarray) -> tuple:
     # An invalid point has its error row only, a handed-off one the scalar rows.
     flagged |= invalid
     listed &= ~flagged[:, None]
-    # Listed candidates in enumerate_equilibria's stable order by x_H (the
-    # boundary's 1 is above the others' in (0, 1)); ``at`` indexes ``table``.
-    # A swap, not a stable np.argsort, which loads numpy's sort code (more peak RSS).
-    swap = table[:, 2, 1] < table[:, 0, 1]
-    at = (np.where(swap[:, None], [2, 0, 1], [0, 2, 1]) + 3 * np.arange(n)[:, None]).ravel()
-    at = at[listed.ravel()[at]]
+    # Listed candidates in grid order, each point's in _CANDIDATES' order;
+    # ``at`` indexes ``table``.
+    at = np.flatnonzero(listed)
     x_r, x_h, x_c, residual, behavior, verdict = table.reshape(3 * n, 6)[at].T
     counts = listed.sum(axis=1)
     columns = [np.repeat(values, counts), np.repeat(x_bar, counts), _PROVENANCES[at % 3], x_r,

@@ -171,15 +171,16 @@ def _corrupt_x_c(p: ModelParams, x_h: float) -> float:
     return (1.0 - x_h) * p.r / (p.r + p.b + p.q_soc * x_h)
 
 
-# The candidates in enumerate_equilibria's order: provenance, profile, the
-# regime (its index in Behavior) that drops it, and the warning of its tie.
+# The candidates in enumerate_equilibria's order, ascending x_H as Q(0) = -r b
+# < 0 < Q(x_H**) = lam (q_soc x_H**^2 + b x_H** + r) gives x_H* < x_H** < 1:
+# each one's provenance, profile, dropping regime (index in Behavior) and tie warning.
 _CANDIDATES = (
     (Provenance.CORRUPT_ROOT, CORRUPT_PROFILE, 1,
      "corrupt root sits on the classifier boundary; both regimes are optimal here"),
-    (Provenance.HONEST_BOUNDARY, HONEST_PROFILE, 0,
-     "classifier threshold ties with x_H = 1; both regimes are optimal here"),
     (Provenance.HONEST_INTERIOR, HONEST_PROFILE, 0,
      "interior honest point sits on the classifier boundary"),
+    (Provenance.HONEST_BOUNDARY, HONEST_PROFILE, 0,
+     "classifier threshold ties with x_H = 1; both regimes are optimal here"),
 )
 _BOUNDARY = (1.0, 0.0)  # the honest boundary's (x_H, x_C)
 
@@ -188,13 +189,12 @@ def _candidates(p: ModelParams, x_bar) -> tuple:
     """Whether each candidate exists, in ``_CANDIDATES``' order; comparisons
     only, so floats and arrays alike.
 
-    The corrupt root exists unless ``x_bar <= 0``, the boundary always, and
-    the interior point iff
-    ``q_inf > q_soc`` and ``x_H** < 1``, that is iff ``b + lam < q_inf -
-    q_soc``.  For positive floats ``a / g < 1`` exactly where ``a < g``, so
-    this is ``x_H** < 1`` to the bit, and nothing is divided.
+    The corrupt root exists unless ``x_bar <= 0``, the interior point iff
+    ``b + lam < q_inf - q_soc`` (``q_inf > q_soc`` and ``x_H** < 1`` to the
+    bit: for positive floats ``a / g < 1`` exactly where ``a < g``, so
+    nothing is divided), and the boundary always.
     """
-    return x_bar > 0.0, True, p.b + p.lam < p.q_inf - p.q_soc
+    return x_bar > 0.0, p.b + p.lam < p.q_inf - p.q_soc, True
 
 
 def _interior_point(p: ModelParams) -> tuple:
@@ -254,21 +254,19 @@ def _report(p: ModelParams, coefficients: tuple[float, float, float],
 
 
 def enumerate_equilibria(p: ModelParams) -> list[EquilibriumReport]:
-    """All stationary equilibria for ``p``, sorted by ``x_H`` (1 to 3 of them).
+    """All stationary equilibria for ``p`` (1 to 3), ascending ``x_H``.
 
-    :func:`_candidates` says which of the corrupt root, the honest boundary
-    and the honest interior point exist, and :func:`_admission`, the tie
+    :func:`_candidates` says which of the corrupt root, the honest interior
+    point and the honest boundary exist, and :func:`_admission`, the tie
     band of :func:`~corruption_mfg.hjb._regime_index` at each one's ``x_H``,
-    admits it.
+    admits it; they are listed in ``_CANDIDATES``' order.
     """
     validate_params(p)
     threshold = classifier_xbar(p)
     coefficients = q_coefficients(p)
     # The root and the interior point are formed only where they exist.
-    root, _, interior = _candidates(p, threshold.value)
-    points = (root and _corrupt_root(p, coefficients), _BOUNDARY, interior and _interior_point(p))
+    root, interior, _ = _candidates(p, threshold.value)
+    points = (root and _corrupt_root(p, coefficients), interior and _interior_point(p), _BOUNDARY)
     x_bar = threshold._x_bar
-    reports = [rep for candidate, point in zip(_CANDIDATES, points)
-               if (rep := _report(p, coefficients, threshold, x_bar, candidate, point))]
-    reports.sort(key=lambda rep: rep.state.x_H)
-    return reports
+    return [rep for candidate, point in zip(_CANDIDATES, points)
+            if (rep := _report(p, coefficients, threshold, x_bar, candidate, point))]

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -268,6 +269,11 @@ def test_simulate_table_contract(tmp_path):
     assert len(lines) == 1 + math.floor(2 / 0.01) + 1
     first = [float(v) for v in lines[1].split(",")]
     assert first == [0.0, 0.0, 1.0, 0.0]
+    # The defaults, t_end = 50 and dt = 0.01: a header and floor(t_end/dt) + 1 rows.
+    rc, out = run_cli(tmp_path, THREE_CFG, "simulate")
+    assert rc == 0
+    lines = out.decode().splitlines()
+    assert lines[0] == "t,x_R,x_H,x_C" and len(lines) == 5002
 
 
 def test_simulate_reaches_stable_point(tmp_path):
@@ -457,6 +463,12 @@ def test_sweep_records_per_point_errors(tmp_path):
     assert error_rows[0][0] == "0"
     assert "b > 0" in error_rows[0][9]
     assert any(not r[9] for r in rows)  # the valid point still produced rows
+    # b = -0.1 and b = 0 of five points from -0.1 write error rows; every
+    # real cell is its own "%.17g" text.
+    cfg = cli.parse_config(THREE_CFG + _sweep("b", -0.1, 0.3, 5))
+    want = _hand_sweep_rows(cfg.params, "b", cfg.sweep_grid)
+    assert sum(row.endswith(",b > 0 violated") for row in want) == 2
+    assert _text_of(cli.cmd_sweep, cfg) == "\n".join([_SWEEP_HEADER, *want, ""])
 
 
 # q_soc = 0 sends every point through the scalar API, where the model's
@@ -559,8 +571,8 @@ def test_descending_sweep_writes_its_error_rows_last(axis, lo, hi, message):
 
 
 def test_sweep_hands_only_a_valid_zero_to_the_scalar_path(monkeypatch):
-    # The grid pass writes the error row of q_inf = -0.2 itself.  The next
-    # point is exactly 0.0, valid, and goes through the scalar path.
+    # The grid pass writes the error row of q_inf = -0.2 itself, and the rows
+    # of the next point, exactly 0.0 and valid: no point takes the scalar path.
     calls, point_rows = [], cli._point_rows
 
     def counting(base, field, value):
@@ -572,7 +584,7 @@ def test_sweep_hands_only_a_valid_zero_to_the_scalar_path(monkeypatch):
     want = _hand_sweep_rows(cfg.params, "q_inf", cfg.sweep_grid)
     assert want[0].endswith(",q_inf >= 0 violated")
     assert _text_of(cli.cmd_sweep, cfg) == "\n".join([_SWEEP_HEADER, *want, ""])
-    assert cfg.sweep_grid[1] == 0.0 and calls == [0.0]
+    assert cfg.sweep_grid[1] == 0.0 and calls == []
 
 
 def test_sweep_written_in_small_chunks_matches_one_piece(tmp_path, monkeypatch):
@@ -701,8 +713,8 @@ def _root_gate_at(least):
     """``_candidates`` with the corrupt root existing only where x_bar > ``least``."""
     def patch(candidates):
         def patched(p, x_bar):
-            root, boundary, interior = candidates(p, x_bar)
-            return root & (x_bar > least), boundary, interior
+            root, interior, boundary = candidates(p, x_bar)
+            return root & (x_bar > least), interior, boundary
         return patched
     return patch
 
@@ -729,7 +741,7 @@ def _b_message(rules):
     (equilibria, "_q_at", lambda q_at: lambda c, x_h: q_at(c, x_h) + 1e-9 * c[1], "b", 0.6),
     (equilibria, "_candidates", _root_gate_at(0.3), "b", 0.6),
     (equilibria, "_candidates", lambda candidates: lambda p, x_bar: (
-        *candidates(p, x_bar)[:2], 2.0 * (p.b + p.lam) < p.q_inf - p.q_soc), "q_inf", 4),
+        candidates(p, x_bar)[0], 2.0 * (p.b + p.lam) < p.q_inf - p.q_soc, True), "q_inf", 4),
     (hjb, "_regime_index", lambda index: lambda x_H, x_bar: index(x_H, x_bar - 0.1), "b", 0.6),
     (stability, "eigen_real_parts",
      lambda parts: lambda trace, det, sqrt, where: tuple(
@@ -892,6 +904,9 @@ def test_sweep_whose_span_overflows_gets_a_finite_grid(tmp_path, capsys):
     assert list(dict.fromkeys(row[0] for row in rows)) == [
         "-1e+308", "-5.0000000000000001e+307", "0", "5.0000000000000001e+307", "1e+308"]
     assert [row[9] for row in rows if row[9]] == ["f >= 0 violated"] * 2
+    parsed = cli.parse_config(cfg)
+    want = _hand_sweep_rows(parsed.params, "f", parsed.sweep_grid)
+    assert out.decode() == "\n".join([_SWEEP_HEADER, *want, ""])
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -954,12 +969,14 @@ def test_sweep_points_cap_boundary(tmp_path, monkeypatch):
 
 
 def test_missing_config_is_validation_error(tmp_path, capsys):
-    rc = cli.main(["classify", "--config", str(tmp_path / "absent.cfg")])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    for command in ("classify", "equilibria"):
+        rc = cli.main([command, "--config", str(tmp_path / "absent.cfg")])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,extra", [
+    ("simulate", ""),
     ("simulate", "t_end = 1\n"),
     ("ctmc", "N = 50\nt_end = 1\nreplications = 1\n"),
     ("sweep", "sweep_param = b\nsweep_min = 0.1\nsweep_max = 1\nsweep_points = 3\n"),
@@ -1165,12 +1182,26 @@ def test_stdout_output(tmp_path, capsys):
     rc = cli.main(["classify", "--config", str(cfg)])
     assert rc == 0
     assert "x_bar" in capsys.readouterr().out
+    # Stdout gets the bytes --out gets: a ctmc table past the 4,096-event
+    # count block, and states that decay through three-digit exponents.
+    outs = {}
+    for command, text in (("ctmc", SMALL_CTMC_CFG),
+                          ("simulate", WIDE_CFGS["simulate-subnormal-states"])):
+        rc, outs[command] = run_cli(tmp_path, text, command)
+        assert rc == 0
+        assert cli.main([command, "--config", str(tmp_path / "run.cfg")]) == 0
+        assert capsys.readouterr().out.encode() == outs[command]
+    lines = outs["ctmc"].decode().splitlines()
+    assert lines[0] == "t,transition,n_R,n_H,n_C" and len(lines) > 4098
+    assert re.match(r"# lln_distance = [0-9]", lines[-1])
 
 
 # ---------------------------------------------------------------------------
 # byte-identical table output
 
 X0_CFG = "x0_R = 0.2\nx0_H = 0.5\nx0_C = 0.3\n"
+# Two replications of ~5,900 events each.
+SMALL_CTMC_CFG = THREE_CFG + "N = 1000\nt_end = 10\nreplications = 2\n"
 CTMC_CFG = THREE_CFG + X0_CFG + "N = 1000\nreplications = 3\nt_end = 10\nseed = 2024\n"
 
 # THREE_CFG with every rate scaled by 1e-6 or 1e+6, dt and t_end scaled back.
@@ -1393,7 +1424,7 @@ def test_sweep_goldens_hold_the_cases_they_name():
 
 @pytest.mark.parametrize("name,sizes", [
     *((f"sweep-zero-{axis}", []) for axis in ("b", "f", "q_inf", "lambda")),
-    ("sweep-alpha-zero", [513]),
+    ("sweep-alpha-zero", [514]),
 ])
 def test_sweep_formats_its_listed_rows_once_around_hand_offs(monkeypatch, name, sizes):
     # A base with q_soc = 0 hands every valid point of these four axes to the
@@ -1490,6 +1521,26 @@ def test_extreme_boundary_reads_its_exact_eigenvalues(tmp_path):
         "marginal", "closed_form")
 
 
+# At this honest boundary glibc's pow(disc, 0.5) rounds the root of the
+# discriminant one ulp off.  The real parts are taken with sqrt, which IEEE 754
+# rounds correctly, so no platform's libm can move them.
+POW_BOUNDARY_CFG = (
+    "lambda = 3.584581355084309\nr = 0.11711571421663002\nb = 0.31568336115383694\n"
+    "f = 0\nq_soc = 0.77548460518325\nq_inf = 4.709395663838344\n"
+    "w_R = 0.5831937655371546\nw_H = 2.9636332578380964\nw_C = 3.3191914635534157\n"
+)
+
+
+def test_boundary_real_parts_printed_are_rooted_with_sqrt(tmp_path):
+    rc, out = run_cli(tmp_path, POW_BOUNDARY_CFG + "format = structured\n", "equilibria")
+    assert rc == 0
+    (rep,) = [rep for rep in json.loads(out, parse_constant=_reject_constant)
+              if rep["provenance"] == "honest_boundary"]
+    trace, det, parts = (rep["stability"][k] for k in ("trace", "det", "eigen_real_parts"))
+    root = math.sqrt(trace * trace - 4 * det)
+    assert parts == [(trace - root) / 2, (trace + root) / 2]
+
+
 def _text_of(command, cfg):
     """Everything ``command`` writes for ``cfg``, joined."""
     pieces = []
@@ -1576,6 +1627,8 @@ def _table_configs(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(_table_configs())
+@example(SMALL_CTMC_CFG)
+@example(WIDE_CFGS["simulate-subnormal-states"] + "N = 1\nreplications = 1\n")
 def test_tables_are_written_as_percent_writes_each_cell(text):
     # The tables go through numpy fields; the oracles format each cell with
     # its own "%".

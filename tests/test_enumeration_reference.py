@@ -39,7 +39,8 @@ from support import THREE_EQ_CONFIG, make_params, q_at  # noqa: E402
 # ``best_response``'s comparisons, copied as _regime (they were ``abs(x_h -
 # x_bar) <= TIE_TOL``, ``x_h* <= x_bar + TIE_TOL`` and a shortcut for
 # ``x_bar > 1 + TIE_TOL``), so in the indifferent-everywhere corner the
-# interior point is admitted too (it was dropped).
+# interior point is admitted too (it was dropped); and the listing order,
+# root, interior, boundary, which the closed forms fix (it was a sort by x_H).
 def _regime(threshold, x_h: float) -> Behavior:
     if threshold.indifferent_everywhere:
         return Behavior.INDIFFERENT
@@ -163,10 +164,6 @@ def reference_enumeration(p: ModelParams) -> list[EquilibriumReport]:
                 )
             )
 
-    boundary = honest_boundary(p)
-    if boundary is not None:
-        reports.append(boundary)
-
     interior = honest_interior(p)
     if interior is not None:
         x_h, x_c = interior
@@ -186,7 +183,9 @@ def reference_enumeration(p: ModelParams) -> list[EquilibriumReport]:
             )
         )
 
-    reports.sort(key=lambda rep: rep.state.x_H)
+    boundary = honest_boundary(p)
+    if boundary is not None:
+        reports.append(boundary)
     return reports
 
 

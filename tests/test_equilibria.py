@@ -1,8 +1,10 @@
 """The quadratic Q, the corrupt root and the enumeration of equilibria."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corruption_mfg as cm
@@ -17,6 +19,7 @@ from support import (
     random_params,
     report_of,
 )
+from strategies import spread_params
 
 INTERIOR = cm.Provenance.HONEST_INTERIOR
 BOUNDARY = cm.Provenance.HONEST_BOUNDARY
@@ -383,6 +386,45 @@ def test_numerator_below_denominator_is_quotient_below_one(a, g):
     # q_inf - q_soc: for positive floats the rounded quotient is below 1
     # exactly where the numerator is below the denominator.
     assert (a / g < 1.0) == (a < g)
+
+
+# Rates over ~20 decades with x_bar inside the tie band of x_H**, where both
+# the root and the interior point are listed and the root's float x_H comes
+# out one ulp above the interior's, 0.10099783289725528.
+_ROOT_ABOVE_INTERIOR_IN_FLOATS = make_params(
+    lam=1.1059716759690376e-12, r=248315.4889695256, b=798828859.4678285, q_soc=3.9860594015555573,
+    q_inf=7909366339.405099, w_C=3217.991671302662)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spread_params())
+@example(THREE_EQ)
+@example(_ROOT_ABOVE_INTERIOR_IN_FLOATS)
+def test_corrupt_root_lies_below_the_interior_point_and_is_listed_first(p):
+    # Exactly, from the float inputs: Q(0) = -r b < 0 < Q(1), so Q has one
+    # root in (0, 1), and where x_H** = (b + lam) / (q_inf - q_soc) < 1,
+    # Q(x_H**) = lam (q_soc x_H**^2 + b x_H** + r) > 0 puts that root below
+    # x_H**.  Q's coefficients are written here, not taken from the package.
+    lam, r, b, q_soc, q_inf = map(Fraction, (p.lam, p.r, p.b, p.q_soc, p.q_inf))
+    alpha = (r + lam) * q_soc - r * q_inf
+    beta = r * (q_inf - q_soc) + lam * r + lam * b + r * b
+    gamma = -r * b
+
+    def q(x):
+        return (alpha * x + beta) * x + gamma
+
+    assert q(0) < 0 < q(1)
+    if b + lam < q_inf - q_soc:
+        x = (b + lam) / (q_inf - q_soc)
+        assert 0 < x < 1 and q(x) == lam * (q_soc * x * x + b * x + r) > 0
+    try:
+        reports = cm.enumerate_equilibria(p)
+    except (ArithmeticError, cm.SimplexError):
+        return  # some valid sets fail at extreme scales (ROADMAP item 16)
+    # THREE_EQ and the set above list all three, whatever the draws list.
+    listing = [cm.Provenance.CORRUPT_ROOT, INTERIOR, BOUNDARY]
+    order = [rep.provenance for rep in reports]
+    assert order == sorted(order, key=listing.index)
 
 
 def test_no_interaction_tie():
