@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -368,8 +369,8 @@ _CONVERSIONS = re.compile("%(?:[.]17g|d|s)")
 
 
 def _table_rows(template: str, cells: list[np.ndarray]) -> np.ndarray:
-    """One NUL-padded byte row per row of ``cells``, which :func:`_text` of
-    any run of them turns into ``template % row + "\\n"`` for each, joined.
+    """One byte row per row of ``cells``: ``template % row + "\\n"``, padded
+    with NULs.
 
     ``template`` converts float64 columns with ``%.17g``, int64 counts with
     ``%d`` and NUL-padded bytes arrays with ``%s``.  The cells become the
@@ -402,15 +403,13 @@ def _table_rows(template: str, cells: list[np.ndarray]) -> np.ndarray:
     return text
 
 
-def _text(rows: np.ndarray) -> str:
-    """The text of byte rows of :func:`_table_rows`: their NULs dropped."""
-    return rows.tobytes().translate(None, b"\0").decode()
-
-
 def _write_table(write, template: str, columns: list[np.ndarray]) -> None:
-    """Write the text of ``columns``, one piece per :data:`_CHUNK_ROWS` rows."""
+    """Write the text of ``columns``, one piece per :data:`_CHUNK_ROWS` rows:
+    the byte rows of :func:`_table_rows`, their NULs dropped."""
     for lo in range(0, len(columns[0]), _CHUNK_ROWS):
-        write(_text(_table_rows(template, [column[lo:lo + _CHUNK_ROWS] for column in columns])))
+        cells = [column[lo:lo + _CHUNK_ROWS] for column in columns]
+        # No name holds the byte rows, so they are freed before the next piece.
+        write(_table_rows(template, cells).tobytes().translate(None, b"\0").decode())
 
 
 def cmd_simulate(cfg: RunConfig, write) -> None:
@@ -452,64 +451,36 @@ def cmd_sweep(cfg: RunConfig, write) -> None:
     """Each grid point's equilibria, with their stability and residual.
 
     Each block of at most :data:`_CHUNK_ROWS` points goes through one numpy
-    pass, :func:`_grid_pass`: the helpers of ``model``, ``hjb``,
-    ``equilibria`` and ``stability`` that the scalar API calls, on arrays,
-    the validity rules, the candidates, their admission, the closed-form
-    rules, eigenvalue real parts, verdicts and listing order included; so
-    the scalar API's bytes.  The pass states no rule of its own but its
-    hand-offs.  It writes the error row of each swept value that
-    ``validate_params`` refuses, with its message, and the columns of the
-    other points' rows, which :func:`_table_rows` formats as pieces of at
-    most :data:`_CHUNK_ROWS` rows.  The points it hands off go through
-    :func:`_point_rows`, the scalar path and the specification, whose ``%``
-    rows are written between the rows on either side of them: x_bar not
-    finite (so every point where q_soc = 0); where the corrupt root exists,
-    a degenerate Q or not one candidate root in (0, 1); a listed equilibrium
-    with a component outside [0, 1] (NaN included), which
-    ``PopulationState`` clamps or refuses, or with a residual not finite,
-    or a corrupt root where ``r**2`` underflows; all points of a block whose
-    base is invalid or where an operation on scalars raises.
+    pass, :func:`_grid_pass`, which calls the scalar API's helpers on arrays
+    and so writes its bytes.  It lists the rows of the points it settles, and
+    gives every other point its rows: the error row of an invalid value, or
+    the rows of the scalar path, :func:`_point_rows`, for a point it hands
+    off (see :func:`_grid_pass`), or every point of a block whose base is
+    invalid or where an operation on scalars raises.  Runs of listed rows and
+    runs of the other rows are written in grid order, each as pieces of at
+    most :data:`_CHUNK_ROWS` rows.
     """
     if cfg.sweep_param is None or cfg.sweep_grid is None:
         raise ConfigError("sweep requires sweep_param, sweep_min and sweep_max")
     field = "lam" if cfg.sweep_param == "lambda" else cfg.sweep_param
-    # Rows not yet written, the header first: the pass's error rows and the
-    # handed-off points' rows, written as pieces of at most _CHUNK_ROWS rows.
-    pending = [f"param_value,{_REPORT_COLUMNS},stability,residual,error"]
-
-    def flush():
-        if pending:
-            write("\n".join([*pending, ""]))
-            pending.clear()
-
+    write(f"param_value,{_REPORT_COLUMNS},stability,residual,error\n")
     for lo in range(0, len(cfg.sweep_grid), _CHUNK_ROWS):
         values = cfg.sweep_grid[lo:lo + _CHUNK_ROWS]
         try:
             with np.errstate(all="ignore"):
-                columns, points = _grid_pass(validate_params(cfg.params), field, values)
+                columns, others = _grid_pass(validate_params(cfg.params), field, values)
         except (ParameterError, ArithmeticError):  # no listed rows, every point handed off
-            columns, points = [values[:0]], [(0, i, None) for i in range(len(values))]
+            columns = [values[:0]]
+            others = [(0, _point_rows(cfg.params, field, value)) for value in values.tolist()]
         done = 0  # rows of ``columns`` written
-        # The last entry, past the last point, writes the rows after it.
-        for row, i, rows in [*points, (len(columns[0]), None, [])]:
-            while done < row:
-                # Rows are formatted a piece at a time; a point's text cuts
-                # the piece's byte rows, not its text.
-                start = done - done % _CHUNK_ROWS
-                if done == start:
-                    table = _table_rows(_GRID_ROW, [column[start:start + _CHUNK_ROWS]
-                                                    for column in columns])
-                end = min(row, start + _CHUNK_ROWS)
-                flush()
-                write(_text(table[done - start:end - start]))
-                done = end
-            if rows is None:
-                # A Python float, as ``np.float64 ** 0.5`` would round as np.sqrt does.
-                rows = _point_rows(cfg.params, field, float(values[i]))
-            if len(pending) + len(rows) > _CHUNK_ROWS:
-                flush()
-            pending += rows
-    flush()
+        # The points before the same listed row are one run.
+        for row, run in itertools.groupby(others, key=lambda other: other[0]):
+            _write_table(write, _GRID_ROW, [column[done:row] for column in columns])
+            rows = [text for _, texts in run for text in texts]
+            for start in range(0, len(rows), _CHUNK_ROWS):
+                write("\n".join([*rows[start:start + _CHUNK_ROWS], ""]))
+            done = row
+        _write_table(write, _GRID_ROW, [column[done:] for column in columns])
 
 
 def _error_row(value: float, message: str) -> str:
@@ -538,10 +509,15 @@ _STABILITIES = np.array([verdict.value.encode() for verdict in _CLASSIFICATIONS]
 
 def _grid_pass(base: ModelParams, field: str, values: np.ndarray) -> tuple:
     """The columns of the rows it lists, in grid order, for :data:`_GRID_ROW`,
-    and ``(row, i, rows)`` for each other point ``i``, in grid order: the
-    row of the columns before which its text goes, and ``[error row]``, or
-    None where it is handed off.  ``base`` with the array ``values`` in
-    ``field`` goes through the scalar closed forms."""
+    and ``(row, rows)`` for each other point, in grid order: the row of the
+    columns before which its rows go, and its rows, ``[error row]`` or those
+    of :func:`_point_rows`.  ``base`` with the array ``values`` in ``field``
+    goes through the scalar closed forms.  A point is handed off to the
+    scalar path where x_bar is not finite (so wherever q_soc = 0); where the
+    corrupt root exists, at a degenerate Q or not one candidate root in
+    (0, 1); where a listed equilibrium has a component outside [0, 1] (NaN
+    included), which ``PopulationState`` clamps or refuses, or a residual
+    not finite, or is a corrupt root where ``r**2`` underflows."""
     n = len(values)
     p = dataclasses.replace(base, **{field: values})
     # Each value's first violated inequality, read from validate_params's table.
@@ -591,9 +567,11 @@ def _grid_pass(base: ModelParams, field: str, values: np.ndarray) -> tuple:
     # A point with no listed rows goes where its rows would start: at the
     # count of the rows before it.
     others = np.flatnonzero(flagged)
-    texts = [None if k == len(model._RULES) else [_error_row(value, model._RULES[k])]
+    # A Python float, as ``np.float64 ** 0.5`` would round as np.sqrt does.
+    texts = [_point_rows(base, field, value) if k == len(model._RULES)
+             else [_error_row(value, model._RULES[k])]
              for k, value in zip(violation[others].tolist(), values[others].tolist())]
-    return columns, list(zip(np.cumsum(counts)[others].tolist(), others.tolist(), texts))
+    return columns, list(zip(np.cumsum(counts)[others].tolist(), texts))
 
 
 _COMMANDS = {

@@ -570,7 +570,7 @@ def test_descending_sweep_writes_its_error_rows_last(axis, lo, hi, message):
     assert _text_of(cli.cmd_sweep, cfg) == "\n".join([_SWEEP_HEADER, *want, ""])
 
 
-def test_sweep_hands_only_a_valid_zero_to_the_scalar_path(monkeypatch):
+def test_sweep_settles_a_valid_zero_in_the_grid_pass(monkeypatch):
     # The grid pass writes the error row of q_inf = -0.2 itself, and the rows
     # of the next point, exactly 0.0 and valid: no point takes the scalar path.
     calls, point_rows = [], cli._point_rows
@@ -588,16 +588,18 @@ def test_sweep_hands_only_a_valid_zero_to_the_scalar_path(monkeypatch):
 
 
 def test_sweep_written_in_small_chunks_matches_one_piece(tmp_path, monkeypatch):
-    # Rows are written every _CHUNK_ROWS rows; at 5 the 17 points' rows
-    # (error rows and 1 to 3 equilibria per point) split across several
-    # pieces, at the default they are one.
-    cfg = THREE_CFG + "sweep_param = q_inf\nsweep_min = -0.2\nsweep_max = 3\nsweep_points = 17\n"
-    _, whole = run_cli(tmp_path, cfg, "sweep")
+    # Rows are written as pieces of at most _CHUNK_ROWS rows.  At 5 the 17
+    # points' rows (error rows and 1 to 3 equilibria per point) split across
+    # several pieces.  With q_soc = 0 every valid point is handed off to the
+    # scalar path, so its runs of up to 15 scalar rows are split as well.
+    cfgs = (THREE_CFG + _sweep("q_inf", -0.2, 3, 17), ZERO_CFG + _sweep("b", -1, 3, 33))
+    wholes = [run_cli(tmp_path, cfg, "sweep")[1] for cfg in cfgs]
     monkeypatch.setattr(cli, "_CHUNK_ROWS", 5)
-    pieces = []
-    cli.cmd_sweep(cli.parse_config(cfg), pieces.append)
-    assert len(pieces) > 3
-    assert "".join(pieces).encode() == whole
+    for cfg, whole in zip(cfgs, wholes):
+        pieces = []
+        cli.cmd_sweep(cli.parse_config(cfg), pieces.append)
+        assert len(pieces) > 3 and max(piece.count("\n") for piece in pieces) <= 5
+        assert "".join(pieces).encode() == whole
 
 
 _SWEEP_HEADER = "param_value,x_bar,provenance,x_R,x_H,x_C,behavior,stability,residual,error"
@@ -656,17 +658,15 @@ def test_sweep_grid_pass_writes_the_scalar_rows(text):
 
 def test_sweep_grid_longer_than_a_chunk_writes_the_scalar_rows():
     # 1,100 points go through the grid pass as blocks of 1,024 and 76 points.
-    # The header and the error rows of lam <= 0 are one piece; the first
-    # block's ~2,600 rows are three pieces of at most _CHUNK_ROWS rows, the
-    # second block's one.  The grid crosses lam = 0 and the interior point's
-    # entry to the simplex.
+    # The header is one piece and the error rows of lam <= 0 another; the
+    # first block's 2,609 listed rows are three pieces of at most _CHUNK_ROWS
+    # rows, the second block's one.  The grid crosses lam = 0 and the interior
+    # point's entry to the simplex.
     cfg = cli.parse_config(THREE_CFG + _sweep("lambda", -0.1, 2, 1100))
     pieces = []
     cli.cmd_sweep(cfg, pieces.append)
-    sizes = [len(piece.splitlines()) for piece in pieces]
-    assert len(sizes) == 5 and max(sizes) <= cli._CHUNK_ROWS and min(sizes) > 0
-    assert sizes[1] == sizes[2] == cli._CHUNK_ROWS and sizes[4] < sizes[3] / 2
-    assert all(row.endswith(",lambda > 0 violated") for row in pieces[0].splitlines()[1:])
+    assert [len(piece.splitlines()) for piece in pieces] == [1, 53, 1024, 1024, 561, 152]
+    assert all(row.endswith(",lambda > 0 violated") for row in pieces[1].splitlines())
     want = "\n".join([_SWEEP_HEADER, *_hand_sweep_rows(cfg.params, "lam", cfg.sweep_grid)])
     assert _first_difference("".join(pieces), want + "\n") is None
 
@@ -802,14 +802,13 @@ def test_sweep_where_the_interior_x_c_divides_by_zero_writes_the_scalar_rows():
 
 def test_sweep_grid_rows_with_every_cell_by_percent_match_the_scalar_rows(monkeypatch):
     # TOL = 0.5 sends every grid cell to _g17's "%" fallback; 700 points are
-    # one block of the grid pass, written as the header with the error rows
-    # of q_inf < 0, then the table rows as pieces of at most _CHUNK_ROWS rows.
+    # one block of the grid pass, written as the header, the error rows of
+    # q_inf < 0, then the table rows as pieces of at most _CHUNK_ROWS rows.
     monkeypatch.setattr(_g17, "TOL", 0.5)
     cfg = cli.parse_config(THREE_CFG + _sweep("q_inf", -0.2, 4, 700))
     pieces = []
     cli.cmd_sweep(cfg, pieces.append)
-    sizes = [len(piece.splitlines()) for piece in pieces]
-    assert len(sizes) == 3 and sizes[1] == cli._CHUNK_ROWS and max(sizes) <= cli._CHUNK_ROWS
+    assert [len(piece.splitlines()) for piece in pieces] == [1, 34, 1024, 311]
     want = "\n".join([_SWEEP_HEADER, *_hand_sweep_rows(cfg.params, "q_inf", cfg.sweep_grid)])
     assert _first_difference("".join(pieces), want + "\n") is None
 
@@ -1424,14 +1423,14 @@ def test_sweep_goldens_hold_the_cases_they_name():
 
 @pytest.mark.parametrize("name,sizes", [
     *((f"sweep-zero-{axis}", []) for axis in ("b", "f", "q_inf", "lambda")),
-    ("sweep-alpha-zero", [514]),
+    ("sweep-alpha-zero", [32, 482]),
 ])
 def test_sweep_formats_its_listed_rows_once_around_hand_offs(monkeypatch, name, sizes):
     # A base with q_soc = 0 hands every valid point of these four axes to the
     # scalar path: no rows are formatted, not once per point nor as an empty
-    # piece, and the 33 points are one piece of text.  On sweep-alpha-zero the
-    # degenerate point q_inf = 0.55 is handed off between listed rows; its
-    # scalar rows cut the formatted piece, which still takes one call.
+    # piece, and the 33 points are one run, written after the header as one
+    # piece.  On sweep-alpha-zero the degenerate point q_inf = 0.55 is handed
+    # off between listed rows: they are two runs, each formatted in one call.
     calls, table_rows = [], cli._table_rows
 
     def counting(template, cells):
@@ -1443,9 +1442,9 @@ def test_sweep_formats_its_listed_rows_once_around_hand_offs(monkeypatch, name, 
     cli.cmd_sweep(cli.parse_config(SWEEP_CFGS[name]), pieces.append)
     assert calls == sizes
     if sizes:
-        assert any(piece.startswith("0.55000000000000004,") for piece in pieces[1:])
+        assert pieces[2].startswith("0.55000000000000004,")
     else:
-        assert len(pieces) == 1
+        assert len(pieces) == 2
 
 
 @pytest.mark.parametrize("command,cfg,digest", GOLDEN, ids=GOLDEN_IDS)
