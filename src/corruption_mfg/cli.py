@@ -7,9 +7,13 @@ along one parameter axis).  Configuration is a flat ``key = value`` file
 with ``#`` comments; unknown keys are rejected.  All outputs are
 deterministic given (config, seed): CSV with 17-significant-digit reals, or
 for ``classify`` and ``equilibria`` a JSON document with ``--format
-structured``, which the other commands refuse.  The JSON document writes
-every non-finite number as the CSV's token, ``+inf``, ``-inf`` or ``nan`` (a
-JSON string), since JSON has neither.
+structured``, which the other commands refuse.  The JSON document is
+``json.dumps(doc, sort_keys=True, indent=2) + "\n"``: a 2-space indent, keys
+sorted, every finite float as its ``repr``, and every non-finite number as
+the CSV's token, ``+inf``, ``-inf`` or ``nan`` (a JSON string), since JSON
+has neither.  It is written from one ``%`` template per record, not by
+``json.dumps``, whose ``indent`` runs the pure-Python encoder before CPython
+3.13; ``tests/test_format.py`` holds ``json.dumps`` as its reference.
 
 Each ``cmd_*`` takes the run's config and a ``write`` callable and writes
 its text in pieces as it is formatted: ``simulate``, ``ctmc`` and ``sweep``
@@ -236,19 +240,34 @@ def _fmt_threshold(v: float) -> str:
     return "%.17g" % v
 
 
-def _json_text(doc) -> str:
-    """``doc`` as JSON.  RFC 8259 has no NaN or infinity, so every non-finite
-    float is written as its CSV token: ``"+inf"``, ``"-inf"`` or ``"nan"``."""
-    def strict(value):
-        if isinstance(value, dict):
-            return {key: strict(v) for key, v in value.items()}
-        if isinstance(value, list):
-            return [strict(v) for v in value]
-        if isinstance(value, float) and not math.isfinite(value):
-            return _fmt_threshold(value)
-        return value
+# The parts of the structured documents' templates; strings go through
+# ``json``'s own encoder.
+_json_string = json.encoder.encode_basestring_ascii
+_JSON_BOOLS = {True: "true", False: "false"}
 
-    return json.dumps(strict(doc), sort_keys=True, indent=2) + "\n"
+
+def _json_floats(*values) -> tuple:
+    """``values`` for ``%s``, each non-finite float as its CSV token, a JSON
+    string: RFC 8259 has no NaN or infinity."""
+    if math.isfinite(sum(values)):  # an overflowing sum only takes the long way
+        return values
+    return tuple(v if math.isfinite(v) else '"%s"' % _fmt_threshold(v) for v in values)
+
+
+def _json_flags(pairs) -> str:
+    """A record's flag dict, keys sorted, at its depth of 3."""
+    if not pairs:
+        return "{}"
+    return "{\n%s\n      }" % ",\n".join(
+        "        %s: %s" % (_json_string(key), _JSON_BOOLS[value])
+        for key, value in sorted(dict(pairs).items()))
+
+
+def _json_strings(texts) -> str:
+    """A record's list of strings, at its depth of 2."""
+    if not texts:
+        return "[]"
+    return "[\n%s\n    ]" % ",\n".join("      " + _json_string(text) for text in texts)
 
 
 def _regime(threshold) -> str:
@@ -268,14 +287,12 @@ def cmd_classify(cfg: RunConfig, write) -> None:
     regime = _regime(threshold)
     disc = None if cfg.delta is None else classifier_xbar_discounted(p, cfg.delta)
     if cfg.format == "structured":
-        record = {
-            "x_bar": threshold.value,
-            "indifferent_everywhere": threshold.indifferent_everywhere,
-            "regime": regime,
-        }
+        text = '{\n  "indifferent_everywhere": %s,\n  "regime": %s,\n  "x_bar": %s' % (
+            _JSON_BOOLS[threshold.indifferent_everywhere], _json_string(regime),
+            *_json_floats(threshold.value))
         if disc is not None:
-            record["x_bar_discounted"] = disc.value
-        write(_json_text(record))
+            text += ',\n  "x_bar_discounted": %s' % _json_floats(disc.value)
+        write(text + "\n}\n")
         return
     lines = [f"x_bar = {_fmt_threshold(threshold.value)}"]
     if threshold.indifferent_everywhere:
@@ -312,43 +329,63 @@ def _report_cells(rep: EquilibriumReport) -> tuple:
     )
 
 
+# One equilibrium of the structured ``equilibria`` document.
+_RECORD_JSON = """  {
+    "behavior": "%s",
+    "diagnostics": {
+      "flags": %s,
+      "q_value": %s,
+      "residual": %s,
+      "x_bar": %s
+    },
+    "provenance": "%s",
+    "stability": {
+      "classification": "%s",
+      "det": %s,
+      "eigen_real_parts": [
+        %s,
+        %s
+      ],
+      "flags": %s,
+      "method": "%s",
+      "trace": %s
+    },
+    "state": {
+      "x_C": %s,
+      "x_H": %s,
+      "x_R": %s
+    },
+    "strategy": {
+      "u_C": %d,
+      "u_H": %d
+    },
+    "warnings": %s
+  }"""
+
+
 def cmd_equilibria(cfg: RunConfig, write) -> None:
     p = cfg.params
     rows = _equilibrium_rows(p)
     if cfg.format == "structured":
         records = []
         for rep, verdict in rows:
-            records.append(
-                {
-                    "state": {"x_R": rep.state.x_R, "x_H": rep.state.x_H, "x_C": rep.state.x_C},
-                    "behavior": rep.behavior.value,
-                    "strategy": {"u_H": rep.strategy.u_H, "u_C": rep.strategy.u_C},
-                    "provenance": rep.provenance.value,
-                    "stability": {
-                        "classification": verdict.classification.value,
-                        "method": verdict.method.value,
-                        "eigen_real_parts": list(verdict.eigen_real_parts),
-                        "trace": verdict.trace,
-                        "det": verdict.det,
-                        "flags": dict(verdict.flags),
-                    },
-                    "diagnostics": {
-                        "q_value": rep.q_value,
-                        "x_bar": rep.x_bar,
-                        "residual": rep.residual,
-                        "flags": dict(rep.flags),
-                    },
-                    "warnings": list(rep.warnings),
-                }
-            )
-        write(_json_text(records))
+            state = rep.state
+            x_r, x_h, x_c, q_value, x_bar, residual, trace, det, low, high = _json_floats(
+                state.x_R, state.x_H, state.x_C, rep.q_value, rep.x_bar, rep.residual,
+                verdict.trace, verdict.det, *verdict.eigen_real_parts)
+            records.append(_RECORD_JSON % (
+                rep.behavior._value_, _json_flags(rep.flags), q_value, residual, x_bar,
+                rep.provenance._value_, verdict.classification._value_, det, low, high,
+                _json_flags(verdict.flags), verdict.method._value_, trace, x_c, x_h, x_r,
+                rep.strategy.u_C, rep.strategy.u_H, _json_strings(rep.warnings)))
+        write("[\n%s\n]\n" % ",\n".join(records) if records else "[]\n")
         return
     lines = [f"# {len(rows)} equilibria"]
     for i, (rep, verdict) in enumerate(rows, start=1):
         lines.append(
-            f"# [{i}] {rep.provenance.value}: x_H={rep.state.x_H:.6g} "
-            f"x_C={rep.state.x_C:.6g} behavior={rep.behavior.value} "
-            f"stability={verdict.classification.value} ({verdict.method.value})"
+            f"# [{i}] {rep.provenance._value_}: x_H={rep.state.x_H:.6g} "
+            f"x_C={rep.state.x_C:.6g} behavior={rep.behavior._value_} "
+            f"stability={verdict.classification._value_} ({verdict.method._value_})"
         )
     lines.append(f"{_REPORT_COLUMNS},u_H,u_C,stability,residual")
     template = _REPORT_TEMPLATE + ",%s,%s,%s,%.17g"

@@ -157,7 +157,7 @@ def test_classify_structured(tmp_path):
     rc, out = run_cli(tmp_path, BASE_CFG.replace("q_soc = 0", "q_soc = 1") + "delta = 1\n",
                       "classify", "--format", "structured")
     assert rc == 0
-    record = json.loads(out.decode())
+    record = _strict_json(out)
     assert record["x_bar"] == pytest.approx(8.0)
     # (r+delta)(w_C-w_H)/(w_H-w_R) - b = 2*9 - 1 = 17 at q_soc = 1
     assert record["x_bar_discounted"] == pytest.approx(17.0)
@@ -246,7 +246,7 @@ def test_equilibria_table_and_roundtrip(tmp_path):
 def test_equilibria_structured_output(tmp_path):
     rc, out = run_cli(tmp_path, THREE_CFG, "equilibria", "--format", "structured")
     assert rc == 0
-    records = json.loads(out.decode())
+    records = _strict_json(out)
     assert len(records) == 3
     for record in records:
         assert set(record) == {
@@ -1458,6 +1458,20 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+def _reject_duplicate_keys(pairs):
+    # json.loads keeps the last of two equal keys; a template could repeat one.
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) != len(keys):
+        raise ValueError(f"duplicate JSON keys in {keys}")
+    return dict(pairs)
+
+
+def _strict_json(text):
+    """``text`` as RFC 8259 JSON with no key repeated in an object."""
+    return json.loads(text, parse_constant=_reject_constant,
+                      object_pairs_hook=_reject_duplicate_keys)
+
+
 @pytest.mark.parametrize("command", ["classify", "equilibria"])
 @pytest.mark.parametrize("name", ["base-delta", "indifferent"])
 def test_structured_infinite_threshold_is_strict_json(tmp_path, command, name):
@@ -1465,7 +1479,7 @@ def test_structured_infinite_threshold_is_strict_json(tmp_path, command, name):
     # output writes the CSV's threshold token instead.
     rc, out = run_cli(tmp_path, ANSWER_CFGS[name] + "format = structured\n", command)
     assert rc == 0
-    doc = json.loads(out, parse_constant=_reject_constant)
+    doc = _strict_json(out)
     records = [doc] if command == "classify" else [rep["diagnostics"] for rep in doc]
     assert [record["x_bar"] for record in records] == ["+inf"] * len(records)
     if command == "classify" and name == "base-delta":
@@ -1490,7 +1504,7 @@ def test_structured_nonfinite_numbers_are_strict_json(tmp_path, command, name):
     cfg = NONFINITE_CFGS[command, name] + "format = structured\n"
     rc, out = run_cli(tmp_path, cfg, command)
     assert rc == 0
-    doc = json.loads(out, parse_constant=_reject_constant)
+    doc = _strict_json(out)
     if command == "classify":
         assert doc["x_bar_discounted"] == -0.099999999999999978
     else:
@@ -1515,7 +1529,7 @@ def test_extreme_boundary_reads_its_exact_eigenvalues(tmp_path):
         in out.decode().splitlines()
     rc, out = run_cli(tmp_path, EXTREME_BOUNDARY_CFG + "format = structured\n", "equilibria")
     assert rc == 0
-    (rep,) = json.loads(out, parse_constant=_reject_constant)
+    (rep,) = _strict_json(out)
     assert (rep["stability"]["classification"], rep["stability"]["method"]) == (
         "marginal", "closed_form")
 
@@ -1533,7 +1547,7 @@ POW_BOUNDARY_CFG = (
 def test_boundary_real_parts_printed_are_rooted_with_sqrt(tmp_path):
     rc, out = run_cli(tmp_path, POW_BOUNDARY_CFG + "format = structured\n", "equilibria")
     assert rc == 0
-    (rep,) = [rep for rep in json.loads(out, parse_constant=_reject_constant)
+    (rep,) = [rep for rep in _strict_json(out)
               if rep["provenance"] == "honest_boundary"]
     trace, det, parts = (rep["stability"][k] for k in ("trace", "det", "eigen_real_parts"))
     root = math.sqrt(trace * trace - 4 * det)
