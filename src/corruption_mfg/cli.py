@@ -479,9 +479,8 @@ def cmd_ctmc(cfg: RunConfig, write) -> None:
 
 
 # The model's numerical failures exit 2 from ``main``; at one sweep point they
-# and invalid parameters become an error cell.  Any other exception is a bug.
+# become an error cell.  Any other exception is a bug.
 _NUMERICAL_FAILURES = (SimplexError, ArithmeticError)
-_POINT_ERRORS = (ParameterError, *_NUMERICAL_FAILURES)
 
 
 def cmd_sweep(cfg: RunConfig, write) -> None:
@@ -492,10 +491,10 @@ def cmd_sweep(cfg: RunConfig, write) -> None:
     and so writes its bytes.  It lists the rows of the points it settles, and
     gives every other point its rows: the error row of an invalid value, or
     the rows of the scalar path, :func:`_point_rows`, for a point it hands
-    off (see :func:`_grid_pass`), or every point of a block whose base is
-    invalid or where an operation on scalars raises.  Runs of listed rows and
-    runs of the other rows are written in grid order, each as pieces of at
-    most :data:`_CHUNK_ROWS` rows.
+    off where x_bar is not finite, the corrupt root is degenerate or not
+    single, a listed state leaves [0, 1], or r**2 is 0 or inf (see
+    :func:`_grid_pass`).  Runs of listed rows and runs of the other rows are
+    written in grid order, each as pieces of at most :data:`_CHUNK_ROWS` rows.
     """
     if cfg.sweep_param is None or cfg.sweep_grid is None:
         raise ConfigError("sweep requires sweep_param, sweep_min and sweep_max")
@@ -503,12 +502,8 @@ def cmd_sweep(cfg: RunConfig, write) -> None:
     write(f"param_value,{_REPORT_COLUMNS},stability,residual,error\n")
     for lo in range(0, len(cfg.sweep_grid), _CHUNK_ROWS):
         values = cfg.sweep_grid[lo:lo + _CHUNK_ROWS]
-        try:
-            with np.errstate(all="ignore"):
-                columns, others = _grid_pass(validate_params(cfg.params), field, values)
-        except (ParameterError, ArithmeticError):  # no listed rows, every point handed off
-            columns = [values[:0]]
-            others = [(0, _point_rows(cfg.params, field, value)) for value in values.tolist()]
+        with np.errstate(all="ignore"):
+            columns, others = _grid_pass(cfg.params, field, values)
         done = 0  # rows of ``columns`` written
         # The points before the same listed row are one run.
         for row, run in itertools.groupby(others, key=lambda other: other[0]):
@@ -528,9 +523,8 @@ def _error_row(value: float, message: str) -> str:
 def _point_rows(base: ModelParams, field: str, value: float) -> list[str]:
     """The scalar API's rows, or error row, of ``base`` with ``value`` in ``field``."""
     try:
-        # enumerate_equilibria validates the point's parameters first.
         rows = _equilibrium_rows(ModelParams(**{**vars(base), field: value}))
-    except _POINT_ERRORS as exc:  # per-point failures recorded, sweep continues
+    except _NUMERICAL_FAILURES as exc:  # per-point failures recorded, sweep continues
         return [_error_row(value, str(exc))]
     template = "%.17g," % value + _REPORT_TEMPLATE + ",%s,%.17g,"
     return [template % (*_report_cells(rep), verdict.classification._value_, rep.residual)
@@ -549,17 +543,21 @@ def _grid_pass(base: ModelParams, field: str, values: np.ndarray) -> tuple:
     and ``(row, rows)`` for each other point, in grid order: the row of the
     columns before which its rows go, and its rows, ``[error row]`` or those
     of :func:`_point_rows`.  ``base`` with the array ``values`` in ``field``
-    goes through the scalar closed forms.  A point is handed off to the
-    scalar path where x_bar is not finite (so wherever q_soc = 0); where the
-    corrupt root exists, at a degenerate Q or not one candidate root in
-    (0, 1); where a listed equilibrium has a component outside [0, 1] (NaN
-    included), which ``PopulationState`` clamps or refuses, or a residual
-    not finite, or is a corrupt root where ``r**2`` underflows."""
+    and numpy scalars in the other fields goes through the scalar closed
+    forms.  A point is handed off to the scalar path for four reasons only:
+    x_bar is not finite (so wherever q_soc = 0); the corrupt root exists at a
+    degenerate Q or not one candidate root in (0, 1); a listed equilibrium
+    has a component outside [0, 1] (NaN included), which ``PopulationState``
+    clamps or refuses; or it is a corrupt root where ``r**2`` is 0 or inf,
+    where its stability band raises."""
     n = len(values)
-    p = dataclasses.replace(base, **{field: values})
+    point = dataclasses.replace(base, **{field: values})
     # Each value's first violated inequality, read from validate_params's table.
-    violation = model._first_violation(p, np.where)
+    violation = model._first_violation(point, np.where)
     invalid = violation < len(model._RULES)
+    # Every other field a numpy scalar: where a float operation raises, it
+    # gives inf or NaN instead, and elsewhere the float's bits.
+    p = ModelParams(**{name: np.float64(v) for name, v in vars(point).items()})
     x_bar = np.broadcast_to(_bracket(p, p.r) / p.q_soc, (n,))
     flagged = ~np.isfinite(x_bar)
     coefficients = alpha, beta, _ = equilibria.q_coefficients(p)
@@ -577,12 +575,12 @@ def _grid_pass(base: ModelParams, field: str, values: np.ndarray) -> tuple:
         behavior, listed[:, k] = equilibria._admission(present[k], x_h, x_bar, drop)
         # Where a component is outside [0, 1], PopulationState clamps or refuses it.
         state, residual = equilibria._state(p, x_h, x_c, profile, SimpleNamespace, np.where)
-        valid = np.isfinite(residual)
+        inside = np.ones(n, dtype=bool)
         for v in vars(state).values():
-            valid &= (0.0 <= v) & (v <= 1.0)
-        flagged |= listed[:, k] & ~valid
-        if k == 0:  # where r**2 underflows, the band divides by zero
-            flagged |= listed[:, k] & (p.r**2 == 0.0)
+            inside &= (0.0 <= v) & (v <= 1.0)
+        flagged |= listed[:, k] & ~inside
+        if k == 0:  # where r**2 underflows or overflows, the band raises
+            flagged |= listed[:, k] & ~(0.0 < p.r**2 < np.inf)
         # classify_equilibrium's verdict, read from ``stability`` at each call.
         closed, _ = stability._closed_form(p, provenance, state, np.where)
         parts = stability.eigen_real_parts(*stability._trace_det(p, state, profile),

@@ -13,7 +13,7 @@ between and, at a NaN ``x_bar``, everywhere.  It takes floats and arrays
 alike; :func:`regime_at`, the enumeration's admission and the sweep's grid
 pass all read it.  At ``q_soc = 0`` the threshold is infinite, or the
 regimes tie everywhere, by the exact sign of the classifier bracket, taken
-in integers.  A discounted-criterion variant (no normalization, solved by
+in fractions.  A discounted-criterion variant (no normalization, solved by
 elimination) is provided alongside, all in plain floats.
 """
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .model import (
     Behavior,
@@ -83,20 +84,13 @@ def _bracket(p: ModelParams, rate: float) -> float:
     return rate * (p.w_C - p.w_H) / (p.w_H - p.w_R + rate * p.f) - p.b
 
 
-def _bracket_numerator(p: ModelParams, rate: float) -> int:
+def _bracket_numerator(p: ModelParams, rate: float) -> Fraction:
     """The classifier bracket times its positive denominator, ``rate (w_C -
-    w_H) - b (w_H - w_R + rate f)``, times ``2**3222``, in integers: each
-    float times ``2**1074`` is one.  At ``rate = inf`` (``r + delta``
-    overflowed) it is ``w_C - w_H - b f``, the limit over ``rate``, times
-    ``2**2148``.  Only its sign is read, which is exact."""
-    finite = rate < math.inf
-    scaled = []
-    for v in (p.w_C, p.w_H, p.w_R, p.b, p.f, rate if finite else 1.0):
-        numerator, denominator = v.as_integer_ratio()
-        scaled.append(numerator << (1075 - denominator.bit_length()))
-    w_c, w_h, w_r, b, f, rate = scaled
-    margin = ((w_c - w_h) << 1074) - b * f
-    return rate * margin - (b * (w_h - w_r) << 1074) if finite else margin
+    w_H - b f) - b (w_H - w_R)``, exactly; at ``rate = inf`` (``r + delta``
+    overflowed) ``w_C - w_H - b f``, its limit over ``rate``."""
+    w_c, w_h, w_r, b, f = map(Fraction, (p.w_C, p.w_H, p.w_R, p.b, p.f))
+    margin = w_c - w_h - b * f
+    return Fraction(rate) * margin - b * (w_h - w_r) if rate < math.inf else margin
 
 
 def _threshold(p: ModelParams, rate: float) -> ClassifierThreshold:

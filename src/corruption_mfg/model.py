@@ -67,8 +67,6 @@ class ModelParams:
     w_C: float
 
 
-_PARAM_FIELDS = ("lam", "r", "b", "f", "q_soc", "q_inf", "w_R", "w_H", "w_C")
-
 # The admissibility inequalities in the order they are checked, by the
 # message of each one's violation; ``_rules_hold`` tests them in this order.
 _RULES = (
@@ -106,8 +104,7 @@ def validate_params(p: ModelParams) -> ModelParams:
     the order of :data:`_RULES`: lam > 0, r > 0, b > 0, f >= 0, q_soc >= 0,
     q_inf >= 0, w_C > w_H, w_H > w_R, w_R >= 0.
     """
-    values = (p.lam, p.r, p.b, p.f, p.q_soc, p.q_inf, p.w_R, p.w_H, p.w_C)
-    for name, v in zip(_PARAM_FIELDS, values):
+    for name, v in vars(p).items():
         if not isinstance(v, (int, float)) or not math.isfinite(v):
             raise ParameterError(f"{name} must be a finite number, got {v!r}")
     holds = _rules_hold(p)

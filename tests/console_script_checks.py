@@ -13,6 +13,7 @@ The child is ``corruption-mfg`` where that script is on ``PATH``, as after
 ``os.wait4``, so no other child of the test process counts.
 """
 
+import hashlib
 import os
 import shutil
 import subprocess
@@ -20,6 +21,7 @@ import sys
 
 import corruption_mfg
 from corruption_mfg import cli
+from corruption_mfg.model import ParameterError
 from support import THREE_EQ_CONFIG
 
 if shutil.which("corruption-mfg"):
@@ -66,6 +68,10 @@ def test_state_off_the_simplex_exits_2(tmp_path):
     assert done.stderr.count("\n") == 1
 
 
+# The sha256 of the 10^6-point sweep's output below.
+SWEEP_AT_THE_CAP = "b6d194834967e641c77dcd341d70b450da8a962a27e09ee8a3aca95793464f8a"
+
+
 def test_sweep_at_the_point_cap(tmp_path):
     # The grid is one float64 array of 8 MB, and its points are evaluated
     # 1,024 at a time and written as pieces of at most 1,024 rows, so the run
@@ -77,11 +83,15 @@ def test_sweep_at_the_point_cap(tmp_path):
     child = subprocess.Popen([*SCRIPT, "sweep", "--config", cfg], env=ENV,
                              stdout=subprocess.PIPE, text=True)
     # The grid increases, so the rows of one point are one run of its key.
-    # The rows of every 1,000th point are kept, by grid index.
+    # The rows of every 1,000th point are kept, by grid index, and every byte
+    # is hashed as it streams.
+    digest = hashlib.sha256()
     with child.stdout:
         header = next(child.stdout, "")
+        digest.update(header.encode())
         keys, last, sampled = 0, None, {}
         for line in child.stdout:
+            digest.update(line.encode())
             key = line.split(",", 1)[0]
             keys, last = keys + (key != last), key
             if (keys - 1) % 1000 == 0:
@@ -90,10 +100,19 @@ def test_sweep_at_the_point_cap(tmp_path):
     assert child.returncode == 0
     assert header.startswith("param_value,")
     assert keys == 1_000_000 and peak <= 55, (keys, peak)
-    # At each sampled point the sweep wrote the rows of the scalar path.
+    assert digest.hexdigest() == SWEEP_AT_THE_CAP
+    # At each sampled point the sweep wrote the rows of the scalar path, or
+    # below b = 0 the error row of validate_params's message.
     parsed = cli.load_config(cfg)
+
+    def scalar_rows(value):
+        try:
+            return cli._point_rows(parsed.params, "b", value)
+        except ParameterError as exc:
+            return [cli._error_row(value, str(exc))]
+
     bad = [i for i, rows in sampled.items()
-           if rows != cli._point_rows(parsed.params, "b", float(parsed.sweep_grid[i]))]
+           if rows != scalar_rows(float(parsed.sweep_grid[i]))]
     assert len(sampled) == 1000 and not bad, bad[:5]
 
 

@@ -104,12 +104,12 @@ def test_traced_sweep_counts_every_layer_call(tmp_path):
     assert counts["equilibria.enumerate_equilibria.calls"] == 6
     assert counts["equilibria.reports"] == len(report_rows)
     assert counts["stability.classify_equilibrium.calls"] == len(report_rows)
-    # parse_config validates the base set once, the grid pass of the one
-    # block once more, then each handed-off point is validated.
-    assert counts["model.validate_params.calls"] == 6 + 2
+    # parse_config validates the base set once, then each handed-off point
+    # is validated; the grid pass reads the rules on arrays, untraced.
+    assert counts["model.validate_params.calls"] == 6 + 1
     rows, counts = _traced_sweep(tmp_path, THREE_EQ_CONFIG)
     assert len(rows) > 9 and sum(not row.endswith(",") for row in rows) == 3
     assert counts.get("equilibria.enumerate_equilibria.calls", 0) == 0
     assert counts.get("equilibria.reports", 0) == 0
     assert counts.get("stability.classify_equilibrium.calls", 0) == 0
-    assert counts["model.validate_params.calls"] == 2
+    assert counts["model.validate_params.calls"] == 1

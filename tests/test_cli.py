@@ -627,8 +627,16 @@ def _near_tie(p, field):
 def _sweep_cases(draw):
     """A base over at most 12 decades, an axis, and a grid of 1 to 40 points,
     ascending or descending, that either crosses 0 or spans a narrow window
-    around a near-tie."""
+    around a near-tie.  Besides the bases where q_soc = 0, q_inf = 0 or both,
+    a quarter of them have q_inf = q_soc and a quarter an r whose square
+    overflows or underflows: bases on which an operation on Python floats
+    raises."""
     p = draw(spread_params(max_span=12.0))
+    if draw(st.integers(0, 3)) == 0:
+        p = dataclasses.replace(p, q_inf=p.q_soc)
+    if draw(st.integers(0, 3)) == 0:
+        exponent = st.floats(math.log10(1.4e154), 300.0) | st.floats(-300.0, -162.0)
+        p = dataclasses.replace(p, r=10.0 ** draw(exponent))
     axis = draw(st.sampled_from(cli._SWEEP_AXES))
     field = "lam" if axis == "lambda" else axis
     centre = _near_tie(p, field)
@@ -647,6 +655,16 @@ def _sweep_cases(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_sweep_cases())
+# r**2 overflows (1e200) or underflows (1e-170) and Q has a single root: the
+# points where the corrupt root is listed are handed off for that alone, and
+# the pass lists the rest.  The draws above rarely reach such a point: there
+# an extreme r leaves Q's discriminant overflowing or x_bar negative.
+@example("lambda = 1e-100\nr = 1e200\nb = 1e-100\nf = 0\nq_soc = 1e-100\nq_inf = 0\n"
+         "w_R = 0\nw_H = 1\nw_C = 10\n"
+         "sweep_param = f\nsweep_min = -1e101\nsweep_max = 2e101\nsweep_points = 31\n")
+@example("lambda = 1\nr = 1e-170\nb = 1\nf = 0\nq_soc = 1\nq_inf = 1\n"
+         "w_R = 0\nw_H = 1\nw_C = 1e172\n"
+         "sweep_param = f\nsweep_min = -1e172\nsweep_max = 2e172\nsweep_points = 31\n")
 def test_sweep_grid_pass_writes_the_scalar_rows(text):
     # The grid pass must write the bytes of the per-point scalar rows, built
     # here, at every point it does not hand back to the scalar path.
@@ -672,8 +690,8 @@ def test_sweep_grid_longer_than_a_chunk_writes_the_scalar_rows():
 
 
 def test_sweep_of_an_invalid_base_writes_the_scalar_error_rows():
-    # parse_config validates the base; around a base it would refuse, every
-    # point goes through the scalar API and writes its error row.
+    # parse_config validates the base; around a base it would refuse, the grid
+    # pass writes every point's error row, with validate_params's message.
     cfg = cli.parse_config(THREE_CFG + _sweep("b", 0.1, 1, 4))
     cfg = dataclasses.replace(cfg, params=dataclasses.replace(cfg.params, w_C=0.5))
     want = _hand_sweep_rows(cfg.params, "b", cfg.sweep_grid)
@@ -1354,7 +1372,12 @@ for name, digest in WIDE_DIGESTS.items():
 # 1.1 q_soc on THREE_CFG, where Q's leading coefficient is exactly 0.  The tie
 # grids cross the band of the honest boundary (x_bar = 1 / q_soc on TIE_CFG)
 # and of the corrupt root (EDGE_CFG).  At rates near 1e150 Q's discriminant
-# overflows at every point; near 1e75 it does once q_inf passes ~1.3e79.
+# overflows at every point; near 1e75 it does once q_inf passes ~1.3e79.  The
+# last three were recorded while an operation on their bases' Python floats
+# raised and sent every point through the scalar API: on the f axis with
+# q_inf = q_soc the honest interior point divides by a zero gap, at r = 1e200
+# the corrupt root's band squares r past the float range, and with q_soc =
+# q_inf = 0 both the interior point and x_bar divide by zero.
 ZERO_CFG = "lambda = 1\nr = 1\nb = 0.5\nf = 0\nq_soc = 0\nq_inf = 1\nw_R = 0\nw_H = 1\nw_C = 2\n"
 TIE_CFG = "lambda = 1\nr = 1\nb = 1\nf = 0\nq_soc = 1\nq_inf = 0\nw_R = 0\nw_H = 1\nw_C = 3\n"
 EDGE_CFG = (
@@ -1382,6 +1405,9 @@ SWEEP_CFGS = {
     "sweep-root-tie": EDGE_CFG + _sweep("q_soc", 43.3900790, 43.3900800, 41),
     "sweep-rates-1e150": _rates_times(1e150) + _sweep("q_inf", -1e150, 4e150, 41),
     "sweep-rates-1e75": _rates_times(1e75) + _sweep("q_inf", -1e77, 4e79, 41),
+    "sweep-gap-zero-f": THREE_CFG.replace("q_inf = 2", "q_inf = 0.5") + _sweep("f", -0.5, 3, 33),
+    "sweep-r-1e200-f": THREE_CFG.replace("r = 1\n", "r = 1e200\n") + _sweep("f", -0.5, 3, 33),
+    "sweep-zero-zero-f": ZERO_CFG.replace("q_inf = 1", "q_inf = 0") + _sweep("f", -1, 3, 33),
 }
 SWEEP_DIGESTS = {
     "sweep-zero-b": "a058a11010b5972fb7ca3df1558a861a2b55b734966f06d73e1c5aeba5997c96",
@@ -1394,6 +1420,9 @@ SWEEP_DIGESTS = {
     "sweep-root-tie": "e405fe26a9914bdeb11ff7a27eeb6055a78bc0f99d2f7a8d78e5f69923b29257",
     "sweep-rates-1e150": "c02c3bfd3733a0405b4a621879dccdf56c494c94164129db5d97f1b486aafe22",
     "sweep-rates-1e75": "589daa69d8eda4afcc134d87e315fcf3e80b852bfafee07d90d358cc0d07ff5c",
+    "sweep-gap-zero-f": "028208c892e7ffa3eba9a08a1e0724282d276616e930512438931165b8b743fb",
+    "sweep-r-1e200-f": "1cb2937d6d7011fdbe4ce1b01c2c9b2107a1cb4c29814c275797fad2af662a85",
+    "sweep-zero-zero-f": "7520a3378626a5895a74961705f5393ae1f6c46e30153e7ad852eacbb49f3ecf",
 }
 for name, digest in SWEEP_DIGESTS.items():
     GOLDEN.append(("sweep", SWEEP_CFGS[name], digest))
@@ -1419,6 +1448,32 @@ def test_sweep_goldens_hold_the_cases_they_name():
     overflow = "expected one root of Q in (0;1); got []"
     assert {row[9] for row in rows("sweep-rates-1e150")} == {"q_inf >= 0 violated", overflow}
     assert {row[9] for row in rows("sweep-rates-1e75")} == {"", "q_inf >= 0 violated", overflow}
+    gap = cli.parse_config(SWEEP_CFGS["sweep-gap-zero-f"]).params
+    with pytest.raises(ZeroDivisionError):
+        equilibria._interior_point(gap)
+    assert {row[9] for row in rows("sweep-gap-zero-f")} == {"", "f >= 0 violated"}
+    with pytest.raises(OverflowError):
+        cli.parse_config(SWEEP_CFGS["sweep-r-1e200-f"]).params.r ** 2
+    # The handed-off points' error rows, and the rows the pass lists.
+    assert {row[9] for row in rows("sweep-r-1e200-f")} == {"", "f >= 0 violated", overflow}
+    zero_zero = rows("sweep-zero-zero-f")
+    assert {row[1] for row in zero_zero if not row[9]} == {"+inf", "-inf"}
+    assert any(row[0] == "1" and row[6] == "indifferent" for row in zero_zero)
+
+
+def test_sweep_with_a_zero_infection_gap_on_f_takes_no_scalar_path(monkeypatch):
+    # Where an operation on the base's Python floats raised, here the honest
+    # interior point's (b + lam) / 0, all 33 points of the block went through
+    # the scalar path.  The grid pass writes every one of them.
+    calls, point_rows = [], cli._point_rows
+
+    def counting(base, field, value):
+        calls.append(value)
+        return point_rows(base, field, value)
+
+    monkeypatch.setattr(cli, "_point_rows", counting)
+    cli.cmd_sweep(cli.parse_config(SWEEP_CFGS["sweep-gap-zero-f"]), lambda text: None)
+    assert calls == []
 
 
 @pytest.mark.parametrize("name,sizes", [

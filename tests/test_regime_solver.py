@@ -2,8 +2,8 @@
 
 The regime solver gives, for each of the four strategy profiles, the exact
 Poisson pair of its float inputs to round-off in the terms its values are
-formed from, and the values that a linear solve of the profile's Poisson
-and discounted systems gives.
+formed from, and the values that an exact linear solve of the profile's
+Poisson and discounted systems gives.
 """
 
 from fractions import Fraction
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import corruption_mfg as cm  # noqa: E402
@@ -41,6 +41,22 @@ def _params(rates, wages):
                                           w_R=w_R, w_H=w_H, w_C=w_C))
 
 
+def gauss_jordan(rows):
+    """The solution columns of the augmented rows ``[m | y_1 ... y_k]`` of
+    Fractions, ``m`` square and invertible, by Gauss-Jordan elimination:
+    one row of ``k`` values per unknown."""
+    n = len(rows)
+    rows = list(rows)
+    for i in range(n):
+        pivot = next(j for j in range(i, n) if rows[j][i] != 0)
+        rows[i], rows[pivot] = rows[pivot], rows[i]
+        for j in range(n):
+            if j != i and rows[j][i] != 0:
+                m = rows[j][i] / rows[i][i]
+                rows[j] = [v - m * w for v, w in zip(rows[j], rows[i])]
+    return [[v / row[i] for v in row[n:]] for i, row in enumerate(rows)]
+
+
 def exact_poisson_pair(p, x, u):
     """``(g_H, g_C, mu)`` of an agent with intent ``u``, as Fractions: the
     rows R, H, C of ``w + Q g = mu 1`` with ``g_R = 0``, solved exactly in
@@ -54,14 +70,7 @@ def exact_poisson_pair(p, x, u):
     rows = [[r, F(0), F(-1), -F(p.w_R)],
             [-a, a, F(-1), -F(p.w_H)],
             [s, -(k + s), F(-1), k * F(p.f) - F(p.w_C)]]
-    for i in range(3):
-        pivot = next(j for j in range(i, 3) if rows[j][i] != 0)
-        rows[i], rows[pivot] = rows[pivot], rows[i]
-        for j in range(3):
-            if j != i and rows[j][i] != 0:
-                m = rows[j][i] / rows[i][i]
-                rows[j] = [v - m * w for v, w in zip(rows[j], rows[i])]
-    return [row[3] / row[i] for i, row in enumerate(rows)]
+    return [value for value, in gauss_jordan(rows)]
 
 
 def term_scales(p, x, u):
@@ -132,18 +141,30 @@ def payoff_flows(p, x):
     return np.array([p.w_R, p.w_H, p.w_C - (p.b + p.q_soc * x.x_H) * p.f])
 
 
-def refined_solve(m, y):
-    """``m z = y`` by ``numpy.linalg.solve`` and one step of iterative
-    refinement, with the componentwise error scale ``|m^-1| (|m| |z| + |y|)``.
+def exact_solve(m, y):
+    """``m z = y`` solved exactly in the floats of ``m`` and ``y``, and the
+    componentwise error scale ``|m^-1| (|m| |z| + |y|)``, from the exact
+    ``z`` and inverse, all as Fractions.
 
-    Rates over many decades make ``m`` badly scaled.  The refined ``z`` is
-    then exact to a small multiple of the scale times the float epsilon, and
-    a solution is compared to it relative to that scale: the magnitude of the
-    terms each component is formed from.
+    Rates over many decades make ``m`` badly scaled, so a float solve is no
+    oracle (``numpy.linalg.solve`` with a step of iterative refinement was
+    off by 4e-10 of the scale).  A solution is compared to ``z`` relative to
+    the scale: the magnitude of the terms each component is formed from.
     """
-    z = np.linalg.solve(m, y)
-    z = z + np.linalg.solve(m, y - m @ z)
-    return z, np.abs(np.linalg.inv(m)) @ (np.abs(m) @ np.abs(z) + np.abs(y))
+    F = Fraction
+    n = len(y)
+    m = [[F(v) for v in row] for row in m]
+    y = [F(v) for v in y]
+    solved = gauss_jordan([[*m[i], y[i], *(F(i == j) for j in range(n))] for i in range(n)])
+    z = [row[0] for row in solved]
+    slack = [sum(abs(a) * abs(b) for a, b in zip(row, z)) + abs(v) for row, v in zip(m, y)]
+    return z, [sum(abs(a) * b for a, b in zip(row[1:], slack)) for row in solved]
+
+
+def assert_within(got, want, scale, bound, label):
+    # Each of ``got`` (floats) is within ``bound`` times its scale of ``want``.
+    for g, w, s in zip(got, want, scale):
+        assert abs(Fraction(g) - w) <= Fraction(bound) * s, label
 
 
 def stationary_law(q):
@@ -161,8 +182,15 @@ _RATES = st.tuples(*[_TWELVE_DECADES] * 3, *[st.one_of(st.just(0.0), _TWELVE_DEC
 _WAGES = st.tuples(st.one_of(st.just(0.0), _TWELVE_DECADES), _TWELVE_DECADES, _TWELVE_DECADES)
 
 
+# Rates twelve decades apart where a float solve of the discounted system
+# lost 4e-10 of the scale in g_R at the profile (0, 1).
+_SPREAD_EXAMPLE = dict(rates=(1.0, 0.001, 1e5, 1e6, 1.0, 0.0), wages=(0.0, 1e-4, 1.0),
+                       x=(0.0, 1.0, 0.0))
+
+
 @settings(max_examples=300, deadline=None)
 @given(rates=_RATES, wages=_WAGES, x=_STATES)
+@example(**_SPREAD_EXAMPLE)
 def test_solve_regime_is_the_poisson_pair_of_every_profile(rates, wages, x):
     # The long-run average payoff mu and the relative values g with g_R = 0
     # solve w + Q g = mu 1, three linear equations in (g_H, g_C, mu).
@@ -172,10 +200,9 @@ def test_solve_regime_is_the_poisson_pair_of_every_profile(rates, wages, x):
     for u in cm.ALL_PROFILES:
         q = generator(p, x, u)
         sol = cm.solve_regime(p, x, u)
-        want, scale = refined_solve(np.column_stack([q[:, 1], q[:, 2], -np.ones(3)]), -w)
-        got = np.array([sol.g_H, sol.g_C, sol.mu])
+        want, scale = exact_solve(np.column_stack([q[:, 1], q[:, 2], -np.ones(3)]), -w)
         assert sol.g_R == 0.0
-        assert np.all(np.abs(got - want) <= 1e-10 * scale), u
+        assert_within((sol.g_H, sol.g_C, sol.mu), want, scale, 1e-13, u)
         # mu is the payoff flow averaged over the stationary law.
         pi = stationary_law(q)
         assert np.abs(pi @ q).max() <= 1e-13 * np.abs(q).max(), u
@@ -184,6 +211,7 @@ def test_solve_regime_is_the_poisson_pair_of_every_profile(rates, wages, x):
 
 @settings(max_examples=300, deadline=None)
 @given(rates=_RATES, wages=_WAGES, x=_STATES, delta=_TWELVE_DECADES)
+@example(**_SPREAD_EXAMPLE, delta=1e5)
 def test_solve_discounted_is_the_resolvent_of_every_profile(rates, wages, x, delta):
     # Discounted values solve (delta I - Q) g = w.
     p = _params(rates, wages)
@@ -191,6 +219,5 @@ def test_solve_discounted_is_the_resolvent_of_every_profile(rates, wages, x, del
     w = payoff_flows(p, x)
     for u in cm.ALL_PROFILES:
         v = cm.solve_discounted(p, x, delta, u)
-        want, scale = refined_solve(delta * np.eye(3) - generator(p, x, u), w)
-        got = np.array([v.g_R, v.g_H, v.g_C])
-        assert np.all(np.abs(got - want) <= 1e-10 * scale), u
+        want, scale = exact_solve(delta * np.eye(3) - generator(p, x, u), w)
+        assert_within((v.g_R, v.g_H, v.g_C), want, scale, 1e-13, u)
