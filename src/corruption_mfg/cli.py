@@ -20,7 +20,10 @@ its text in pieces as it is formatted: ``simulate``, ``ctmc`` and ``sweep``
 pieces of at most :data:`_CHUNK_ROWS` rows, ``classify`` and ``equilibria``
 one.  :func:`main` opens ``--out`` (or uses stdout) at the first piece, so
 a run that fails before it writes, as every guard and numerical failure
-does, leaves no output and creates no file.
+does, leaves no output and creates no file.  An existing ``--out`` is
+rewritten in place and cut to what the run wrote, however it ends; a target
+that is not a regular file, such as ``/dev/null``, is not cut.  A run killed
+mid-write (SIGKILL) can leave the earlier file's tail after its answer.
 
 Exit codes: 0 success (also ``--help``), 1 usage, configuration or
 validation error, 2 numerical guard or numerical failure, such as a state
@@ -37,7 +40,9 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import re
+import stat
 import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -639,11 +644,13 @@ def main(argv: list[str] | None = None) -> int:
     sink = None
 
     def write(text: str) -> None:
-        # Opens --out at the first piece, so a run that fails earlier
-        # creates no file and leaves an existing one as it was.
+        # Opens --out at the first piece, so a run that fails earlier changes
+        # no file.  An existing one is rewritten in place and cut at close.
         nonlocal sink
         if sink is None:
-            sink = open(cfg.out, "w", encoding="utf-8", newline="") if cfg.out else sys.stdout
+            sink = sys.stdout if not cfg.out else open(
+                cfg.out, "w", encoding="utf-8", newline="",
+                opener=lambda path, flags: os.open(path, flags & ~os.O_TRUNC, 0o666))
         sink.write(text)
 
     try:
@@ -655,7 +662,12 @@ def main(argv: list[str] | None = None) -> int:
             _COMMANDS[args.command](cfg, write)
         finally:
             if sink is not None and sink is not sys.stdout:
-                sink.close()
+                try:
+                    # A pipe, a terminal or /dev/null cannot be cut (EINVAL).
+                    if stat.S_ISREG(os.fstat(sink.fileno()).st_mode):
+                        sink.truncate()
+                finally:
+                    sink.close()
     except (ConfigError, ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

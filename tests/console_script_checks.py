@@ -39,9 +39,25 @@ def _config(tmp_path, text):
     return str(path)
 
 
-def _run(command, cfg):
-    return subprocess.run([*SCRIPT, command, "--config", cfg], env=ENV, capture_output=True,
-                          text=True)
+def _run(command, cfg, *extra):
+    return subprocess.run([*SCRIPT, command, "--config", cfg, *extra], env=ENV,
+                          capture_output=True, text=True)
+
+
+def test_out_is_rewritten_in_place(tmp_path):
+    # An earlier, longer --out is cut to the answer, and /dev/null, which
+    # cannot be cut, takes an answer.
+    cfg = _config(tmp_path, THREE_EQ_CONFIG)
+    out = tmp_path / "answer.out"
+    out.write_bytes(b"x" * 2**20)
+    to_stdout = subprocess.run([*SCRIPT, "classify", "--config", cfg], env=ENV,
+                               capture_output=True, check=True)
+    subprocess.run([*SCRIPT, "classify", "--config", cfg, "--out", str(out)], env=ENV,
+                   check=True)
+    assert out.read_bytes() == to_stdout.stdout
+    if os.path.exists("/dev/null"):
+        done = _run("simulate", cfg, "--out", "/dev/null")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
 
 
 def _wait_for_peak_mb(child):

@@ -45,3 +45,24 @@ def test_atlas_jobs_at_ten_seeds_match_their_digests(monkeypatch):
             cli._COMMANDS[job.command](cli.parse_config(job.config_text()), pieces.append)
             digests[job.command].update("".join(pieces).encode())
     assert {command: digest.hexdigest() for command, digest in digests.items()} == ATLAS_DIGESTS
+
+
+def test_atlas_jobs_over_one_out_file_leave_their_own_bytes(monkeypatch, tmp_path):
+    # The benchmark writes each job's answer over the previous job's at one
+    # --out path.  Two passes in job order make that file grow and shrink:
+    # classify, equilibria, sweep, then sweep followed by classify.
+    _load(monkeypatch, "oracle")
+    workloads = _load(monkeypatch, "workloads")
+    jobs = workloads.make_jobs("atlas", 1, "full")
+    answers = []
+    for i, job in enumerate(jobs):
+        (tmp_path / f"job-{i}.cfg").write_text(job.config_text())
+        pieces = []
+        cli._COMMANDS[job.command](cli.parse_config(job.config_text()), pieces.append)
+        answers.append("".join(pieces).encode())
+    out = tmp_path / "out.txt"
+    for _ in range(2):
+        for i, job in enumerate(jobs):
+            assert cli.main([job.command, "--config", str(tmp_path / f"job-{i}.cfg"),
+                             "--out", str(out)]) == 0
+            assert out.read_bytes() == answers[i], job.id

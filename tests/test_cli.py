@@ -1214,6 +1214,88 @@ def test_stdout_output(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# --out over an earlier file
+
+OUT_COMMANDS = ("classify", "ctmc", "equilibria", "simulate", "sweep")
+
+
+def _small_config(command):
+    # Each answer is longer than 3 bytes and shorter than 1 MB.
+    return {
+        "classify": BASE_CFG,
+        "ctmc": SMALL_CTMC_CFG,
+        "equilibria": THREE_CFG,
+        "simulate": BASE_CFG + "t_end = 2\n",
+        "sweep": THREE_CFG + "sweep_param = b\nsweep_min = 0.1\nsweep_max = 1\nsweep_points = 10\n",
+    }[command]
+
+
+@pytest.mark.parametrize("earlier", [b"x" * 2**20, b"xxx"], ids=["1-MB-earlier", "3-B-earlier"])
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_out_over_an_earlier_file_holds_the_stdout_bytes(tmp_path, capsys, command, earlier):
+    # An existing --out is rewritten in place, so it must be cut to the answer
+    # when the answer is shorter and grow when it is longer.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_small_config(command))
+    assert cli.main([command, "--config", str(cfg)]) == 0
+    expected = capsys.readouterr().out.encode()
+    out = tmp_path / "answer.out"
+    out.write_bytes(earlier)
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_bytes() == expected
+
+
+def test_new_out_file_gets_the_mode_of_open(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_CFG)
+    # Under this umask a file created with mode 0o777 reads 0o755, and one
+    # created as open() creates it, with 0o666, reads 0o644.
+    umask = os.umask(0o022)
+    try:
+        with open(tmp_path / "reference", "w"):
+            pass
+        assert cli.main(["classify", "--config", str(cfg), "--out", str(tmp_path / "new")]) == 0
+    finally:
+        os.umask(umask)
+    assert (tmp_path / "new").stat().st_mode == (tmp_path / "reference").stat().st_mode
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_out_to_dev_null_is_not_cut(tmp_path, capsys, command):
+    # ftruncate on a character device fails with EINVAL.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_small_config(command))
+    assert cli.main([command, "--config", str(cfg), "--out", "/dev/null"]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_run_failing_after_its_first_piece_leaves_what_it_wrote(tmp_path, capsys, monkeypatch):
+    # At x0 = (1/3, 1/3, 1/3) this trajectory never leaves its first state, so
+    # simulate's first _write_table call writes no row, and its second, the
+    # settled rows, raises.  Only the header reached the file.
+    cfg = tmp_path / "run.cfg"
+    third = "0.3333333333333333"
+    cfg.write_text(BASE_CFG + f"t_end = 2\nx0_R = {third}\nx0_H = {third}\nx0_C = {third}\n")
+    calls = []
+    write_table = cli._write_table
+
+    def failing_second_call(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ArithmeticError("injected")
+        write_table(*args)
+
+    monkeypatch.setattr(cli, "_write_table", failing_second_call)
+    out = tmp_path / "answer.out"
+    out.write_bytes(b"x" * 2**20)
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "injected" in capsys.readouterr().err
+    assert len(calls) == 2 and len(calls[0][2][0]) == 0
+    assert out.read_bytes() == b"t,x_R,x_H,x_C\n"
+
+
+# ---------------------------------------------------------------------------
 # byte-identical table output
 
 X0_CFG = "x0_R = 0.2\nx0_H = 0.5\nx0_C = 0.3\n"
